@@ -298,6 +298,7 @@ def _anonymize_job(args) -> dict:
             "target_median_f0": f"{float(np.median(tgt_voiced)):.3f}",
             "formant_factor": f"{formant_factor:.3f}",
             "clamped_poles": str(result.clamped_poles),
+            "skipped_poles": str(result.skipped_poles),
             # relative to the log's own directory, so runs rehash identically
             "output": Path(out_path).name,
         }
@@ -310,6 +311,7 @@ def _anonymize_job(args) -> dict:
             "target_median_f0": "",
             "formant_factor": f"{formant_factor:.3f}",
             "clamped_poles": "",
+            "skipped_poles": "",
             "output": "",
         }
 
@@ -322,6 +324,7 @@ LOG_FIELDS = [
     "target_median_f0",
     "formant_factor",
     "clamped_poles",
+    "skipped_poles",
     "output",
 ]
 

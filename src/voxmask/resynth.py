@@ -1,8 +1,10 @@
 """Waveform resynthesis: pitch modification by TD-PSOLA and formant shifting by Burg LPC.
 
 Both transforms are time-domain and deterministic. PSOLA moves two-period
-windowed grains anchored at glottal epochs; the formant shifter re-filters
-the LPC residual through a pole-modified all-pole filter frame by frame.
+windowed grains anchored at glottal epochs. The formant shifter fits Burg
+LPC to all frames of an utterance in one batch, takes every frame's poles
+from one batched eigenvalue call, and re-filters each frame's LPC residual
+through its pole-modified all-pole filter before overlap-adding.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import butter, lfilter, sosfiltfilt
 
-from .audio import Waveform, num_frames, resample
+from .audio import Waveform, frame_signal, num_frames, resample
 from .pitch import F0Trajectory, interpolate_unvoiced
 
 UNVOICED_ANCHOR_S = 0.010
@@ -274,38 +276,30 @@ def burg_lpc(x: np.ndarray, order: int) -> np.ndarray:
     """Burg-method AR coefficients [1, a1..a_order] for the prediction filter A(z).
 
     Lattice recursion minimizing forward plus backward prediction error;
-    reflection coefficients stay in [-1, 1] so the model is stable.
+    reflection coefficients stay in [-1, 1] so the model is stable. A
+    (frames, n) array gives one row of coefficients per frame. Energies are
+    einsum row reductions, not BLAS dot products, so a row's fit depends neither on the
+    other rows nor on the BLAS thread count.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    if x.ndim not in (1, 2):
+        raise ValueError("expected a 1-D signal or a (frames, n) array")
+    f = b = np.atleast_2d(x)
     if order < 1:
         raise ValueError("order must be at least 1")
-    if n <= order:
-        raise ValueError(f"need more than order ({order}) samples, got {n}")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    f = x.copy()
-    b = x.copy()
+    if f.shape[1] <= order:
+        raise ValueError(f"need more than order ({order}) samples, got {f.shape[1]}")
+    a = np.zeros((f.shape[0], order + 1))
+    a[:, 0] = 1.0
     for m in range(order):
-        fm = f[1:]
-        bm = b[:-1]
-        den = fm @ fm + bm @ bm
-        k = 0.0 if den <= 0 else -2.0 * (bm @ fm) / den
-        prev = a[: m + 2].copy()
-        a[1 : m + 2] = prev[1 : m + 2] + k * prev[m::-1]
+        fm = f[:, 1:]
+        bm = b[:, :-1]
+        den = np.einsum("ij,ij->i", fm, fm) + np.einsum("ij,ij->i", bm, bm)
+        num = -2.0 * np.einsum("ij,ij->i", bm, fm)
+        k = np.divide(num, den, out=np.zeros_like(den), where=den > 0)[:, None]
+        a[:, 1 : m + 2] = a[:, 1 : m + 2] + k * a[:, m::-1]
         f, b = fm + k * bm, bm + k * fm
-    return a
-
-
-def _pole_formants(a: np.ndarray, fs: float):
-    """(frequency, bandwidth, root) for upper-half-plane poles, frequency ascending."""
-    roots = np.roots(a)
-    upper = roots[np.imag(roots) > 1e-9]
-    freqs = np.angle(upper) * fs / (2 * np.pi)
-    radii = np.abs(upper)
-    bws = -np.log(np.maximum(radii, 1e-12)) * fs / np.pi
-    order = np.argsort(freqs)
-    return [(float(freqs[i]), float(bws[i]), upper[i]) for i in order]
+    return a[0] if x.ndim == 1 else a
 
 
 FORMANT_MIN_HZ = 90.0
@@ -313,12 +307,28 @@ FORMANT_EDGE_HZ = 200.0  # keep clear of DC and Nyquist tilt poles
 FORMANT_MAX_BW = 400.0
 
 
-def _classify_formants(triples, fs: float):
-    return [
-        (fq, bw, r)
-        for fq, bw, r in triples
-        if FORMANT_MIN_HZ <= fq <= fs / 2 - FORMANT_EDGE_HZ and bw < FORMANT_MAX_BW
-    ]
+def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
+    """Burg fits and poles of the Hann-windowed frames of y (frame_signal framing).
+
+    Returns (active, segs, a, roots, freqs, bws, formant): active flags the
+    frames that are not all zero; the rest has one row per active frame, its
+    windowed samples, A(z), the roots of A(z) with their frequencies and
+    bandwidths, and the mask of formant poles among them. The roots come from
+    one batched eigenvalue call on the companion matrices np.roots builds.
+    """
+    frames = frame_signal(y, fl, hp) * np.hanning(fl)
+    active = np.any(frames, axis=1)
+    segs = frames[active]
+    a = burg_lpc(segs, order)
+    companion = np.zeros((a.shape[0], order, order))
+    companion[:, 0] = -a[:, 1:]
+    companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    freqs = np.angle(roots) * fs / (2 * np.pi)
+    bws = -np.log(np.maximum(np.abs(roots), 1e-12)) * fs / np.pi
+    formant = (roots.imag > 1e-9) & (bws < FORMANT_MAX_BW)
+    formant &= (freqs >= FORMANT_MIN_HZ) & (freqs <= fs / 2 - FORMANT_EDGE_HZ)
+    return active, segs, a, roots, freqs, bws, formant
 
 
 def track_formants(
@@ -331,7 +341,9 @@ def track_formants(
     """Per-frame formant (frequency, bandwidth) lists; None marks an unusable frame.
 
     The signal is resampled to 2*max_formant_hz before analysis so the LPC
-    fit is not distracted by the (usually empty) top octaves.
+    fit is not distracted by the (usually empty) top octaves. All-zero
+    frames are unusable, and so is every frame when the batched analysis
+    fails (frames too short for lpc_order, or no eigenvalue convergence).
     """
     if lpc_order < 8:
         raise ValueError("tracking three formants needs lpc_order >= 8")
@@ -342,102 +354,90 @@ def track_formants(
     y = lfilter([1.0, -alpha], [1.0], w.samples)
     fl = int(round(frame * fs))
     hp = int(round(hop * fs))
-    win = np.hanning(fl)
-    result = []
-    for k in range(num_frames(y.size, fl, hp)):
-        seg = y[k * hp : k * hp + fl] * win
-        if not np.any(seg):
-            result.append(None)
-            continue
-        try:
-            a = burg_lpc(seg, lpc_order)
-            triples = _pole_formants(a, fs)
-        except (ValueError, np.linalg.LinAlgError):
-            result.append(None)
-            continue
-        result.append([(fq, bw) for fq, bw, _ in _classify_formants(triples, fs)])
+    result = [None] * num_frames(y.size, fl, hp)
+    try:
+        active, _, _, _, freqs, bws, formant = _frame_poles(y, fs, fl, hp, lpc_order)
+    except (ValueError, np.linalg.LinAlgError):
+        return result
+    for k, fq, bw, is_formant in zip(np.flatnonzero(active), freqs, bws, formant):
+        fq, bw = fq[is_formant], bw[is_formant]
+        result[k] = [(float(fq[i]), float(bw[i])) for i in np.argsort(fq)]
     return result
 
 
 @dataclass(frozen=True)
 class FormantShift:
-    """Shifted waveform plus the count of pole radii clamped for stability."""
+    """Shifted waveform plus pole diagnostics.
+
+    clamped_poles counts pole radii clamped for stability; skipped_poles counts
+    selected formant poles left unshifted because the scaled angle would pass 0.95*pi.
+    """
 
     waveform: Waveform
     clamped_poles: int
+    skipped_poles: int
 
 
 def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShift:
+    """shift_formants with the pole diagnostics of FormantShift."""
     fs = w.sample_rate
     n = w.samples.size
     if n < int(round(cfg.frame * fs)):
         raise ValueError("signal shorter than one analysis frame")
     if cfg.factor == 1.0:
-        return FormantShift(Waveform(w.samples.copy(), fs), 0)
+        return FormantShift(Waveform(w.samples.copy(), fs), 0, 0)
 
     # work in the formant band; top octaves carry no formants
     wa = resample(w, 2.0 * cfg.max_formant_hz) if fs > 2.0 * cfg.max_formant_hz else w
     fa = wa.sample_rate
     order = cfg.resolve_order(fa)
     alpha = float(np.exp(-2 * np.pi * cfg.preemphasis_hz / fa))
-    x = wa.samples
-    na = x.size
+    na = wa.samples.size
     fl = int(round(cfg.frame * fa))
     hp = int(round(cfg.hop * fa))
 
-    y = lfilter([1.0, -alpha], [1.0], x)
+    y = lfilter([1.0, -alpha], [1.0], wa.samples)
     n_fr = num_frames(na, fl, hp) + 1  # one extra to cover the tail
     pad = (n_fr - 1) * hp + fl
     y = np.concatenate([y, np.zeros(pad - na)])
-    win = np.hanning(fl)
+    active, seg, a, roots, freqs, _, formant = _frame_poles(y, fa, fl, hp, order)
 
+    # Edit the upper-half-plane and real roots only. Each upper root and its
+    # conjugate become one real quadratic factor of A_mod, which mirrors the
+    # edit to the lower half plane; lower roots contribute the factor 1.
+    degree = np.select([roots.imag > 1e-9, np.abs(roots.imag) <= 1e-9], [2.0, 1.0])
+    rank = np.argsort(np.argsort(np.where(formant, freqs, np.inf), axis=1), axis=1)
+    chosen = formant & (rank < cfg.n_formants)
+    angle = np.angle(roots)
+    fits = angle * cfg.factor < 0.95 * np.pi
+    angle = np.where(chosen & fits, angle * cfg.factor, angle)
+    skipped = int(np.count_nonzero(chosen & ~fits))
+    radius = np.abs(roots)
+    clamp = (degree > 0) & (radius >= 1.0)
+    radius = np.where(clamp, 0.998, radius)
+    c1 = -degree * radius * np.cos(angle)
+    c2 = np.where(degree == 2.0, radius**2, 0.0)
+    a_mod = np.zeros_like(a)
+    a_mod[:, 0] = 1.0
+    for j in range(order):
+        step = c1[:, j, None] * a_mod[:, :-1]
+        step[:, 1:] += c2[:, j, None] * a_mod[:, :-2]
+        a_mod[:, 1:] += step
+
+    resid = seg.copy()  # FIR A(z) on each frame; a0 is 1
+    for j in range(1, order + 1):
+        resid[:, j:] += a[:, j, None] * seg[:, :-j]
+    rms_in = np.sqrt(np.sum(seg * seg, axis=1))
+
+    win = np.hanning(fl)
     out = np.zeros(pad)
     den = np.zeros(pad)
-    clamped = 0
-    max_angle = 0.95 * np.pi
-
-    for k in range(n_fr):
-        seg = y[k * hp : k * hp + fl] * win
-        if not np.any(seg):
-            continue
-        a = burg_lpc(seg, order)
-        roots = np.roots(a)
-        upper = np.nonzero(np.imag(roots) > 1e-9)[0]
-        freqs = np.angle(roots[upper]) * fa / (2 * np.pi)
-        bws = -np.log(np.maximum(np.abs(roots[upper]), 1e-12)) * fa / np.pi
-        is_formant = (
-            (freqs >= FORMANT_MIN_HZ)
-            & (freqs <= fa / 2 - FORMANT_EDGE_HZ)
-            & (bws < FORMANT_MAX_BW)
-        )
-        by_freq = upper[is_formant][np.argsort(freqs[is_formant])]
-        to_shift = set(by_freq[: cfg.n_formants].tolist())
-
-        new_upper = []
-        for ri in upper:
-            radius = abs(roots[ri])
-            angle = np.angle(roots[ri])
-            if ri in to_shift and angle * cfg.factor < max_angle:
-                angle *= cfg.factor
-            if radius >= 1.0:
-                radius = 0.998
-                clamped += 1
-            new_upper.append(radius * np.exp(1j * angle))
-        new_real = []
-        for rr in np.real(roots[np.abs(np.imag(roots)) <= 1e-9]):
-            if abs(rr) >= 1.0:
-                rr = np.sign(rr) * 0.998
-                clamped += 1
-            new_real.append(rr)
-        new_upper = np.asarray(new_upper, dtype=complex)
-        a_mod = np.real(np.poly(np.concatenate([new_upper, np.conj(new_upper), new_real])))
-        resid = lfilter(a, [1.0], seg)
-        resyn = lfilter([1.0], a_mod, resid)
+    for i, k in enumerate(np.flatnonzero(active)):
+        resyn = lfilter([1.0], a_mod[i], resid[i])
         # moving poles off the harmonic comb changes the frame gain; restore it
-        rms_in = float(np.sqrt(seg @ seg))
-        rms_out = float(np.sqrt(resyn @ resyn))
+        rms_out = np.sqrt(np.sum(resyn * resyn))
         if rms_out > 0:
-            resyn *= np.clip(rms_in / rms_out, 0.25, 4.0)
+            resyn *= np.clip(rms_in[i] / rms_out, 0.25, 4.0)
         out[k * hp : k * hp + fl] += resyn * win
         den[k * hp : k * hp + fl] += win**2
 
@@ -447,18 +447,16 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
     result = lfilter([1.0], [1.0, -alpha], out)
     if fa != fs:
         result = resample(Waveform(result, fa), fs).samples
-        if result.size < n:
-            result = np.concatenate([result, np.zeros(n - result.size)])
-        else:
-            result = result[:n]
-    return FormantShift(Waveform(result, fs), clamped)
+        result = np.pad(result, (0, max(0, n - result.size)))[:n]
+    return FormantShift(Waveform(result, fs), int(np.count_nonzero(clamp)), skipped)
 
 
 def shift_formants(w: Waveform, cfg: FormantShiftConfig) -> Waveform:
     """Scale the lowest n_formants formant frequencies by cfg.factor.
 
-    Frame-wise Burg analysis; formant pole pairs get their angles scaled
-    with radii (bandwidths) preserved; the inverse-filtered residual is
-    re-filtered through the modified all-pole filter and overlap-added.
+    One batched Burg analysis covers all frames of the utterance: formant
+    pole pairs get their angles scaled with radii (bandwidths) preserved;
+    each frame's inverse-filtered residual is re-filtered through its
+    modified all-pole filter and overlap-added.
     """
     return shift_formants_detailed(w, cfg).waveform

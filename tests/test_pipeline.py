@@ -210,6 +210,7 @@ class TestAnonymize:
             assert (anon_dir / r["output"]).exists()
             assert 65.0 <= float(r["original_median_f0"]) <= 520.0
             assert 65.0 <= float(r["target_median_f0"]) <= 520.0
+            assert int(r["clamped_poles"]) >= 0 and int(r["skipped_poles"]) >= 0
 
     def test_inputs_untouched(self, small_corpus, anon_dir, tmp_path):
         # the corpus generator is byte-deterministic, so a fresh copy is an oracle
@@ -287,6 +288,7 @@ class TestAnonymize:
         assert rows[good.utterance_id]["status"] == "ok"
         assert rows["broken"]["status"] == "failed"
         assert rows["broken"]["message"]
+        assert rows["broken"]["clamped_poles"] == rows["broken"]["skipped_poles"] == ""
         assert (out / f"{good.utterance_id}.anon.wav").exists()
 
 

@@ -19,7 +19,8 @@ from voxmask.resynth import (
 )
 from voxmask import synth
 
-from conftest import make_test_vowel
+from conftest import make_noise, make_test_vowel, make_tone
+from formant_oracle import shift_formants_oracle
 
 PITCH_CFG = PitchConfig(floor=65, ceiling=380)
 
@@ -88,6 +89,25 @@ class TestBurg:
             burg_lpc(np.zeros(10), 0)
         with pytest.raises(ValueError):
             burg_lpc(np.ones(5), 10)
+
+    def test_rows_match_one_dimensional_calls(self):
+        # bitwise: a frame's fit must not depend on the batch it sits in
+        rng = np.random.default_rng(6)
+        frames = rng.standard_normal((23, 275)) * np.hanning(275)
+        frames[5] = 0.0
+        batch = burg_lpc(frames, 13)
+        assert batch.shape == (23, 14)
+        for i, row in enumerate(frames):
+            np.testing.assert_array_equal(batch[i], burg_lpc(row, 13))
+        np.testing.assert_array_equal(batch[5], np.eye(1, 14)[0])
+
+    def test_order_bounds_on_frames(self):
+        with pytest.raises(ValueError):
+            burg_lpc(np.ones((3, 10)), 0)
+        with pytest.raises(ValueError):
+            burg_lpc(np.ones((3, 5)), 5)
+        with pytest.raises(ValueError):
+            burg_lpc(np.ones((2, 3, 40)), 4)
 
 
 # ------------------------------------------------------------------ epochs
@@ -303,3 +323,53 @@ class TestShiftFormants:
         detail = shift_formants_detailed(w, FormantShiftConfig(factor=1.2))
         assert detail.clamped_poles >= 0
         assert detail.waveform.samples.size == w.samples.size
+
+    def test_skipped_poles_counted_when_angle_guard_fires(self):
+        # analysis runs at 11 kHz, where the guard sits at 0.475 * 11 kHz:
+        # F3 = 3000 Hz doubled to 6 kHz is past it, scaled by 1.2 it is not
+        w = make_test_vowel(120.0, formants=(700.0, 1200.0, 3000.0), duration=0.4, seed=13)
+        assert shift_formants_detailed(w, FormantShiftConfig(factor=1.2)).skipped_poles == 0
+        assert shift_formants_detailed(w, FormantShiftConfig(factor=2.0)).skipped_poles > 0
+
+
+def _click_11k() -> Waveform:
+    # after pre-emphasis the click is two samples; at offset 273 of the
+    # frame starting at 220 the second falls on the window's zero endpoint,
+    # so Burg sees one nonzero sample and returns all-zero reflection
+    # coefficients: every root is zero and the frame must pass unchanged
+    x = np.zeros(5500)
+    x[493] = 0.5
+    return Waveform(x, 11000)
+
+
+def _clipped_sine() -> Waveform:
+    t = np.arange(8000) / 16000
+    return Waveform(np.clip(1.5 * np.sin(2 * np.pi * 220.0 * t), -1.0, 1.0), 16000)
+
+
+ORACLE_INPUTS = {
+    "vowel_16k": lambda: make_test_vowel(120.0, duration=0.5, seed=14),
+    "vowel_11k": lambda: make_test_vowel(130.0, duration=0.5, fs=11000, seed=15),
+    "noise_22k": lambda: make_noise(0.4, fs=22050, seed=16),
+    "click": _click_11k,
+    "silence": lambda: Waveform(np.zeros(8000), 16000),
+    "one_frame": lambda: make_noise(0.025, seed=17),
+    "dc": lambda: Waveform(np.full(8000, 0.3), 16000),
+    "clipped_sine": _clipped_sine,
+    "pure_tone": lambda: make_tone(440.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("n_formants", [1, 3, 5])
+@pytest.mark.parametrize("factor", [0.8, 1.2])
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_batched_shift_matches_per_frame_oracle(name, factor, n_formants):
+    w = ORACLE_INPUTS[name]()
+    cfg = FormantShiftConfig(factor=factor, n_formants=n_formants)
+    got = shift_formants_detailed(w, cfg)
+    want = shift_formants_oracle(w, cfg)
+    peak = np.max(np.abs(want.waveform.samples))
+    assert got.waveform.sample_rate == want.waveform.sample_rate
+    assert np.max(np.abs(got.waveform.samples - want.waveform.samples)) <= 1e-8 * peak
+    assert got.clamped_poles == want.clamped_poles
+    assert got.skipped_poles == want.skipped_poles
