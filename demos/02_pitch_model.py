@@ -20,8 +20,9 @@ corpus = OUT / "model_corpus"
 manifest = synth.generate_corpus(corpus, seed=42, n_per_group=3, n_modal=2, n_disguised=0)
 print(f"corpus at {corpus}")
 
-# One smooth curve per utterance: extract f0, fill gaps, convert to
-# semitones, resample onto a normalized time grid, then penalized smoothing.
+# One smooth curve per utterance: extract f0, then curve_from_trajectory fills
+# gaps, converts to semitones, resamples onto a normalized time grid and
+# applies penalized smoothing.
 basis = fda.build_basis(n_basis=60, order=4)
 ranges = {"low": (65.0, 380.0), "high": (140.0, 520.0)}
 curves, labels = [], []
@@ -32,9 +33,7 @@ with open(manifest, newline="") as fh:
         floor, ceiling = ranges[row["group"]]
         w = read_wav(corpus / row["path"])
         traj = pitch.extract_f0(w, pitch.PitchConfig(floor=floor, ceiling=ceiling))
-        st = pitch.hz_to_semitones(pitch.interpolate_unvoiced(traj), ref=100.0)
-        grid = fda.uniform_resample(st.times, st.values, 200)
-        curves.append(fda.smooth_curve(grid, basis, lam=1e-8))
+        curves.append(fda.curve_from_trajectory(traj, basis, lam=1e-8, grid_points=200, ref_hz=100.0))
         labels.append(fda.CurveLabel(row["utterance_id"], row["speaker_id"],
                                      row["group"], row["condition"]))
 

@@ -23,12 +23,22 @@ def _split(value):
 def _need(ctx, key, flag):
     value = ctx.obj.get(key)
     if value is None:
-        click.echo(f"error: {flag} is required for this command", err=True)
-        sys.exit(2)
+        raise pipeline.ConfigError(f"{flag} is required for this command")
     return value
 
 
-@click.group()
+class _Group(click.Group):
+    """The one place a ConfigError from any command becomes exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except pipeline.ConfigError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Group)
 @click.option("--config", type=click.Path(), default=None, help="Pipeline config JSON.")
 @click.option("--manifest", type=click.Path(), default=None, help="Corpus manifest CSV.")
 @click.option("--out", type=click.Path(), default=None, help="Output file or directory.")
@@ -53,19 +63,15 @@ def main(ctx, config, manifest, out, workers, seed):
 @click.pass_context
 def fit(ctx, groups, conditions, sessions):
     """Fit a functional PCA pitch model; --out names the model file."""
-    try:
-        path = pipeline.cmd_fit(
-            _need(ctx, "manifest", "--manifest"),
-            _need(ctx, "config", "--config"),
-            _need(ctx, "out", "--out"),
-            groups=_split(groups),
-            conditions=_split(conditions),
-            sessions=_split(sessions),
-            workers=ctx.obj["workers"],
-        )
-    except pipeline.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    path = pipeline.cmd_fit(
+        _need(ctx, "manifest", "--manifest"),
+        _need(ctx, "config", "--config"),
+        _need(ctx, "out", "--out"),
+        groups=_split(groups),
+        conditions=_split(conditions),
+        sessions=_split(sessions),
+        workers=ctx.obj["workers"],
+    )
     click.echo(f"model written to {path}")
 
 
@@ -76,19 +82,15 @@ def fit(ctx, groups, conditions, sessions):
 @click.pass_context
 def anonymize(ctx, model, groups, sessions):
     """Anonymize modal utterances into --out (WAVs plus anon_log.csv)."""
-    try:
-        failures = pipeline.cmd_anonymize(
-            _need(ctx, "manifest", "--manifest"),
-            _need(ctx, "config", "--config"),
-            model,
-            _need(ctx, "out", "--out"),
-            groups=_split(groups),
-            sessions=_split(sessions),
-            workers=ctx.obj["workers"],
-        )
-    except pipeline.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    failures = pipeline.cmd_anonymize(
+        _need(ctx, "manifest", "--manifest"),
+        _need(ctx, "config", "--config"),
+        model,
+        _need(ctx, "out", "--out"),
+        groups=_split(groups),
+        sessions=_split(sessions),
+        workers=ctx.obj["workers"],
+    )
     if failures:
         click.echo(f"{failures} utterance(s) failed; see anon_log.csv", err=True)
         sys.exit(1)
@@ -101,18 +103,14 @@ def anonymize(ctx, model, groups, sessions):
 @click.pass_context
 def evaluate(ctx, anon_dir, trials):
     """Score trials and STOI; writes report.json/report.txt/scores.csv to --out."""
-    try:
-        report = pipeline.cmd_evaluate(
-            _need(ctx, "manifest", "--manifest"),
-            _need(ctx, "config", "--config"),
-            anon_dir,
-            trials,
-            _need(ctx, "out", "--out"),
-            workers=ctx.obj["workers"],
-        )
-    except pipeline.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    report = pipeline.cmd_evaluate(
+        _need(ctx, "manifest", "--manifest"),
+        _need(ctx, "config", "--config"),
+        anon_dir,
+        trials,
+        _need(ctx, "out", "--out"),
+        workers=ctx.obj["workers"],
+    )
     click.echo(report.format_table())
 
 
@@ -123,13 +121,9 @@ def evaluate(ctx, anon_dir, trials):
 @click.pass_context
 def export_curves(ctx, model, component, n_points):
     """Export mean/plus/minus component curves and the score scatter as CSV."""
-    try:
-        curves_path, scatter_path = pipeline.cmd_export_curves(
-            model, component, n_points, _need(ctx, "out", "--out")
-        )
-    except pipeline.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    curves_path, scatter_path = pipeline.cmd_export_curves(
+        model, component, n_points, _need(ctx, "out", "--out")
+    )
     click.echo(f"wrote {curves_path} and {scatter_path}")
 
 
@@ -140,17 +134,13 @@ def export_curves(ctx, model, component, n_points):
 @click.pass_context
 def make_synth_corpus(ctx, n_per_group, n_modal, n_disguised):
     """Generate the deterministic synthetic corpus under --out."""
-    try:
-        manifest_path = pipeline.cmd_make_synth_corpus(
-            ctx.obj["seed"],
-            _need(ctx, "out", "--out"),
-            n_per_group=n_per_group,
-            n_modal=n_modal,
-            n_disguised=n_disguised,
-        )
-    except pipeline.ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    manifest_path = pipeline.cmd_make_synth_corpus(
+        ctx.obj["seed"],
+        _need(ctx, "out", "--out"),
+        n_per_group=n_per_group,
+        n_modal=n_modal,
+        n_disguised=n_disguised,
+    )
     click.echo(f"manifest written to {manifest_path}")
 
 

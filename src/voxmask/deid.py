@@ -17,12 +17,11 @@ from .fda import (
     DEFAULT_LAMBDA,
     FpcaModel,
     ScoreVector,
+    curve_from_trajectory,
     fpca_project,
     reconstruct,
-    smooth_curve,
-    uniform_resample,
 )
-from .pitch import DEFAULT_SEMITONE_REF_HZ, HZ, F0Trajectory, hz_to_semitones, interpolate_unvoiced
+from .pitch import DEFAULT_SEMITONE_REF_HZ, HZ, F0Trajectory
 
 DISGUISE_MODEL = "disguise_model"
 CROSS_GROUP = "cross_group"
@@ -143,7 +142,7 @@ def anonymize_trajectory(
 ) -> F0Trajectory:
     """Full score-replacement pipeline for one trajectory.
 
-    interpolate -> semitone -> smooth -> project -> swap s1 -> reconstruct,
+    curve_from_trajectory -> project -> swap s1 -> reconstruct,
     then the curve is sampled back on the input frame grid and converted to
     Hz. Frame count, times, and voicing flags pass through untouched;
     unvoiced frames stay NaN. Reconstructed values are clamped to
@@ -155,17 +154,13 @@ def anonymize_trajectory(
     if model is None:
         raise ValueError(f"strategy {strategy.kind!r} requires a fitted model")
 
-    filled = interpolate_unvoiced(t)
-    st = hz_to_semitones(filled, ref_hz)
-    grid_values = uniform_resample(st.times, st.values, grid_points)
-    curve = smooth_curve(grid_values, model.basis, lam)
+    curve = curve_from_trajectory(t, model.basis, lam, grid_points, ref_hz)
     scores = fpca_project(curve, model)
     n = select_n_components(model, strategy.variance_threshold, strategy.max_components)
     swapped = anonymize_scores(scores, replacement_first_score(strategy, model, speaker), n)
     rebuilt = reconstruct(model, swapped, n)
 
-    span = st.times[-1] - st.times[0]
-    tn = (st.times - st.times[0]) / span
+    tn = (t.times - t.times[0]) / (t.times[-1] - t.times[0])
     hz = ref_hz * np.exp2(rebuilt(tn) / 12.0)
     if pitch_floor is not None:
         hz = np.maximum(hz, pitch_floor / 2.0)

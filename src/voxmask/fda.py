@@ -17,6 +17,8 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
+from .pitch import DEFAULT_SEMITONE_REF_HZ, F0Trajectory, hz_to_semitones, interpolate_unvoiced
+
 MODEL_FORMAT_VERSION = 1
 
 DEFAULT_N_BASIS = 202
@@ -201,6 +203,23 @@ def smooth_curve(samples: np.ndarray, basis: BSplineBasis, lam: float = DEFAULT_
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
     return FunctionalCurve(basis, c)
+
+
+def curve_from_trajectory(
+    t: F0Trajectory,
+    basis: BSplineBasis,
+    lam: float = DEFAULT_LAMBDA,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    ref_hz: float = DEFAULT_SEMITONE_REF_HZ,
+) -> FunctionalCurve:
+    """One utterance's Hz f0 trajectory as a smooth semitone curve on [0,1].
+
+    Unvoiced gaps are interpolated, values converted to semitones re ref_hz,
+    the frame times mapped onto grid_points uniform steps and the result
+    smoothed with the penalized least-squares fit of smooth_curve.
+    """
+    st = hz_to_semitones(interpolate_unvoiced(t), ref_hz)
+    return smooth_curve(uniform_resample(st.times, st.values, grid_points), basis, lam)
 
 
 def sample_curve(curve: FunctionalCurve, n_points: int) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Batch orchestration: manifests, model fitting, anonymization runs, evaluation.
 
 All commands are plain functions so they can be driven from the CLI or from
-tests. Parallel sections map over utterances with a process pool and
-aggregate in utterance-id order, so the worker count never changes output
-bytes.
+tests. load_config turns the config JSON into typed objects once (a
+PitchConfig per group, the B-spline basis, the FormantShiftConfig), so a bad
+value is a ConfigError before any audio is read. Per-utterance work is a
+frozen job dataclass that carries the paths and the group's PitchConfig to a
+worker: FitJob for f0 tracking, AnonymizeJob, which adds the manifest row,
+its resolved strategy and the PipelineConfig, for a whole anonymization.
+Parallel sections map over those jobs with a process pool and aggregate in
+utterance-id order, so the worker count never changes output bytes.
 """
 
 from __future__ import annotations
@@ -102,24 +107,21 @@ def load_manifest(path) -> Manifest:
 @dataclass(frozen=True)
 class PipelineConfig:
     label: str
-    pitch_ranges: dict  # group -> (floor, ceiling)
-    n_basis: int
-    order: int
+    pitch: dict  # group -> pitch.PitchConfig
+    basis: fda.BSplineBasis
     lam: float
     grid_points: int
     semitone_ref_hz: float
     strategy: deid.DeidStrategy
-    formant_factor: float
-    n_formants: int
+    formant: resynth.FormantShiftConfig
     eval_stoi: bool
     eval_eer: bool
     raw: dict
 
     def pitch_config(self, group: str) -> pitch.PitchConfig:
-        if group not in self.pitch_ranges:
+        if group not in self.pitch:
             raise ConfigError(f"no pitch range configured for group {group!r}")
-        floor, ceiling = self.pitch_ranges[group]
-        return pitch.PitchConfig(floor=floor, ceiling=ceiling)
+        return self.pitch[group]
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -127,12 +129,10 @@ class PipelineConfig:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    """Build every typed object once; their own checks make a bad value a ConfigError."""
     if data.get("version") != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config version: {data.get('version')!r}")
     try:
-        pitch_ranges = {
-            g: (float(v["floor"]), float(v["ceiling"])) for g, v in data["pitch"].items()
-        }
         basis = data.get("basis", {})
         strat = data["strategy"]
         strategy = deid.DeidStrategy(
@@ -147,15 +147,20 @@ def config_from_dict(data: dict) -> PipelineConfig:
         ev = data.get("evaluation", {})
         cfg = PipelineConfig(
             label=data.get("label", "unnamed"),
-            pitch_ranges=pitch_ranges,
-            n_basis=int(basis.get("n_basis", fda.DEFAULT_N_BASIS)),
-            order=int(basis.get("order", fda.DEFAULT_ORDER)),
+            pitch={
+                g: pitch.PitchConfig(floor=float(v["floor"]), ceiling=float(v["ceiling"]))
+                for g, v in data["pitch"].items()
+            },
+            basis=fda.build_basis(
+                int(basis.get("n_basis", fda.DEFAULT_N_BASIS)), int(basis.get("order", fda.DEFAULT_ORDER))
+            ),
             lam=float(basis.get("lambda", fda.DEFAULT_LAMBDA)),
             grid_points=int(basis.get("grid_points", fda.DEFAULT_GRID_POINTS)),
             semitone_ref_hz=float(data.get("semitone_ref_hz", pitch.DEFAULT_SEMITONE_REF_HZ)),
             strategy=strategy,
-            formant_factor=float(formant.get("factor", 1.0)),
-            n_formants=int(formant.get("n_formants", 3)),
+            formant=resynth.FormantShiftConfig(
+                factor=float(formant.get("factor", 1.0)), n_formants=int(formant.get("n_formants", 3))
+            ),
             eval_stoi=bool(ev.get("stoi", True)),
             eval_eer=bool(ev.get("eer", True)),
             raw=data,
@@ -187,15 +192,14 @@ def _map_jobs(fn, jobs, workers: int):
 
 # ---------------------------------------------------------------- fit
 
-def _curve_job(args) -> tuple:
-    """Extract one utterance's semitone trajectory on the normalized grid."""
-    wav_path, floor, ceiling, ref_hz, grid_points = args
-    w = read_wav(wav_path)
-    cfg = pitch.PitchConfig(floor=floor, ceiling=ceiling)
-    traj = pitch.extract_f0(w, cfg)
-    filled = pitch.interpolate_unvoiced(traj)
-    st = pitch.hz_to_semitones(filled, ref_hz)
-    return fda.uniform_resample(st.times, st.values, grid_points)
+@dataclass(frozen=True)
+class FitJob:
+    wav_path: str
+    pitch: pitch.PitchConfig
+
+
+def _fit_job(job: FitJob) -> pitch.F0Trajectory:
+    return pitch.extract_f0(read_wav(job.wav_path), job.pitch)
 
 
 def cmd_fit(
@@ -219,21 +223,17 @@ def cmd_fit(
         raise ConfigError("functional PCA needs at least 2 matching utterances")
     rows = sorted(rows, key=lambda r: r.utterance_id)
 
-    jobs = []
-    for r in rows:
-        floor, ceiling = cfg.pitch_ranges.get(r.group, (None, None))
-        if floor is None:
-            raise ConfigError(f"no pitch range configured for group {r.group!r}")
-        jobs.append((str(manifest.resolve(r)), floor, ceiling, cfg.semitone_ref_hz, cfg.grid_points))
-    grids = _map_jobs(_curve_job, jobs, workers)
-
-    basis = fda.build_basis(cfg.n_basis, cfg.order)
-    curves, labels = [], []
-    for r, grid in zip(rows, grids):
-        curves.append(fda.smooth_curve(grid, basis, cfg.lam))
-        labels.append(
-            fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
-        )
+    jobs = [FitJob(str(manifest.resolve(r)), cfg.pitch_config(r.group)) for r in rows]
+    # smoothing stays in this process: its BLAS calls, run in pool workers next to
+    # f0 tracking, oversubscribe the CPUs with BLAS threads
+    curves = [
+        fda.curve_from_trajectory(t, cfg.basis, cfg.lam, cfg.grid_points, cfg.semitone_ref_hz)
+        for t in _map_jobs(_fit_job, jobs, workers)
+    ]
+    labels = [
+        fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
+        for r in rows
+    ]
     model = fda.fpca_fit(curves, labels)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -248,74 +248,6 @@ def _cached_model(path: str) -> fda.FpcaModel:
     return fda.load_model(path)
 
 
-def _anonymize_job(args) -> dict:
-    (
-        utt_id,
-        wav_path,
-        out_path,
-        floor,
-        ceiling,
-        ref_hz,
-        lam,
-        grid_points,
-        strategy_fields,
-        speaker,
-        model_path,
-        formant_factor,
-        n_formants,
-    ) = args
-    try:
-        strategy = deid.DeidStrategy(**dict(strategy_fields))
-        w = read_wav(wav_path)
-        pcfg = pitch.PitchConfig(floor=floor, ceiling=ceiling)
-        traj = pitch.extract_f0(w, pcfg)
-        if traj.n_voiced == 0:
-            raise ValueError("no voiced frames found")
-        model = _cached_model(model_path) if model_path else None
-        target = deid.anonymize_trajectory(
-            traj,
-            model,
-            strategy,
-            speaker,
-            ref_hz=ref_hz,
-            lam=lam,
-            grid_points=grid_points,
-            pitch_floor=floor,
-            pitch_ceiling=ceiling,
-            max_hz=w.sample_rate / 4,
-        )
-        shifted = resynth.psola_modify(w, traj, target)
-        fcfg = resynth.FormantShiftConfig(factor=formant_factor, n_formants=n_formants)
-        result = resynth.shift_formants_detailed(shifted, fcfg)
-        write_wav(out_path, result.waveform, encoding="float32")
-        voiced = traj.values[traj.voiced]
-        tgt_voiced = target.values[target.voiced]
-        return {
-            "utterance_id": utt_id,
-            "status": "ok",
-            "message": "",
-            "original_median_f0": f"{float(np.median(voiced)):.3f}",
-            "target_median_f0": f"{float(np.median(tgt_voiced)):.3f}",
-            "formant_factor": f"{formant_factor:.3f}",
-            "clamped_poles": str(result.clamped_poles),
-            "skipped_poles": str(result.skipped_poles),
-            # relative to the log's own directory, so runs rehash identically
-            "output": Path(out_path).name,
-        }
-    except Exception as exc:  # per-utterance isolation: log and continue
-        return {
-            "utterance_id": utt_id,
-            "status": "failed",
-            "message": f"{type(exc).__name__}: {exc}",
-            "original_median_f0": "",
-            "target_median_f0": "",
-            "formant_factor": f"{formant_factor:.3f}",
-            "clamped_poles": "",
-            "skipped_poles": "",
-            "output": "",
-        }
-
-
 LOG_FIELDS = [
     "utterance_id",
     "status",
@@ -327,6 +259,58 @@ LOG_FIELDS = [
     "skipped_poles",
     "output",
 ]
+
+
+@dataclass(frozen=True)
+class AnonymizeJob:
+    """One modal utterance; strategy is cfg.strategy with the row's donor group resolved."""
+
+    row: ManifestRow
+    wav_path: str
+    out_path: str
+    model_path: Optional[str]
+    pitch: pitch.PitchConfig
+    strategy: deid.DeidStrategy
+    cfg: PipelineConfig
+
+
+def _anonymize_job(job: AnonymizeJob) -> dict:
+    cfg, pcfg = job.cfg, job.pitch
+    log = dict.fromkeys(LOG_FIELDS, "")
+    log.update(utterance_id=job.row.utterance_id, formant_factor=f"{cfg.formant.factor:.3f}")
+    try:
+        w = read_wav(job.wav_path)
+        traj = pitch.extract_f0(w, pcfg)
+        if traj.n_voiced == 0:
+            raise ValueError("no voiced frames found")
+        model = _cached_model(job.model_path) if job.model_path else None
+        target = deid.anonymize_trajectory(
+            traj,
+            model,
+            job.strategy,
+            job.row.speaker_id,
+            ref_hz=cfg.semitone_ref_hz,
+            lam=cfg.lam,
+            grid_points=cfg.grid_points,
+            pitch_floor=pcfg.floor,
+            pitch_ceiling=pcfg.ceiling,
+            max_hz=w.sample_rate / 4,
+        )
+        shifted = resynth.psola_modify(w, traj, target)
+        result = resynth.shift_formants_detailed(shifted, cfg.formant)
+        write_wav(job.out_path, result.waveform, encoding="float32")
+        log.update(
+            status="ok",
+            original_median_f0=f"{float(np.median(traj.values[traj.voiced])):.3f}",
+            target_median_f0=f"{float(np.median(target.values[target.voiced])):.3f}",
+            clamped_poles=str(result.clamped_poles),
+            skipped_poles=str(result.skipped_poles),
+            # relative to the log's own directory, so runs rehash identically
+            output=Path(job.out_path).name,
+        )
+    except Exception as exc:  # per-utterance isolation: log and continue
+        log.update(status="failed", message=f"{type(exc).__name__}: {exc}")
+    return log
 
 
 def cmd_anonymize(
@@ -364,9 +348,6 @@ def cmd_anonymize(
     manifest_groups = manifest.groups
     jobs = []
     for r in rows:
-        if r.group not in cfg.pitch_ranges:
-            raise ConfigError(f"no pitch range configured for group {r.group!r}")
-        floor, ceiling = cfg.pitch_ranges[r.group]
         strategy = cfg.strategy
         if strategy.kind == deid.CROSS_GROUP and not strategy.donor_group:
             others = [g for g in manifest_groups if g != r.group]
@@ -377,20 +358,14 @@ def cmd_anonymize(
                 )
             strategy = dataclasses.replace(strategy, donor_group=others[0])
         jobs.append(
-            (
-                r.utterance_id,
-                str(manifest.resolve(r)),
-                str(out_dir / f"{r.utterance_id}.anon.wav"),
-                floor,
-                ceiling,
-                cfg.semitone_ref_hz,
-                cfg.lam,
-                cfg.grid_points,
-                tuple(sorted(dataclasses.asdict(strategy).items())),
-                r.speaker_id,
-                str(model_path) if model_path else "",
-                cfg.formant_factor,
-                cfg.n_formants,
+            AnonymizeJob(
+                row=r,
+                wav_path=str(manifest.resolve(r)),
+                out_path=str(out_dir / f"{r.utterance_id}.anon.wav"),
+                model_path=str(model_path) if model_path else None,
+                pitch=cfg.pitch_config(r.group),
+                strategy=strategy,
+                cfg=cfg,
             )
         )
     results = _map_jobs(_anonymize_job, jobs, workers)

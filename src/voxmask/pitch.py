@@ -29,7 +29,6 @@ class PitchConfig:
     silence_threshold: float = 0.01
     octave_cost: float = 0.05
     octave_jump_cost: float = 0.35
-    viterbi: bool = False
 
     def __post_init__(self):
         if not (0 < self.floor < self.ceiling):
@@ -134,37 +133,6 @@ def _select_path_greedy(candidates, cfg):
     return values
 
 
-def _select_path_viterbi(candidates, cfg):
-    """Dynamic-programming path over per-frame candidates plus an unvoiced state."""
-    n = len(candidates)
-    states = [cands + [(None, cfg.voicing_threshold)] for cands in candidates]
-    score = [s for _, s in states[0]]
-    back = [[-1] * len(states[0])]
-    for t in range(1, n):
-        new_score, back_t = [], []
-        for freq, adj in states[t]:
-            best, best_j = -np.inf, 0
-            for j, (pfreq, _) in enumerate(states[t - 1]):
-                trans = 0.0
-                if freq is not None and pfreq is not None:
-                    trans = cfg.octave_jump_cost * abs(math.log2(freq / pfreq))
-                elif (freq is None) != (pfreq is None):
-                    trans = 0.14  # voiced/unvoiced switch cost
-                s = score[j] - trans
-                if s > best:
-                    best, best_j = s, j
-            new_score.append(best + adj)
-            back_t.append(best_j)
-        score = new_score
-        back.append(back_t)
-    j = int(np.argmax(score))
-    path = [None] * n
-    for t in range(n - 1, -1, -1):
-        path[t] = states[t][j][0]
-        j = back[t][j]
-    return path
-
-
 def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
     """Track f0 with the window-normalized autocorrelation method.
 
@@ -208,8 +176,7 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
         rn = (r[: lag_hi + 2] / r[0]) / np.maximum(rw[: lag_hi + 2], 1e-12)
         candidates.append(_frame_candidates(rn, lag_lo, lag_hi, fs, cfg))
 
-    select = _select_path_viterbi if cfg.viterbi else _select_path_greedy
-    chosen = select(candidates, cfg)
+    chosen = _select_path_greedy(candidates, cfg)
 
     times = (np.arange(n_fr) * hop_n + win_n / 2) / fs
     values = np.full(n_fr, np.nan)

@@ -28,12 +28,30 @@ def speechlike(seed: int = 0) -> Waveform:
     return synth.synth_utterance(spk, synth.CONDITION_MODAL, 1, 0, seed)
 
 
-def brute_force_eer(gen: np.ndarray, imp: np.ndarray, n: int = 100_000) -> float:
+def sweep_thresholds(gen: np.ndarray, imp: np.ndarray, n: int) -> np.ndarray:
     lo = min(gen.min(), imp.min()) - 1e-6
     hi = max(gen.max(), imp.max()) + 1e-6
-    ts = np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
+
+
+def broadcast_far_frr(gen: np.ndarray, imp: np.ndarray, n: int = 100_000):
+    """FAR/FRR at n thresholds by a thresholds x scores comparison: the reference for sorted_far_frr."""
+    ts = sweep_thresholds(gen, imp, n)
     far = (imp[None, :] >= ts[:, None]).mean(axis=1)
     frr = (gen[None, :] < ts[:, None]).mean(axis=1)
+    return far, frr
+
+
+def sorted_far_frr(gen: np.ndarray, imp: np.ndarray, n: int = 100_000):
+    """The same FAR/FRR in O((n + scores) log scores): counts below each threshold by searchsorted."""
+    ts = sweep_thresholds(gen, imp, n)
+    far = (imp.size - np.searchsorted(np.sort(imp), ts, "left")) / imp.size
+    frr = np.searchsorted(np.sort(gen), ts, "left") / gen.size
+    return far, frr
+
+
+def brute_force_eer(gen: np.ndarray, imp: np.ndarray, n: int = 100_000) -> float:
+    far, frr = sorted_far_frr(gen, imp, n)
     k = np.argmin(np.abs(far - frr))
     return 100.0 * 0.5 * (far[k] + frr[k])
 
@@ -225,6 +243,24 @@ class TestEer:
             eer, _ = compute_eer(TrialSet(gen, imp))
             bf = brute_force_eer(gen, imp)
             assert abs(eer - bf) < 0.1, (eer, bf, n_g, n_i, sep)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sorted_sweep_equals_broadcast_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gen = rng.normal(1.0, 1.0, int(rng.integers(50, 300)))
+        imp = rng.normal(0.0, 1.0, int(rng.integers(50, 300)))
+        if seed % 2:
+            # ties within and across classes, and scores lying exactly on thresholds of
+            # the 1001-point sweep (interior values only, so the sweep's ends stay put)
+            gen, imp = np.sort(np.round(gen, 1)), np.sort(np.round(imp, 1))
+            ts = sweep_thresholds(gen, imp, 1001)
+            gen[1:-1:4] = ts[200 : 200 + gen[1:-1:4].size]
+            imp[1:-1:4] = ts[300 : 300 + imp[1:-1:4].size]
+            assert np.array_equal(sweep_thresholds(gen, imp, 1001), ts)
+        for n in (7, 1001, 100_000):
+            far, frr = sorted_far_frr(gen, imp, n)
+            ref_far, ref_frr = broadcast_far_frr(gen, imp, n)
+            assert np.array_equal(far, ref_far) and np.array_equal(frr, ref_frr)
 
     @given(
         st.lists(st.integers(min_value=-5000, max_value=5000), min_size=2, max_size=40),

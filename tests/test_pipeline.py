@@ -126,9 +126,9 @@ class TestConfig:
         del data["basis"]
         del data["formant"]
         cfg = pipeline.config_from_dict(data)
-        assert cfg.n_basis == fda.DEFAULT_N_BASIS
-        assert cfg.order == fda.DEFAULT_ORDER
-        assert cfg.formant_factor == 1.0
+        assert cfg.basis.n_basis == fda.DEFAULT_N_BASIS
+        assert cfg.basis.order == fda.DEFAULT_ORDER
+        assert cfg.formant.factor == 1.0
 
     def test_hash_ignores_key_order(self):
         a = base_config()
@@ -138,6 +138,22 @@ class TestConfig:
         assert ha == hb
         c = base_config(label="other")
         assert pipeline.config_from_dict(c).config_hash() != ha
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"pitch": {"low": {"floor": 500.0, "ceiling": 380.0}, "high": {"floor": 140.0, "ceiling": 520.0}}},
+             "floor < ceiling"),
+            ({"formant": {"factor": 0.0, "n_formants": 3}}, "factor must be positive"),
+            ({"formant": {"factor": -1.2, "n_formants": 3}}, "factor must be positive"),
+            ({"formant": {"factor": 1.2, "n_formants": 0}}, "n_formants"),
+            ({"basis": {"n_basis": 3, "order": 4}}, "n_basis"),
+        ],
+        ids=["inverted_pitch_range", "zero_factor", "negative_factor", "zero_n_formants", "n_basis_below_order"],
+    )
+    def test_bad_values_rejected_at_load(self, over, message):
+        with pytest.raises(ConfigError, match=message):
+            pipeline.config_from_dict(base_config(**over))
 
     def test_pitch_config_unknown_group(self):
         cfg = pipeline.config_from_dict(base_config())
@@ -184,6 +200,11 @@ class TestFit:
         with pytest.raises(ConfigError, match="at least 2"):
             pipeline.cmd_fit(p, config_path, tmp_path / "m.json")
 
+    def test_model_bytes_independent_of_worker_count(self, small_corpus, config_path, fitted_model, tmp_path):
+        # fitted_model ran at 2 workers, so its f0 tracks came from pool workers
+        out = pipeline.cmd_fit(small_corpus, config_path, tmp_path / "m.json", conditions=("modal",), workers=1)
+        assert out.read_bytes() == fitted_model.read_bytes()
+
     def test_unconfigured_group_rejected(self, small_corpus, tmp_path):
         cfg = write_config(
             tmp_path / "c.json", pitch={"low": {"floor": 65.0, "ceiling": 380.0}}
@@ -228,6 +249,17 @@ class TestAnonymize:
         with pytest.raises(ConfigError, match="not found"):
             pipeline.cmd_anonymize(small_corpus, config_path, tmp_path / "ghost.json", out)
         assert not out.exists()  # fails before creating any output
+
+    def test_output_tree_independent_of_worker_count(self, small_corpus, fitted_model, tmp_path):
+        cfg = write_config(tmp_path / "c.json", formant={"factor": 1.2, "n_formants": 3})
+        trees = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            failures = pipeline.cmd_anonymize(small_corpus, cfg, fitted_model, out, sessions=("2",), workers=workers)
+            assert failures == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(trees[0]) == 13  # 12 session-2 modal WAVs and the log
+        assert trees[0] == trees[1]
 
     def test_constant_zero_shift_is_transparent(self, small_corpus, tmp_path):
         cfg = write_config(
@@ -409,11 +441,65 @@ class TestExportCurves:
 # ---------------------------------------------------------------- CLI
 
 
+def assert_config_exit(result, message):
+    """Exit 2 through the CLI's ConfigError mapping: one error line, no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ") and message in result.stderr
+    assert "Traceback" not in result.output
+
+
 class TestCli:
     def test_missing_global_flag_exits_2(self):
         runner = CliRunner()
         result = runner.invoke(cli.main, ["fit"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate", "export-curves", "make-synth-corpus"])
+    def test_config_error_exits_2_for_every_command(self, command, small_corpus, fitted_model, tmp_path):
+        root = Path(small_corpus).parent
+        good = write_config(tmp_path / "good.json")
+        bad = write_config(tmp_path / "bad.json", version=99)
+        args, message = {
+            "fit": (["--config", str(bad), "--manifest", str(small_corpus), "--out", str(tmp_path / "m.json"),
+                     "fit"], "unsupported config version"),
+            "anonymize": (["--config", str(good), "--manifest", str(small_corpus), "--out", str(tmp_path / "a"),
+                           "anonymize"], "requires a model file"),
+            "evaluate": (["--config", str(good), "--manifest", str(small_corpus), "--out", str(tmp_path / "e"),
+                          "evaluate", "--anon-dir", str(root / "wav"), "--trials", str(tmp_path / "ghost.csv")],
+                         "trial file not found"),
+            "export-curves": (["--out", str(tmp_path / "x"), "export-curves", "--model", str(fitted_model),
+                               "--component", "0"], "component index"),
+            "make-synth-corpus": (["make-synth-corpus"], "--out is required"),
+        }[command]
+        assert_config_exit(CliRunner().invoke(cli.main, args), message)
+
+    @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate"])
+    def test_missing_global_flag_names_it(self, command, tmp_path):
+        extra = ["--anon-dir", str(tmp_path), "--trials", str(tmp_path / "t.csv")] if command == "evaluate" else []
+        result = CliRunner().invoke(cli.main, ["--config", str(tmp_path / "c.json"), command, *extra])
+        assert_config_exit(result, "--manifest is required")
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"pitch": {"low": {"floor": 500.0, "ceiling": 380.0}, "high": {"floor": 140.0, "ceiling": 520.0}}},
+             "floor < ceiling"),
+            ({"formant": {"factor": 0.0, "n_formants": 3}}, "factor must be positive"),
+        ],
+        ids=["inverted_pitch_range", "zero_factor"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "anonymize"])
+    def test_bad_config_value_exits_2_before_any_output(self, command, over, message, small_corpus, fitted_model,
+                                                        tmp_path):
+        cfg = write_config(tmp_path / "c.json", **over)
+        out = tmp_path / "out"
+        extra = ["--model", str(fitted_model)] if command == "anonymize" else []
+        result = CliRunner().invoke(
+            cli.main, ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), command, *extra]
+        )
+        assert_config_exit(result, message)
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, small_corpus, tmp_path):
         bad = write_config(tmp_path / "c.json", version=99)

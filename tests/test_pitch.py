@@ -89,12 +89,6 @@ class TestExtract:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.voiced, b.voiced)
 
-    def test_viterbi_matches_tone(self):
-        w = make_tone(200.0, 1.0)
-        t = extract_f0(w, PitchConfig(floor=65, ceiling=380, viterbi=True))
-        med = np.median(t.values[t.voiced])
-        assert abs(med - 200.0) / 200.0 < 0.01
-
 
 class TestInterpolate:
     def test_interior_gap_linear(self):
