@@ -40,7 +40,7 @@ def medians(wave):
     return [float(np.median(c)) for c in cols]
 
 fcfg = resynth.FormantShiftConfig(factor=1.2)
-out = resynth.shift_formants(w, fcfg)
+out = resynth.shift_formants_detailed(w, fcfg).waveform
 before = medians(w)
 after = medians(out)
 print("formants before:", [f"{v:.0f}" for v in before])
@@ -48,7 +48,7 @@ print("formants after x1.2:", [f"{v:.0f}" for v in after])
 write_wav(OUT / "vowel_formants_up20.wav", out)
 
 # Both at once is what the anonymization pipeline does per utterance.
-both = resynth.shift_formants(shifted, fcfg)
+both = resynth.shift_formants_detailed(shifted, fcfg).waveform
 write_wav(OUT / "vowel_both.wav", both)
 print(f"combined STOI vs input {stoi(w, both):.3f}")
 print(f"wrote 3 wavs under {OUT}")

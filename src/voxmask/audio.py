@@ -47,17 +47,6 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(frozen=True)
-class WriteInfo:
-    """Metadata returned by write_wav."""
-
-    clipped: int
-
-    @property
-    def clipping_occurred(self) -> bool:
-        return self.clipped > 0
-
-
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
@@ -85,22 +74,20 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def write_wav(path, w: Waveform, encoding: str = "pcm16") -> WriteInfo:
+def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
     """Write a Waveform to disk.
 
-    encoding 'pcm16' clips out-of-range samples to [-1, 1] (count reported),
-    'float32' is lossless for float32-representable samples.
+    encoding 'pcm16' clips out-of-range samples to [-1, 1], 'float32' is
+    lossless for float32-representable samples.
     """
     if encoding == "pcm16":
-        clipped = int(np.count_nonzero(np.abs(w.samples) > 1.0))
         x = np.clip(w.samples, -1.0, 1.0)
         pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
         wavfile.write(path, w.sample_rate, pcm)
-        return WriteInfo(clipped=clipped)
-    if encoding == "float32":
+    elif encoding == "float32":
         wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
-        return WriteInfo(clipped=0)
-    raise ValueError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+    else:
+        raise ValueError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

@@ -4,13 +4,15 @@ The speaker scorer is a deliberately lightweight stand-in for a trained
 verification system: 23 MFCCs with short-time mean subtraction, summarized
 by per-coefficient mean and standard deviation, compared by cosine. EER
 numbers from it are internally comparable across methods, not calibrated
-against any external system.
+against any external system. Every analysis setting, STOI's published values
+and the MFCC front end alike, is a module constant, so stoi, mfcc_frames and
+mfcc_embed take only waveforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.fft import dct
@@ -26,6 +28,15 @@ STOI_FIRST_CENTER = 150.0
 STOI_SEGMENT = 30
 STOI_BETA = -15.0
 STOI_DYN_RANGE = 40.0
+
+MFCC_RATE = 16000
+MFCC_FRAME_S = 0.025
+MFCC_HOP_S = 0.010
+MFCC_NFFT = 512
+MFCC_N_MEL = 30
+MFCC_N_COEFFS = 23
+MFCC_CMN_WINDOW_S = 3.0  # span of the sliding mean subtracted from each frame
+MFCC_VAD_THRESHOLD_DB = 30.0  # frames further below the loudest are not speech
 
 
 @dataclass(frozen=True)
@@ -43,25 +54,6 @@ class TrialSet:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    n_coeffs: int = 23
-    frame: float = 0.025
-    hop: float = 0.010
-    n_mel_filters: int = 30
-    cmn_window: float = 3.0
-    vad: bool = True
-    sample_rate: int = 16000
-    n_fft: int = 512
-    vad_threshold_db: float = 30.0
-
-    def __post_init__(self):
-        if not (self.frame > self.hop > 0):
-            raise ValueError("need frame > hop > 0")
-        if self.n_coeffs < 1 or self.n_coeffs > self.n_mel_filters:
-            raise ValueError("n_coeffs must be in [1, n_mel_filters]")
 
 
 def _third_octave_bands(nfft: int, fs: float):
@@ -170,43 +162,38 @@ def _mel_filterbank(n_filters: int, nfft: int, fs: float) -> np.ndarray:
     return fb
 
 
-def mfcc_frames(w: Waveform, cfg: MfccConfig = MfccConfig()):
+def mfcc_frames(w: Waveform):
     """Per-frame MFCCs after sliding-window mean subtraction, plus the VAD mask."""
-    if w.sample_rate != cfg.sample_rate:
-        w = resample(w, cfg.sample_rate)
-    fs = cfg.sample_rate
-    fl = int(round(cfg.frame * fs))
-    hp = int(round(cfg.hop * fs))
+    w = resample(w, MFCC_RATE)
+    fl = int(round(MFCC_FRAME_S * MFCC_RATE))
+    hp = int(round(MFCC_HOP_S * MFCC_RATE))
     x = w.samples
     if x.size < fl:
         raise ValueError("signal shorter than one analysis frame")
     frames = frame_signal(x, fl, hp)
     energies = 10.0 * np.log10(np.sum(frames**2, axis=1) + 1e-30)
     windowed = frames * np.hamming(fl)
-    power = np.abs(np.fft.rfft(windowed, cfg.n_fft, axis=1)) ** 2
-    fb = _mel_filterbank(cfg.n_mel_filters, cfg.n_fft, fs)
+    power = np.abs(np.fft.rfft(windowed, MFCC_NFFT, axis=1)) ** 2
+    fb = _mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE)
     logmel = np.log(np.maximum(power @ fb.T, 1e-30))
-    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
+    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, :MFCC_N_COEFFS]
 
-    half = max(1, int(round(cfg.cmn_window / cfg.hop)) // 2)
+    half = max(1, int(round(MFCC_CMN_WINDOW_S / MFCC_HOP_S)) // 2)
     cmn = np.empty_like(coeffs)
     for k in range(coeffs.shape[0]):
         a, b = max(0, k - half), min(coeffs.shape[0], k + half + 1)
         cmn[k] = coeffs[k] - coeffs[a:b].mean(axis=0)
 
-    if cfg.vad:
-        mask = energies > energies.max() - cfg.vad_threshold_db
-        # digital silence has uniform floor energy; require real dynamics
-        if energies.max() <= 10.0 * np.log10(1e-30) + 1.0:
-            mask = np.zeros_like(mask)
-    else:
-        mask = np.ones(coeffs.shape[0], dtype=bool)
+    mask = energies > energies.max() - MFCC_VAD_THRESHOLD_DB
+    # digital silence has uniform floor energy; require real dynamics
+    if energies.max() <= 10.0 * np.log10(1e-30) + 1.0:
+        mask = np.zeros_like(mask)
     return cmn, mask
 
 
-def mfcc_embed(w: Waveform, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+def mfcc_embed(w: Waveform) -> np.ndarray:
     """46-dim utterance embedding: per-coefficient means and stds, unit length."""
-    coeffs, mask = mfcc_frames(w, cfg)
+    coeffs, mask = mfcc_frames(w)
     if not np.any(mask):
         raise ValueError("no frames passed voice activity detection")
     kept = coeffs[mask]
@@ -243,8 +230,9 @@ def compute_eer(trials: TrialSet):
         raise ValueError("both genuine and impostor scores are required")
     thresholds = np.unique(np.concatenate([gen, imp]))
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    far = np.array([np.mean(imp >= t) for t in thresholds])
-    frr = np.array([np.mean(gen < t) for t in thresholds])
+    # scores below each threshold, counted by binary search in the sorted lists
+    far = (imp.size - np.searchsorted(np.sort(imp), thresholds, "left")) / imp.size
+    frr = np.searchsorted(np.sort(gen), thresholds, "left") / gen.size
     diff = far - frr
 
     idx = int(np.argmax(diff <= 0))  # first nonpositive; diff is nonincreasing

@@ -118,6 +118,18 @@ class PipelineConfig:
     eval_eer: bool
     raw: dict
 
+    def __post_init__(self):
+        # the same bounds smooth_curve and hz_to_semitones enforce per utterance
+        if not self.lam >= 0:
+            raise ValueError("basis.lambda must be nonnegative")
+        if not self.grid_points >= self.basis.n_basis / 3:
+            raise ValueError(
+                f"basis.grid_points ({self.grid_points}) underdetermine a "
+                f"{self.basis.n_basis}-function basis; need at least n_basis/3"
+            )
+        if not self.semitone_ref_hz > 0:
+            raise ValueError("semitone_ref_hz must be positive")
+
     def pitch_config(self, group: str) -> pitch.PitchConfig:
         if group not in self.pitch:
             raise ConfigError(f"no pitch range configured for group {group!r}")

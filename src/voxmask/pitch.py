@@ -16,6 +16,13 @@ SEMITONE = "semitone"
 #: Default reference for semitone conversion (12*log2(f/ref)).
 DEFAULT_SEMITONE_REF_HZ = 100.0
 
+HOP_S = 0.010
+VOICING_THRESHOLD = 0.45
+WINDOW_PERIODS = 3.0  # analysis window spans this many periods of the floor
+SILENCE_THRESHOLD = 0.01  # frames below this fraction of the global peak are unvoiced
+OCTAVE_COST = 0.05  # per octave above the floor, favors the higher candidate
+OCTAVE_JUMP_COST = 0.35  # per octave of frame-to-frame f0 change
+
 
 @dataclass(frozen=True)
 class PitchConfig:
@@ -23,20 +30,10 @@ class PitchConfig:
 
     floor: float
     ceiling: float
-    hop: float = 0.010
-    voicing_threshold: float = 0.45
-    window_periods: float = 3.0
-    silence_threshold: float = 0.01
-    octave_cost: float = 0.05
-    octave_jump_cost: float = 0.35
 
     def __post_init__(self):
         if not (0 < self.floor < self.ceiling):
             raise ValueError("need 0 < floor < ceiling")
-        if self.hop <= 0:
-            raise ValueError("hop must be positive")
-        if not (0 < self.voicing_threshold < 1):
-            raise ValueError("voicing_threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ def _frame_candidates(rn, lag_lo, lag_hi, fs, cfg):
             lag, val = _parabolic_peak(rn, i)
             freq = fs / lag
             val = min(val, 1.0)
-            adj = val + cfg.octave_cost * math.log2(max(freq, 1e-9) / cfg.floor)
+            adj = val + OCTAVE_COST * math.log2(max(freq, 1e-9) / cfg.floor)
             if adj > best_adj:
                 best_adj, best_freq = adj, freq
             if cfg.floor <= freq <= cfg.ceiling and val > 0:
@@ -117,15 +114,15 @@ def _frame_candidates(rn, lag_lo, lag_hi, fs, cfg):
     return cands[:4]
 
 
-def _select_path_greedy(candidates, cfg):
+def _select_path_greedy(candidates):
     values = []
     prev = None
     for cands in candidates:
-        best, best_score = None, cfg.voicing_threshold
+        best, best_score = None, VOICING_THRESHOLD
         for freq, adj in cands:
             score = adj
             if prev is not None:
-                score -= cfg.octave_jump_cost * abs(math.log2(freq / prev))
+                score -= OCTAVE_JUMP_COST * abs(math.log2(freq / prev))
             if score > best_score:
                 best, best_score = freq, score
         values.append(best)
@@ -143,8 +140,8 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
     fs = w.sample_rate
     if cfg.ceiling >= fs / 2:
         raise ValueError("ceiling must stay below the Nyquist frequency")
-    win_n = int(round(cfg.window_periods / cfg.floor * fs))
-    hop_n = max(1, int(round(cfg.hop * fs)))
+    win_n = int(round(WINDOW_PERIODS / cfg.floor * fs))
+    hop_n = max(1, int(round(HOP_S * fs)))
     x = w.samples
     if x.size < win_n:
         raise ValueError(
@@ -164,7 +161,7 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
     candidates = []
     for k in range(n_fr):
         seg = x[k * hop_n : k * hop_n + win_n]
-        if global_peak == 0.0 or np.max(np.abs(seg)) < cfg.silence_threshold * global_peak:
+        if global_peak == 0.0 or np.max(np.abs(seg)) < SILENCE_THRESHOLD * global_peak:
             candidates.append([])
             continue
         segw = (seg - seg.mean()) * window
@@ -176,7 +173,7 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
         rn = (r[: lag_hi + 2] / r[0]) / np.maximum(rw[: lag_hi + 2], 1e-12)
         candidates.append(_frame_candidates(rn, lag_lo, lag_hi, fs, cfg))
 
-    chosen = _select_path_greedy(candidates, cfg)
+    chosen = _select_path_greedy(candidates)
 
     times = (np.arange(n_fr) * hop_n + win_n / 2) / fs
     values = np.full(n_fr, np.nan)

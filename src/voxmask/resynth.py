@@ -1,16 +1,19 @@
 """Waveform resynthesis: pitch modification by TD-PSOLA and formant shifting by Burg LPC.
 
 Both transforms are time-domain and deterministic. PSOLA moves two-period
-windowed grains anchored at glottal epochs. The formant shifter fits Burg
-LPC to all frames of an utterance in one batch, takes every frame's poles
-from one batched eigenvalue call, and re-filters each frame's LPC residual
-through its pole-modified all-pole filter before overlap-adding.
+windowed grains anchored at glottal epochs. The formant shifter,
+shift_formants_detailed, fits Burg LPC to all frames of an utterance in one
+batch, takes every frame's poles from one batched eigenvalue call, and
+re-filters each frame's LPC residual through its pole-modified all-pole
+filter before overlap-adding. It and track_formants share one analysis front
+end (_formant_band). Only the factor and the number of shifted formants are
+configurable; the LPC frame, hop, pre-emphasis, analysis band and order rule
+are module constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.signal import butter, lfilter, sosfiltfilt
@@ -51,37 +54,16 @@ class EpochSequence:
 
 @dataclass(frozen=True)
 class FormantShiftConfig:
-    """factor scales the angles of the n_formants lowest formant pole pairs.
-
-    Analysis runs at 2*max_formant_hz (signal resampled down when needed):
-    LPC poles then cover only the formant band instead of being spent on
-    the empty top octaves.
-    """
+    """factor scales the angles of the n_formants lowest formant pole pairs."""
 
     factor: float
     n_formants: int = 3
-    lpc_order: Optional[int] = None
-    frame: float = 0.025
-    hop: float = 0.010
-    preemphasis_hz: float = 50.0
-    max_formant_hz: float = 5500.0
 
     def __post_init__(self):
         if self.factor <= 0:
             raise ValueError("factor must be positive")
         if self.n_formants < 1:
             raise ValueError("n_formants must be at least 1")
-        if self.lpc_order is not None and self.lpc_order < 2 * self.n_formants + 2:
-            raise ValueError("lpc_order must be at least 2*n_formants + 2")
-        if not (self.frame > self.hop > 0):
-            raise ValueError("need frame > hop > 0")
-        if self.max_formant_hz <= 0:
-            raise ValueError("max_formant_hz must be positive")
-
-    def resolve_order(self, sample_rate: float) -> int:
-        if self.lpc_order is not None:
-            return self.lpc_order
-        return int(round(sample_rate / 1000.0)) + 2
 
 
 def _voiced_sample_spans(f0: F0Trajectory, fs: float, n: int):
@@ -305,6 +287,32 @@ def burg_lpc(x: np.ndarray, order: int) -> np.ndarray:
 FORMANT_MIN_HZ = 90.0
 FORMANT_EDGE_HZ = 200.0  # keep clear of DC and Nyquist tilt poles
 FORMANT_MAX_BW = 400.0
+LPC_FRAME_S = 0.025
+LPC_HOP_S = 0.010
+PREEMPHASIS_HZ = 50.0
+# Analysis runs at 2*MAX_FORMANT_HZ (signal resampled down when needed): LPC
+# poles then cover only the formant band instead of being spent on the empty
+# top octaves.
+MAX_FORMANT_HZ = 5500.0
+
+
+def _lpc_order(sample_rate: float) -> int:
+    """One pole pair per kHz of analysis band, plus two poles for spectral tilt."""
+    return int(round(sample_rate / 1000.0)) + 2
+
+
+def _formant_band(w: Waveform):
+    """The LPC analysis input of w: (y, fs, alpha, fl, hp).
+
+    y is w resampled to the formant band and pre-emphasized by 1 - alpha/z,
+    fs its sample rate, fl and hp the analysis frame and hop in samples.
+    """
+    if w.sample_rate > 2.0 * MAX_FORMANT_HZ:
+        w = resample(w, 2.0 * MAX_FORMANT_HZ)
+    fs = w.sample_rate
+    alpha = float(np.exp(-2 * np.pi * PREEMPHASIS_HZ / fs))
+    y = lfilter([1.0, -alpha], [1.0], w.samples)
+    return y, fs, alpha, int(round(LPC_FRAME_S * fs)), int(round(LPC_HOP_S * fs))
 
 
 def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
@@ -331,29 +339,16 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     return active, segs, a, roots, freqs, bws, formant
 
 
-def track_formants(
-    w: Waveform,
-    lpc_order: int,
-    frame: float = 0.025,
-    hop: float = 0.010,
-    max_formant_hz: float = 5500.0,
-):
+def track_formants(w: Waveform, lpc_order: int):
     """Per-frame formant (frequency, bandwidth) lists; None marks an unusable frame.
 
-    The signal is resampled to 2*max_formant_hz before analysis so the LPC
-    fit is not distracted by the (usually empty) top octaves. All-zero
+    Frames are analysed in the formant band (see MAX_FORMANT_HZ). All-zero
     frames are unusable, and so is every frame when the batched analysis
     fails (frames too short for lpc_order, or no eigenvalue convergence).
     """
     if lpc_order < 8:
         raise ValueError("tracking three formants needs lpc_order >= 8")
-    if w.sample_rate > 2.0 * max_formant_hz:
-        w = resample(w, 2.0 * max_formant_hz)
-    fs = w.sample_rate
-    alpha = float(np.exp(-2 * np.pi * 50.0 / fs))
-    y = lfilter([1.0, -alpha], [1.0], w.samples)
-    fl = int(round(frame * fs))
-    hp = int(round(hop * fs))
+    y, fs, _, fl, hp = _formant_band(w)
     result = [None] * num_frames(y.size, fl, hp)
     try:
         active, _, _, _, freqs, bws, formant = _frame_poles(y, fs, fl, hp, lpc_order)
@@ -379,24 +374,24 @@ class FormantShift:
 
 
 def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShift:
-    """shift_formants with the pole diagnostics of FormantShift."""
+    """Scale the lowest n_formants formant frequencies by cfg.factor.
+
+    One batched Burg analysis covers all frames of the utterance: formant
+    pole pairs get their angles scaled with radii (bandwidths) preserved;
+    each frame's inverse-filtered residual is re-filtered through its
+    modified all-pole filter and overlap-added. The shifted waveform comes
+    with the pole diagnostics of FormantShift.
+    """
     fs = w.sample_rate
     n = w.samples.size
-    if n < int(round(cfg.frame * fs)):
+    if n < int(round(LPC_FRAME_S * fs)):
         raise ValueError("signal shorter than one analysis frame")
     if cfg.factor == 1.0:
         return FormantShift(Waveform(w.samples.copy(), fs), 0, 0)
 
-    # work in the formant band; top octaves carry no formants
-    wa = resample(w, 2.0 * cfg.max_formant_hz) if fs > 2.0 * cfg.max_formant_hz else w
-    fa = wa.sample_rate
-    order = cfg.resolve_order(fa)
-    alpha = float(np.exp(-2 * np.pi * cfg.preemphasis_hz / fa))
-    na = wa.samples.size
-    fl = int(round(cfg.frame * fa))
-    hp = int(round(cfg.hop * fa))
-
-    y = lfilter([1.0, -alpha], [1.0], wa.samples)
+    y, fa, alpha, fl, hp = _formant_band(w)
+    order = _lpc_order(fa)
+    na = y.size
     n_fr = num_frames(na, fl, hp) + 1  # one extra to cover the tail
     pad = (n_fr - 1) * hp + fl
     y = np.concatenate([y, np.zeros(pad - na)])
@@ -449,14 +444,3 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
         result = resample(Waveform(result, fa), fs).samples
         result = np.pad(result, (0, max(0, n - result.size)))[:n]
     return FormantShift(Waveform(result, fs), int(np.count_nonzero(clamp)), skipped)
-
-
-def shift_formants(w: Waveform, cfg: FormantShiftConfig) -> Waveform:
-    """Scale the lowest n_formants formant frequencies by cfg.factor.
-
-    One batched Burg analysis covers all frames of the utterance: formant
-    pole pairs get their angles scaled with radii (bandwidths) preserved;
-    each frame's inverse-filtered residual is re-filtered through its
-    modified all-pole filter and overlap-added.
-    """
-    return shift_formants_detailed(w, cfg).waveform

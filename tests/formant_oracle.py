@@ -13,8 +13,13 @@ from voxmask.resynth import (
     FORMANT_EDGE_HZ,
     FORMANT_MAX_BW,
     FORMANT_MIN_HZ,
+    LPC_FRAME_S,
+    LPC_HOP_S,
+    MAX_FORMANT_HZ,
+    PREEMPHASIS_HZ,
     FormantShift,
     FormantShiftConfig,
+    _lpc_order,
 )
 
 
@@ -39,19 +44,19 @@ def burg_lpc_oracle(x: np.ndarray, order: int) -> np.ndarray:
 def shift_formants_oracle(w: Waveform, cfg: FormantShiftConfig) -> FormantShift:
     fs = w.sample_rate
     n = w.samples.size
-    if n < int(round(cfg.frame * fs)):
+    if n < int(round(LPC_FRAME_S * fs)):
         raise ValueError("signal shorter than one analysis frame")
     if cfg.factor == 1.0:
         return FormantShift(Waveform(w.samples.copy(), fs), 0, 0)
 
-    wa = resample(w, 2.0 * cfg.max_formant_hz) if fs > 2.0 * cfg.max_formant_hz else w
+    wa = resample(w, 2.0 * MAX_FORMANT_HZ) if fs > 2.0 * MAX_FORMANT_HZ else w
     fa = wa.sample_rate
-    order = cfg.resolve_order(fa)
-    alpha = float(np.exp(-2 * np.pi * cfg.preemphasis_hz / fa))
+    order = _lpc_order(fa)
+    alpha = float(np.exp(-2 * np.pi * PREEMPHASIS_HZ / fa))
     x = wa.samples
     na = x.size
-    fl = int(round(cfg.frame * fa))
-    hp = int(round(cfg.hop * fa))
+    fl = int(round(LPC_FRAME_S * fa))
+    hp = int(round(LPC_HOP_S * fa))
 
     y = lfilter([1.0, -alpha], [1.0], x)
     n_fr = num_frames(na, fl, hp) + 1

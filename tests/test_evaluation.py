@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from voxmask.audio import Waveform
 from voxmask.evaluation import (
+    MFCC_CMN_WINDOW_S,
+    MFCC_FRAME_S,
+    MFCC_HOP_S,
+    MFCC_N_COEFFS,
+    MFCC_N_MEL,
     EvalReport,
     MethodResult,
-    MfccConfig,
     TrialSet,
     compute_eer,
     mfcc_embed,
@@ -54,6 +58,23 @@ def brute_force_eer(gen: np.ndarray, imp: np.ndarray, n: int = 100_000) -> float
     far, frr = sorted_far_frr(gen, imp, n)
     k = np.argmin(np.abs(far - frr))
     return 100.0 * 0.5 * (far[k] + frr[k])
+
+
+def per_threshold_eer(gen: np.ndarray, imp: np.ndarray):
+    """compute_eer with FAR/FRR taken one threshold at a time: the reference for its sorted sweep."""
+    thresholds = np.unique(np.concatenate([gen, imp]))
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    far = np.array([np.mean(imp >= t) for t in thresholds])
+    frr = np.array([np.mean(gen < t) for t in thresholds])
+    diff = far - frr
+    idx = int(np.argmax(diff <= 0))
+    if diff[idx] == 0.0:
+        return 100.0 * far[idx], float(thresholds[idx])
+    if idx == 0:
+        return 100.0 * max(far[0], frr[0]), float(thresholds[0])
+    t = diff[idx - 1] / (diff[idx - 1] - diff[idx])
+    eer = far[idx - 1] + t * (far[idx] - far[idx - 1])
+    return 100.0 * eer, float(thresholds[idx - 1] + t * (thresholds[idx] - thresholds[idx - 1]))
 
 
 # ------------------------------------------------------------------ stoi
@@ -127,18 +148,11 @@ class TestStoi:
 
 class TestMfcc:
     def test_config_defaults_match_front_end(self):
-        cfg = MfccConfig()
-        assert cfg.n_coeffs == 23
-        assert cfg.frame == pytest.approx(0.025)
-        assert cfg.hop == pytest.approx(0.010)
-        assert cfg.n_mel_filters == 30
-        assert cfg.cmn_window == pytest.approx(3.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MfccConfig(frame=0.01, hop=0.025)
-        with pytest.raises(ValueError):
-            MfccConfig(n_coeffs=40, n_mel_filters=30)
+        assert MFCC_N_COEFFS == 23
+        assert MFCC_FRAME_S == pytest.approx(0.025)
+        assert MFCC_HOP_S == pytest.approx(0.010)
+        assert MFCC_N_MEL == 30
+        assert MFCC_CMN_WINDOW_S == pytest.approx(3.0)
 
     def test_embedding_is_unit_norm(self):
         for seed in range(3):
@@ -261,6 +275,15 @@ class TestEer:
             far, frr = sorted_far_frr(gen, imp, n)
             ref_far, ref_frr = broadcast_far_frr(gen, imp, n)
             assert np.array_equal(far, ref_far) and np.array_equal(frr, ref_frr)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_threshold_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gen = rng.normal(rng.uniform(0.0, 2.0), 1.0, int(rng.integers(200, 800)))
+        imp = rng.normal(0.0, 1.0, int(rng.integers(200, 800)))
+        if seed % 2:
+            gen, imp = np.round(gen, 1), np.round(imp, 1)  # ties within and across classes
+        assert compute_eer(TrialSet(gen, imp)) == per_threshold_eer(gen, imp)
 
     @given(
         st.lists(st.integers(min_value=-5000, max_value=5000), min_size=2, max_size=40),

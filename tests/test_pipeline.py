@@ -148,8 +148,14 @@ class TestConfig:
             ({"formant": {"factor": -1.2, "n_formants": 3}}, "factor must be positive"),
             ({"formant": {"factor": 1.2, "n_formants": 0}}, "n_formants"),
             ({"basis": {"n_basis": 3, "order": 4}}, "n_basis"),
+            ({"basis": {"n_basis": 40, "order": 4, "lambda": -1.0, "grid_points": 200}}, "lambda"),
+            ({"basis": {"n_basis": 40, "order": 4, "lambda": 1e-8, "grid_points": 10}}, "grid_points"),
+            ({"semitone_ref_hz": 0.0}, "semitone_ref_hz"),
         ],
-        ids=["inverted_pitch_range", "zero_factor", "negative_factor", "zero_n_formants", "n_basis_below_order"],
+        ids=[
+            "inverted_pitch_range", "zero_factor", "negative_factor", "zero_n_formants", "n_basis_below_order",
+            "negative_lambda", "too_few_grid_points", "zero_semitone_ref",
+        ],
     )
     def test_bad_values_rejected_at_load(self, over, message):
         with pytest.raises(ConfigError, match=message):
@@ -486,8 +492,9 @@ class TestCli:
             ({"pitch": {"low": {"floor": 500.0, "ceiling": 380.0}, "high": {"floor": 140.0, "ceiling": 520.0}}},
              "floor < ceiling"),
             ({"formant": {"factor": 0.0, "n_formants": 3}}, "factor must be positive"),
+            ({"basis": {"n_basis": 40, "order": 4, "lambda": -1.0, "grid_points": 200}}, "lambda"),
         ],
-        ids=["inverted_pitch_range", "zero_factor"],
+        ids=["inverted_pitch_range", "zero_factor", "negative_lambda"],
     )
     @pytest.mark.parametrize("command", ["fit", "anonymize"])
     def test_bad_config_value_exits_2_before_any_output(self, command, over, message, small_corpus, fitted_model,

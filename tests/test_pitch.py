@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from voxmask.audio import Waveform
 from voxmask.pitch import (
+    HOP_S,
     HZ,
     SEMITONE,
+    VOICING_THRESHOLD,
     F0Trajectory,
     PitchConfig,
     extract_f0,
@@ -36,9 +38,8 @@ class TestConfig:
             PitchConfig(floor=300, ceiling=200)
 
     def test_defaults_are_sane(self):
-        cfg = PitchConfig(floor=65, ceiling=380)
-        assert cfg.hop == pytest.approx(0.010)
-        assert 0 < cfg.voicing_threshold < 1
+        assert HOP_S == pytest.approx(0.010)
+        assert 0 < VOICING_THRESHOLD < 1
 
 
 class TestExtract:
