@@ -22,8 +22,10 @@ print(f"corpus at {corpus}")
 
 # One smooth curve per utterance: extract f0, then curve_from_trajectory fills
 # gaps, converts to semitones, resamples onto a normalized time grid and
-# applies penalized smoothing.
-basis = fda.build_basis(n_basis=60, order=4)
+# applies penalized smoothing. The CurveSpace fixes all four choices (basis,
+# smoothing lambda, grid, semitone reference) for every curve, and factors
+# its smoothing system once, on the first curve.
+space = fda.CurveSpace(fda.build_basis(n_basis=60, order=4), lam=1e-8, grid_points=200, ref_hz=100.0)
 ranges = {"low": (65.0, 380.0), "high": (140.0, 520.0)}
 curves, labels = [], []
 import csv
@@ -33,7 +35,7 @@ with open(manifest, newline="") as fh:
         floor, ceiling = ranges[row["group"]]
         w = read_wav(corpus / row["path"])
         traj = pitch.extract_f0(w, pitch.PitchConfig(floor=floor, ceiling=ceiling))
-        curves.append(fda.curve_from_trajectory(traj, basis, lam=1e-8, grid_points=200, ref_hz=100.0))
+        curves.append(fda.curve_from_trajectory(traj, space))
         labels.append(fda.CurveLabel(row["utterance_id"], row["speaker_id"],
                                      row["group"], row["condition"]))
 

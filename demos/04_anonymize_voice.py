@@ -45,7 +45,10 @@ strategies = {
 }
 
 # disguise_model draws on disguised-condition curves, so it needs a model
-# that has seen them.
+# that has seen them. Both models were fit in the preset's curve space
+# (basis, smoothing, grid, semitone reference), so utterances are projected
+# in that same space.
+space = pipeline.load_config(preset).curve_space
 all_model_path = OUT / "anon_model_all.json"
 pipeline.cmd_fit(manifest, preset, all_model_path)
 all_model = fda.load_model(all_model_path)
@@ -53,7 +56,7 @@ all_model = fda.load_model(all_model_path)
 for name, strategy in strategies.items():
     m = all_model if name == "disguise_model" else model
     target = deid.anonymize_trajectory(
-        traj, m, strategy, speaker=row.speaker_id,
+        traj, m, strategy, speaker=row.speaker_id, space=space,
         pitch_floor=65.0, pitch_ceiling=380.0,
     )
     out = resynth.psola_modify(w, traj, target)

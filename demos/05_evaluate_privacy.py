@@ -6,7 +6,7 @@ and scores speaker-verification EER plus STOI, before and after.
 
 from pathlib import Path
 
-from voxmask import pipeline
+from voxmask import pipeline, synth
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -14,7 +14,7 @@ OUT.mkdir(exist_ok=True)
 presets = Path(pipeline.__file__).parent / "presets"
 corpus = OUT / "eval_corpus"
 
-manifest = pipeline.cmd_make_synth_corpus(2024, corpus, n_per_group=3, n_modal=2, n_disguised=1)
+manifest = synth.generate_corpus(corpus, seed=2024, n_per_group=3, n_modal=2, n_disguised=1)
 print(f"corpus: {manifest}")
 
 model = OUT / "eval_model.json"

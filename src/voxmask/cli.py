@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from . import pipeline
+from . import pipeline, synth
 
 
 def _split(value):
@@ -134,9 +134,9 @@ def export_curves(ctx, model, component, n_points):
 @click.pass_context
 def make_synth_corpus(ctx, n_per_group, n_modal, n_disguised):
     """Generate the deterministic synthetic corpus under --out."""
-    manifest_path = pipeline.cmd_make_synth_corpus(
-        ctx.obj["seed"],
+    manifest_path = synth.generate_corpus(
         _need(ctx, "out", "--out"),
+        seed=ctx.obj["seed"],
         n_per_group=n_per_group,
         n_modal=n_modal,
         n_disguised=n_disguised,

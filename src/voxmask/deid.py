@@ -1,8 +1,10 @@
 """The three f0 anonymization strategies and the component-count rule.
 
 Strategies operate on a fitted functional PCA model: swap the first score
-with a donor statistic and rebuild the curve. The constant-shift strategy
-bypasses the model entirely and just scales the trajectory.
+with a donor statistic and rebuild the curve. The utterance is projected in
+the fda.CurveSpace the model was fit in, which also maps the rebuilt curve
+back to Hz. The constant-shift strategy bypasses the model entirely and just
+scales the trajectory.
 """
 
 from __future__ import annotations
@@ -12,16 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fda import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_LAMBDA,
-    FpcaModel,
-    ScoreVector,
-    curve_from_trajectory,
-    fpca_project,
-    reconstruct,
-)
-from .pitch import DEFAULT_SEMITONE_REF_HZ, HZ, F0Trajectory
+from .fda import CurveSpace, FpcaModel, ScoreVector, curve_from_trajectory, fpca_project, reconstruct
+from .pitch import HZ, F0Trajectory
 
 DISGUISE_MODEL = "disguise_model"
 CROSS_GROUP = "cross_group"
@@ -133,35 +127,29 @@ def anonymize_trajectory(
     strategy: DeidStrategy,
     speaker: str = "",
     *,
-    ref_hz: float = DEFAULT_SEMITONE_REF_HZ,
-    lam: float = DEFAULT_LAMBDA,
-    grid_points: int = DEFAULT_GRID_POINTS,
+    space: Optional[CurveSpace] = None,
     pitch_floor: Optional[float] = None,
     pitch_ceiling: Optional[float] = None,
     max_hz: Optional[float] = None,
 ) -> F0Trajectory:
     """Full score-replacement pipeline for one trajectory.
 
-    curve_from_trajectory -> project -> swap s1 -> reconstruct,
-    then the curve is sampled back on the input frame grid and converted to
-    Hz. Frame count, times, and voicing flags pass through untouched;
-    unvoiced frames stay NaN. Reconstructed values are clamped to
-    [pitch_floor/2, 2*pitch_ceiling] when those bounds are given, guarding
-    resynthesis against spline overshoot near the curve edges.
+    curve_from_trajectory -> project -> swap s1 -> reconstruct, all in the
+    curve space the model was fit in, then the space maps the curve back to
+    Hz on the input frame times. Frame count, times, and voicing flags pass
+    through untouched; unvoiced frames stay NaN. Reconstructed values are
+    clamped to [pitch_floor/2, 2*pitch_ceiling] when those bounds are given,
+    guarding resynthesis against spline overshoot near the curve edges.
     """
     if strategy.kind == CONSTANT_SHIFT:
         return constant_pitch_shift(t, strategy.shift_percent, max_hz)
-    if model is None:
-        raise ValueError(f"strategy {strategy.kind!r} requires a fitted model")
+    if model is None or space is None:
+        raise ValueError(f"strategy {strategy.kind!r} requires a fitted model and its curve space")
 
-    curve = curve_from_trajectory(t, model.basis, lam, grid_points, ref_hz)
-    scores = fpca_project(curve, model)
+    scores = fpca_project(curve_from_trajectory(t, space), model)
     n = select_n_components(model, strategy.variance_threshold, strategy.max_components)
     swapped = anonymize_scores(scores, replacement_first_score(strategy, model, speaker), n)
-    rebuilt = reconstruct(model, swapped, n)
-
-    tn = (t.times - t.times[0]) / (t.times[-1] - t.times[0])
-    hz = ref_hz * np.exp2(rebuilt(tn) / 12.0)
+    hz = space.to_hz(reconstruct(model, swapped, n), t.times)
     if pitch_floor is not None:
         hz = np.maximum(hz, pitch_floor / 2.0)
     if pitch_ceiling is not None:

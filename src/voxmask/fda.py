@@ -1,16 +1,20 @@
 """B-spline curve representation and functional PCA in coefficient space.
 
-Curves live on the normalized domain [0,1]. All inner products are true L2
-inner products: the basis is not orthonormal, so the Gram matrix enters
-every projection. The eigenproblem is solved in the metric-corrected
-coordinates Y = (X - mean) @ L with G = L L^T, which makes ordinary PCA on Y
-equivalent to functional PCA on the curves.
+Curves live on the normalized domain [0,1]. A CurveSpace fixes how an f0
+trajectory becomes a curve (basis, smoothing lambda, resampling grid,
+semitone reference); it is checked once when built and factors its
+penalized normal matrix once, on the first curve it smooths. All inner
+products are true L2 inner products: the basis is not orthonormal, so the
+Gram matrix enters every projection. The eigenproblem is solved in the
+metric-corrected coordinates Y = (X - mean) @ L with G = L L^T, which makes
+ordinary PCA on Y equivalent to functional PCA on the curves.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -176,57 +180,79 @@ def uniform_resample(times: np.ndarray, values: np.ndarray, n_points: int) -> np
     return np.interp(np.linspace(0.0, 1.0, n_points), tn, values)
 
 
-def smooth_curve(samples: np.ndarray, basis: BSplineBasis, lam: float = DEFAULT_LAMBDA) -> FunctionalCurve:
-    """Penalized least-squares fit of uniformly sampled values on [0,1].
+@dataclass(frozen=True, eq=False)
+class CurveSpace:
+    """The one f0 -> curve representation: basis, smoothing lambda, grid, semitone reference.
+
+    Every curve fitted, projected or rebuilt against one model must come from
+    the same space. The constructor is the only place lam, grid_points and
+    ref_hz are checked. The grid design matrix and the Cholesky factor of the
+    penalized normal matrix are built on first use and then shared by every
+    curve smoothed in this space.
+    """
+
+    basis: BSplineBasis
+    lam: float = DEFAULT_LAMBDA
+    grid_points: int = DEFAULT_GRID_POINTS
+    ref_hz: float = DEFAULT_SEMITONE_REF_HZ
+
+    def __post_init__(self):
+        if not self.lam >= 0:
+            raise ValueError("basis.lambda must be nonnegative")
+        if not self.grid_points >= self.basis.n_basis / 3:
+            raise ValueError(
+                f"basis.grid_points ({self.grid_points}) underdetermine a "
+                f"{self.basis.n_basis}-function basis; need at least n_basis/3"
+            )
+        if not self.ref_hz > 0:
+            raise ValueError("semitone_ref_hz must be positive")
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """Basis values on the uniform grid k/(grid_points-1)."""
+        return design_matrix(self.basis, np.linspace(0.0, 1.0, self.grid_points))
+
+    @cached_property
+    def factor(self) -> tuple:
+        """cho_factor of D^T D + lam * P; failure means the grid cannot support the basis."""
+        d = self.design
+        a = d.T @ d + self.lam * penalty_matrix(self.basis)
+        try:
+            return cho_factor(a)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
+
+    def to_hz(self, curve: FunctionalCurve, times: np.ndarray) -> np.ndarray:
+        """A semitone curve in Hz at frame times, mapped onto [0,1] as the fit mapped them."""
+        tn = (times - times[0]) / (times[-1] - times[0])
+        return self.ref_hz * np.exp2(curve(tn) / 12.0)
+
+
+def smooth_curve(samples: np.ndarray, space: CurveSpace) -> FunctionalCurve:
+    """Penalized least-squares fit of values sampled on the space's uniform grid.
 
     Minimizes sum (y_k - f(t_k))^2 + lam * integral (f'')^2 with t_k the
-    uniform grid k/(m-1). The normal matrix is solved by Cholesky; failure
-    there means the sampling cannot support the basis.
+    uniform grid k/(grid_points-1), by one solve against the space's factor.
     """
     y = np.asarray(samples, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("samples must be a 1-D array")
+    if y.size != space.grid_points:
+        raise ValueError(f"{y.size} samples do not match the space's {space.grid_points}-point grid")
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    m = y.size
-    if m < basis.n_basis / 3:
-        raise ValueError(
-            f"{m} samples underdetermine a {basis.n_basis}-function basis; need at least n_basis/3"
-        )
-    t = np.linspace(0.0, 1.0, m)
-    d = design_matrix(basis, t)
-    a = d.T @ d + lam * penalty_matrix(basis)
-    try:
-        c = cho_solve(cho_factor(a), d.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
-    return FunctionalCurve(basis, c)
+    return FunctionalCurve(space.basis, cho_solve(space.factor, space.design.T @ y))
 
 
-def curve_from_trajectory(
-    t: F0Trajectory,
-    basis: BSplineBasis,
-    lam: float = DEFAULT_LAMBDA,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    ref_hz: float = DEFAULT_SEMITONE_REF_HZ,
-) -> FunctionalCurve:
+def curve_from_trajectory(t: F0Trajectory, space: CurveSpace) -> FunctionalCurve:
     """One utterance's Hz f0 trajectory as a smooth semitone curve on [0,1].
 
-    Unvoiced gaps are interpolated, values converted to semitones re ref_hz,
-    the frame times mapped onto grid_points uniform steps and the result
-    smoothed with the penalized least-squares fit of smooth_curve.
+    Unvoiced gaps are interpolated, values converted to semitones re
+    space.ref_hz, the frame times mapped onto the space's uniform grid and the
+    result smoothed with smooth_curve.
     """
-    st = hz_to_semitones(interpolate_unvoiced(t), ref_hz)
-    return smooth_curve(uniform_resample(st.times, st.values, grid_points), basis, lam)
-
-
-def sample_curve(curve: FunctionalCurve, n_points: int) -> np.ndarray:
-    """Values f(k/(n_points-1)) for k = 0..n_points-1."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    return curve(np.linspace(0.0, 1.0, n_points))
+    st = hz_to_semitones(interpolate_unvoiced(t), space.ref_hz)
+    return smooth_curve(uniform_resample(st.times, st.values, space.grid_points), space)
 
 
 @dataclass(frozen=True, eq=False)

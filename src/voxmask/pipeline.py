@@ -2,11 +2,13 @@
 
 All commands are plain functions so they can be driven from the CLI or from
 tests. load_config turns the config JSON into typed objects once (a
-PitchConfig per group, the B-spline basis, the FormantShiftConfig), so a bad
-value is a ConfigError before any audio is read. Per-utterance work is a
-frozen job dataclass that carries the paths and the group's PitchConfig to a
-worker: FitJob for f0 tracking, AnonymizeJob, which adds the manifest row,
-its resolved strategy and the PipelineConfig, for a whole anonymization.
+PitchConfig per group, the fda.CurveSpace that fixes basis, smoothing lambda,
+grid and semitone reference, the FormantShiftConfig), so a bad value is a
+ConfigError before any audio is read; anonymize also rejects a config whose
+basis is not the model's. Per-utterance work is a frozen job dataclass that
+carries the paths and the group's PitchConfig to a worker: FitJob for f0
+tracking, AnonymizeJob, which adds the manifest row, its resolved strategy
+and the PipelineConfig, for a whole anonymization.
 Parallel sections map over those jobs with a process pool and aggregate in
 utterance-id order, so the worker count never changes output bytes.
 """
@@ -108,27 +110,12 @@ def load_manifest(path) -> Manifest:
 class PipelineConfig:
     label: str
     pitch: dict  # group -> pitch.PitchConfig
-    basis: fda.BSplineBasis
-    lam: float
-    grid_points: int
-    semitone_ref_hz: float
+    curve_space: fda.CurveSpace
     strategy: deid.DeidStrategy
     formant: resynth.FormantShiftConfig
     eval_stoi: bool
     eval_eer: bool
     raw: dict
-
-    def __post_init__(self):
-        # the same bounds smooth_curve and hz_to_semitones enforce per utterance
-        if not self.lam >= 0:
-            raise ValueError("basis.lambda must be nonnegative")
-        if not self.grid_points >= self.basis.n_basis / 3:
-            raise ValueError(
-                f"basis.grid_points ({self.grid_points}) underdetermine a "
-                f"{self.basis.n_basis}-function basis; need at least n_basis/3"
-            )
-        if not self.semitone_ref_hz > 0:
-            raise ValueError("semitone_ref_hz must be positive")
 
     def pitch_config(self, group: str) -> pitch.PitchConfig:
         if group not in self.pitch:
@@ -163,12 +150,14 @@ def config_from_dict(data: dict) -> PipelineConfig:
                 g: pitch.PitchConfig(floor=float(v["floor"]), ceiling=float(v["ceiling"]))
                 for g, v in data["pitch"].items()
             },
-            basis=fda.build_basis(
-                int(basis.get("n_basis", fda.DEFAULT_N_BASIS)), int(basis.get("order", fda.DEFAULT_ORDER))
+            curve_space=fda.CurveSpace(
+                fda.build_basis(
+                    int(basis.get("n_basis", fda.DEFAULT_N_BASIS)), int(basis.get("order", fda.DEFAULT_ORDER))
+                ),
+                lam=float(basis.get("lambda", fda.DEFAULT_LAMBDA)),
+                grid_points=int(basis.get("grid_points", fda.DEFAULT_GRID_POINTS)),
+                ref_hz=float(data.get("semitone_ref_hz", pitch.DEFAULT_SEMITONE_REF_HZ)),
             ),
-            lam=float(basis.get("lambda", fda.DEFAULT_LAMBDA)),
-            grid_points=int(basis.get("grid_points", fda.DEFAULT_GRID_POINTS)),
-            semitone_ref_hz=float(data.get("semitone_ref_hz", pitch.DEFAULT_SEMITONE_REF_HZ)),
             strategy=strategy,
             formant=resynth.FormantShiftConfig(
                 factor=float(formant.get("factor", 1.0)), n_formants=int(formant.get("n_formants", 3))
@@ -236,12 +225,9 @@ def cmd_fit(
     rows = sorted(rows, key=lambda r: r.utterance_id)
 
     jobs = [FitJob(str(manifest.resolve(r)), cfg.pitch_config(r.group)) for r in rows]
-    # smoothing stays in this process: its BLAS calls, run in pool workers next to
-    # f0 tracking, oversubscribe the CPUs with BLAS threads
-    curves = [
-        fda.curve_from_trajectory(t, cfg.basis, cfg.lam, cfg.grid_points, cfg.semitone_ref_hz)
-        for t in _map_jobs(_fit_job, jobs, workers)
-    ]
+    # smoothing stays in this process, so the space factors its normal matrix
+    # once for every curve
+    curves = [fda.curve_from_trajectory(t, cfg.curve_space) for t in _map_jobs(_fit_job, jobs, workers)]
     labels = [
         fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
         for r in rows
@@ -301,9 +287,7 @@ def _anonymize_job(job: AnonymizeJob) -> dict:
             model,
             job.strategy,
             job.row.speaker_id,
-            ref_hz=cfg.semitone_ref_hz,
-            lam=cfg.lam,
-            grid_points=cfg.grid_points,
+            space=cfg.curve_space,
             pitch_floor=pcfg.floor,
             pitch_ceiling=pcfg.ceiling,
             max_hz=w.sample_rate / 4,
@@ -347,9 +331,15 @@ def cmd_anonymize(
         if not Path(model_path).exists():
             raise ConfigError(f"model file not found: {model_path}")
         try:
-            _cached_model(str(model_path))  # fail fast before touching any audio
+            model = _cached_model(str(model_path))  # fail fast before touching any audio
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise ConfigError(f"unreadable model file {model_path}: {exc}") from exc
+        mb, cb = model.basis, cfg.curve_space.basis
+        if not fda.same_basis(mb, cb):
+            raise ConfigError(
+                f"config basis (n_basis {cb.n_basis}, order {cb.order}) is not the model's "
+                f"(n_basis {mb.n_basis}, order {mb.order})"
+            )
     rows = manifest.filter(groups=groups, conditions=(synth.CONDITION_MODAL,), sessions=sessions)
     if not rows:
         raise ConfigError("no modal utterances match the given filters")
@@ -593,9 +583,3 @@ def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) 
                 label = str(k)
             writer.writerow([f"{s1:.8f}", f"{s2:.8f}", label])
     return curves_path, scatter_path
-
-
-def cmd_make_synth_corpus(seed: int, out_dir, n_per_group: int = 5, n_modal: int = 4, n_disguised: int = 2):
-    return synth.generate_corpus(
-        out_dir, seed=seed, n_per_group=n_per_group, n_modal=n_modal, n_disguised=n_disguised
-    )

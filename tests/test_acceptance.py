@@ -44,7 +44,7 @@ def full_run(tmp_path_factory):
     timings = {}
 
     t0 = time.perf_counter()
-    manifest = pipeline.cmd_make_synth_corpus(1234, root / "corpus")
+    manifest = synth.generate_corpus(root / "corpus", seed=1234)
     timings["corpus"] = time.perf_counter() - t0
 
     model = root / "model.json"
@@ -330,7 +330,7 @@ def _hash_tree(root: Path) -> dict:
 
 def _pipeline_once(base: Path) -> dict:
     corpus = base / "corpus"
-    manifest = pipeline.cmd_make_synth_corpus(777, corpus, n_per_group=3, n_modal=2, n_disguised=1)
+    manifest = synth.generate_corpus(corpus, seed=777, n_per_group=3, n_modal=2, n_disguised=1)
     cfg = preset("f0_S-F1-3_20")
     model = base / "model.json"
     pipeline.cmd_fit(manifest, cfg, model, workers=2)

@@ -13,7 +13,7 @@ from voxmask.deid import (
     replacement_first_score,
     select_n_components,
 )
-from voxmask.fda import CurveLabel, ScoreVector, build_basis, fpca_fit, smooth_curve, uniform_resample
+from voxmask.fda import CurveLabel, CurveSpace, ScoreVector, build_basis, fpca_fit, smooth_curve, uniform_resample
 from voxmask.pitch import HZ, SEMITONE, F0Trajectory, hz_to_semitones, interpolate_unvoiced
 
 
@@ -32,6 +32,7 @@ def contour(base: float, n: int = 150, bump: float = 0.06, phase: float = 0.0) -
 
 BASIS = build_basis(40, 4)
 GRID = 200
+SPACE = CurveSpace(BASIS, 1e-8, GRID, 100.0)
 
 
 def fit_two_group_model(n_per_group: int = 6):
@@ -42,7 +43,7 @@ def fit_two_group_model(n_per_group: int = 6):
             f0 = contour(base * (1 + 0.04 * rng.standard_normal()), phase=rng.uniform(0, 3))
             st = hz_to_semitones(hz_traj(f0), 100.0)
             grid = uniform_resample(st.times, st.values, GRID)
-            curves.append(smooth_curve(grid, BASIS, 1e-8))
+            curves.append(smooth_curve(grid, SPACE))
             labels.append(CurveLabel(f"{group}{k}", f"spk_{group}{k}", group, "modal"))
     return fpca_fit(curves, labels)
 
@@ -206,6 +207,11 @@ class TestAnonymizeTrajectory:
         with pytest.raises(ValueError):
             anonymize_trajectory(t, None, DeidStrategy(kind="cross_group", donor_group="high"))
 
+    def test_space_required_for_score_swap(self, two_group_model):
+        t = hz_traj(contour(120.0))
+        with pytest.raises(ValueError, match="curve space"):
+            anonymize_trajectory(t, two_group_model, DeidStrategy(kind="cross_group", donor_group="high"))
+
     def test_frame_geometry_preserved(self, two_group_model):
         f0 = contour(115.0)
         f0[40:55] = np.nan
@@ -214,7 +220,7 @@ class TestAnonymizeTrajectory:
             t,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            grid_points=GRID,
+            space=SPACE,
         )
         assert len(out) == len(t)
         np.testing.assert_array_equal(out.times, t.times)
@@ -228,7 +234,7 @@ class TestAnonymizeTrajectory:
             low,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            grid_points=GRID,
+            space=SPACE,
         )
         assert np.median(up.values[up.voiced]) > np.median(low.values[low.voiced])
 
@@ -237,15 +243,15 @@ class TestAnonymizeTrajectory:
             high,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="low"),
-            grid_points=GRID,
+            space=SPACE,
         )
         assert np.median(down.values[down.voiced]) < np.median(high.values[high.voiced])
 
     def test_deterministic(self, two_group_model):
         t = hz_traj(contour(118.0))
         strategy = DeidStrategy(kind="cross_group", donor_group="high")
-        a = anonymize_trajectory(t, two_group_model, strategy, grid_points=GRID)
-        b = anonymize_trajectory(t, two_group_model, strategy, grid_points=GRID)
+        a = anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
+        b = anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_own_score_replacement_is_near_identity(self):
@@ -254,20 +260,20 @@ class TestAnonymizeTrajectory:
         solo_f0 = contour(118.0, phase=1.2)
         curves, labels = [], []
         st = hz_to_semitones(interpolate_unvoiced(hz_traj(solo_f0)), 100.0)
-        curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), BASIS, 1e-8))
+        curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), SPACE))
         labels.append(CurveLabel("solo0", "solo", "solo", "modal"))
         rng = np.random.default_rng(5)
         for k in range(5):
             f0 = contour(150.0 * (1 + 0.1 * rng.standard_normal()), phase=rng.uniform(0, 3))
             st = hz_to_semitones(hz_traj(f0), 100.0)
-            curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), BASIS, 1e-8))
+            curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), SPACE))
             labels.append(CurveLabel(f"r{k}", f"spk{k}", "rest", "modal"))
         model = fpca_fit(curves, labels)
         strategy = DeidStrategy(
             kind="cross_group", donor_group="solo", variance_threshold=1.0, max_components=99
         )
         t = hz_traj(solo_f0)
-        out = anonymize_trajectory(t, model, strategy, grid_points=GRID)
+        out = anonymize_trajectory(t, model, strategy, space=SPACE)
         rel = np.abs(out.values[t.voiced] - t.values[t.voiced]) / t.values[t.voiced]
         assert np.max(rel) < 0.02
 
@@ -277,7 +283,7 @@ class TestAnonymizeTrajectory:
             t,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            grid_points=GRID,
+            space=SPACE,
             pitch_floor=65.0,
             pitch_ceiling=380.0,
         )

@@ -1,16 +1,21 @@
 """B-spline bases, penalized smoothing, and functional PCA."""
 
 import dataclasses
-from math import comb
+import re
+from math import ceil, comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from voxmask import fda
 from voxmask.fda import (
+    DEFAULT_LAMBDA,
     BSplineBasis,
     CurveLabel,
+    CurveSpace,
     FunctionalCurve,
     ScoreVector,
     build_basis,
@@ -21,16 +26,33 @@ from voxmask.fda import (
     load_model,
     penalty_matrix,
     reconstruct,
-    sample_curve,
     save_model,
     smooth_curve,
     uniform_resample,
 )
+from voxmask.pitch import HZ, F0Trajectory
+
+
+def smooth(y, basis, lam=DEFAULT_LAMBDA):
+    """smooth_curve in a space whose grid has y's own length."""
+    return smooth_curve(y, CurveSpace(basis, lam, len(y)))
+
+
+def per_call_smooth(samples, basis, lam):
+    """Oracle: the per-curve assembly of D, P and the Cholesky factor that CurveSpace caches."""
+    y = np.asarray(samples, dtype=np.float64)
+    d = design_matrix(basis, np.linspace(0.0, 1.0, y.size))
+    a = d.T @ d + lam * penalty_matrix(basis)
+    try:
+        c = cho_solve(cho_factor(a), d.T @ y)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
+    return FunctionalCurve(basis, c)
 
 
 def fit_function(f, basis, lam=1e-8, m=606):
     t = np.linspace(0.0, 1.0, m)
-    return smooth_curve(f(t), basis, lam)
+    return smooth(f(t), basis, lam)
 
 
 def l2_distance(a: FunctionalCurve, b: FunctionalCurve, m: int = 2000) -> float:
@@ -132,7 +154,7 @@ class TestPenalty:
         basis = build_basis(12, 4)
         p = penalty_matrix(basis)
         t = np.linspace(0, 1, 200)
-        c = smooth_curve(3.0 - 2.0 * t, basis, 0.0).coefficients
+        c = smooth(3.0 - 2.0 * t, basis, 0.0).coefficients
         assert abs(c @ p @ c) < 1e-10
 
     def test_affine_roughness_at_full_scale(self):
@@ -141,7 +163,7 @@ class TestPenalty:
         basis = build_basis(202, 4)
         p = penalty_matrix(basis)
         t = np.linspace(0, 1, 606)
-        c = smooth_curve(3.0 - 2.0 * t, basis, 0.0).coefficients
+        c = smooth(3.0 - 2.0 * t, basis, 0.0).coefficients
         qf = c @ p @ c
         scale = np.abs(p).max() * (c @ c)
         assert abs(qf) < 1e-12 * scale
@@ -176,7 +198,7 @@ class TestPenalty:
 class TestSmoothing:
     def test_constant_reproduced_exactly(self):
         basis = build_basis(20, 4)
-        curve = smooth_curve(np.full(100, 5.5), basis)
+        curve = smooth(np.full(100, 5.5), basis)
         t = np.linspace(0, 1, 333)
         np.testing.assert_allclose(curve(t), 5.5, atol=1e-9)
         residual = curve(np.linspace(0, 1, 100)) - 5.5
@@ -186,7 +208,7 @@ class TestSmoothing:
         basis = build_basis(202, 4)
         m = 606
         t = np.linspace(0, 1, m)
-        curve = smooth_curve(np.sin(2 * np.pi * t), basis, 1e-8)
+        curve = smooth(np.sin(2 * np.pi * t), basis, 1e-8)
         dense = np.linspace(0, 1, 4000)
         err = curve(dense) - np.sin(2 * np.pi * dense)
         assert np.sqrt(np.mean(err**2)) < 1e-3
@@ -199,22 +221,64 @@ class TestSmoothing:
         # closed-form simple linear regression as the oracle
         slope, intercept = np.polyfit(t, y, 1)
         basis = build_basis(30, 4)
-        curve = smooth_curve(y, basis, 1e6)
+        curve = smooth(y, basis, 1e6)
         fitted = curve(t)
         assert np.sqrt(np.mean((fitted - (intercept + slope * t)) ** 2)) < 1e-2
 
     def test_too_few_samples_rejected(self):
         basis = build_basis(202, 4)
         with pytest.raises(ValueError):
-            smooth_curve(np.zeros(40), basis)  # < n_basis / 3
+            smooth(np.zeros(40), basis)  # < n_basis / 3
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            smooth_curve(np.zeros(100), build_basis(10, 4), -1.0)
+            smooth(np.zeros(100), build_basis(10, 4), -1.0)
 
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(ValueError):
-            smooth_curve(np.array([1.0, np.nan, 2.0] * 40), build_basis(10, 4))
+            smooth(np.array([1.0, np.nan, 2.0] * 40), build_basis(10, 4))
+
+    def test_wrong_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="200-point grid"):
+            smooth_curve(np.zeros(199), CurveSpace(build_basis(10, 4), 1e-8, 200))
+
+    def test_space_equals_per_call_oracle(self):
+        # same operations on the same operand layouts as the per-call path, so
+        # the coefficients agree bit for bit; a singular normal matrix raises
+        # the same ValueError on both paths
+        rng = np.random.default_rng(2024)
+        singular = 0
+        for n_basis in (10, 40, 202):
+            basis = build_basis(n_basis, 4)
+            for lam in (0.0, 1e-8, 1e6):
+                for m in (ceil(n_basis / 3), 200, 600):
+                    space = CurveSpace(basis, lam, m)
+                    for _ in range(3):
+                        y = 5.0 + 0.3 * np.cumsum(rng.standard_normal(m))
+                        try:
+                            expected = per_call_smooth(y, basis, lam)
+                        except ValueError as exc:
+                            singular += 1
+                            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                                smooth_curve(y, space)
+                            continue
+                        got = smooth_curve(y, space)
+                        assert np.array_equal(got.coefficients, expected.coefficients), (n_basis, lam, m)
+        assert singular > 0
+
+    def test_penalty_built_once_per_space(self, monkeypatch):
+        calls = []
+        original = fda.penalty_matrix
+        monkeypatch.setattr(fda, "penalty_matrix", lambda basis: calls.append(basis) or original(basis))
+        space = CurveSpace(build_basis(40, 4), 1e-8, 200)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            smooth_curve(rng.standard_normal(200), space)
+        times = np.arange(150) * 0.01
+        for base in (110.0, 220.0):
+            f0 = base * (1.0 + 0.05 * np.sin(2 * np.pi * times))
+            fda.curve_from_trajectory(F0Trajectory(times, f0, np.ones(150, bool), HZ), space)
+        assert len(calls) == 1
 
     @given(
         st.floats(min_value=-50, max_value=50),
@@ -226,7 +290,7 @@ class TestSmoothing:
         # affine functions span the penalty null space: smoothing never bends them
         basis = build_basis(16, 4)
         t = np.linspace(0, 1, 120)
-        curve = smooth_curve(a + b * t, basis, lam)
+        curve = smooth(a + b * t, basis, lam)
         scale = max(1.0, abs(a), abs(b))
         np.testing.assert_allclose(curve(t), a + b * t, atol=1e-6 * scale)
 
@@ -235,7 +299,7 @@ class TestSampling:
     def test_constant_curve(self):
         basis = build_basis(10, 4)
         c = FunctionalCurve(basis, np.full(10, 2.5))
-        np.testing.assert_allclose(sample_curve(c, 17), 2.5, atol=1e-12)
+        np.testing.assert_allclose(c(np.linspace(0, 1, 17)), 2.5, atol=1e-12)
 
     def test_matches_naive_basis_expansion(self):
         # oracle: direct Cox-de Boor recursion summed coefficient by coefficient
@@ -274,15 +338,10 @@ class TestSampling:
         rng = np.random.default_rng(4)
         y = np.cumsum(rng.standard_normal(150)) * 0.1
         basis = build_basis(30, 4)
-        curve = smooth_curve(y, basis, 1e-4)
-        resampled = sample_curve(curve, 150)
+        curve = smooth(y, basis, 1e-4)
+        resampled = curve(np.linspace(0, 1, 150))
         direct = curve(np.linspace(0, 1, 150))
         np.testing.assert_allclose(resampled, direct, atol=1e-12)
-
-    def test_minimum_points(self):
-        basis = build_basis(6, 4)
-        with pytest.raises(ValueError):
-            sample_curve(FunctionalCurve(basis, np.zeros(6)), 1)
 
 
 class TestUniformResample:
@@ -315,11 +374,12 @@ def make_family(seed: int, n_curves: int = 20, kind: str = "trig", basis=None, m
         mean = np.exp(-((t - 0.4) ** 2) / 0.05)
         g1 = np.exp(-((t - 0.25) ** 2) / 0.02)
         g2 = np.exp(-((t - 0.7) ** 2) / 0.03)
+    space = CurveSpace(basis, 1e-8, m)
     curves, labels = [], []
     for k in range(n_curves):
         a, b = 2.0 * rng.standard_normal(), 0.7 * rng.standard_normal()
         wiggle = 0.01 * rng.standard_normal() * np.sin(6 * np.pi * t + rng.uniform(0, np.pi))
-        curves.append(smooth_curve(mean + a * g1 + b * g2 + wiggle, basis, 1e-8))
+        curves.append(smooth_curve(mean + a * g1 + b * g2 + wiggle, space))
         labels.append(CurveLabel(f"c{k:02d}", f"spk{k % 5}", "low" if k % 2 else "high", "modal"))
     return curves, labels
 
@@ -357,8 +417,8 @@ class TestFpcaBasics:
         t = np.linspace(0, 1, 200)
         mu = 1.0 + 0.5 * t
         delta = np.sin(2 * np.pi * t)
-        c1 = smooth_curve(mu + delta, basis, 1e-9)
-        c2 = smooth_curve(mu - delta, basis, 1e-9)
+        c1 = smooth(mu + delta, basis, 1e-9)
+        c2 = smooth(mu - delta, basis, 1e-9)
         model = fpca_fit([c1, c2])
         assert model.n_components == 1
         np.testing.assert_allclose(model.variance_fraction, [1.0], atol=1e-12)
@@ -385,25 +445,25 @@ class TestFpcaBasics:
         b = b - (a @ b) / (a @ a) * a
         a = a / a.std(ddof=1) * 2.0
         b = b / b.std(ddof=1) * 1.0
-        curves = [smooth_curve(2.0 + a[k] * g1 + b[k] * g2, basis, 1e-9) for k in range(n)]
+        curves = [smooth(2.0 + a[k] * g1 + b[k] * g2, basis, 1e-9) for k in range(n)]
         model = fpca_fit(curves)
         np.testing.assert_allclose(model.variance_fraction[:2], [0.8, 0.2], atol=1e-3)
 
     def test_requires_two_curves(self):
         basis = build_basis(10, 4)
-        c = smooth_curve(np.ones(40), basis)
+        c = smooth(np.ones(40), basis)
         with pytest.raises(ValueError):
             fpca_fit([c])
 
     def test_mismatched_bases_rejected(self):
-        c1 = smooth_curve(np.ones(60), build_basis(10, 4))
-        c2 = smooth_curve(np.ones(60), build_basis(12, 4))
+        c1 = smooth(np.ones(60), build_basis(10, 4))
+        c2 = smooth(np.ones(60), build_basis(12, 4))
         with pytest.raises(ValueError):
             fpca_fit([c1, c2])
 
     def test_identical_curves_rejected(self):
         basis = build_basis(10, 4)
-        c = smooth_curve(np.ones(60), basis)
+        c = smooth(np.ones(60), basis)
         with pytest.raises(ValueError):
             fpca_fit([c, c])
 
@@ -465,7 +525,7 @@ class TestFpcaInvariants:
 
     def test_projection_basis_mismatch_rejected(self, invariant_model):
         m, _ = invariant_model
-        other = smooth_curve(np.ones(100), build_basis(10, 4))
+        other = smooth(np.ones(100), build_basis(10, 4))
         with pytest.raises(ValueError):
             fpca_project(other, m)
 

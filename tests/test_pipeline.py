@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,8 @@ class TestConfig:
         del data["basis"]
         del data["formant"]
         cfg = pipeline.config_from_dict(data)
-        assert cfg.basis.n_basis == fda.DEFAULT_N_BASIS
-        assert cfg.basis.order == fda.DEFAULT_ORDER
+        assert cfg.curve_space.basis.n_basis == fda.DEFAULT_N_BASIS
+        assert cfg.curve_space.basis.order == fda.DEFAULT_ORDER
         assert cfg.formant.factor == 1.0
 
     def test_hash_ignores_key_order(self):
@@ -160,6 +161,16 @@ class TestConfig:
     def test_bad_values_rejected_at_load(self, over, message):
         with pytest.raises(ConfigError, match=message):
             pipeline.config_from_dict(base_config(**over))
+
+    def test_curve_space_not_factored_at_load(self, small_corpus):
+        # evaluate never smooths, and anonymize jobs carry the config to workers
+        cfg = pipeline.config_from_dict(base_config())
+        space = cfg.curve_space
+        assert (space.lam, space.grid_points, space.ref_hz) == (1e-8, 200, 100.0)
+        assert "factor" not in vars(space) and "design" not in vars(space)
+        row = pipeline.load_manifest(small_corpus).rows[0]
+        job = pipeline.AnonymizeJob(row, "in.wav", "out.wav", None, cfg.pitch_config(row.group), cfg.strategy, cfg)
+        assert len(pickle.dumps(job)) < 20_000
 
     def test_pitch_config_unknown_group(self):
         cfg = pipeline.config_from_dict(base_config())
@@ -506,6 +517,18 @@ class TestCli:
             cli.main, ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), command, *extra]
         )
         assert_config_exit(result, message)
+        assert not out.exists()
+
+    def test_anonymize_rejects_a_basis_other_than_the_models(self, small_corpus, fitted_model, tmp_path):
+        # fitted_model was fit with n_basis 40
+        cfg = write_config(tmp_path / "c.json", basis={"n_basis": 30, "order": 4, "lambda": 1e-8, "grid_points": 200})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), "anonymize",
+             "--model", str(fitted_model)],
+        )
+        assert_config_exit(result, "config basis (n_basis 30, order 4) is not the model's (n_basis 40, order 4)")
         assert not out.exists()
 
     def test_bad_config_exits_2(self, small_corpus, tmp_path):
