@@ -228,6 +228,10 @@ class CurveSpace:
         return self.ref_hz * np.exp2(curve(tn) / 12.0)
 
 
+def same_space(a: CurveSpace, b: CurveSpace) -> bool:
+    return same_basis(a.basis, b.basis) and (a.lam, a.grid_points, a.ref_hz) == (b.lam, b.grid_points, b.ref_hz)
+
+
 def smooth_curve(samples: np.ndarray, space: CurveSpace) -> FunctionalCurve:
     """Penalized least-squares fit of values sampled on the space's uniform grid.
 
@@ -261,7 +265,8 @@ class FpcaModel:
 
     components are orthonormal under the L2 inner product, not in raw
     coefficient space. gram caches the basis Gram matrix so projections skip
-    the quadrature.
+    the quadrature. space is the CurveSpace the training curves came from,
+    when the fit was told it; save_model records it.
     """
 
     basis: BSplineBasis
@@ -272,6 +277,7 @@ class FpcaModel:
     training_scores: np.ndarray
     labels: Optional[tuple]
     gram: np.ndarray
+    space: Optional[CurveSpace] = None
 
     @property
     def n_components(self) -> int:
@@ -301,7 +307,11 @@ def _fix_component_signs(b: np.ndarray, gram_ones: np.ndarray) -> np.ndarray:
     return b
 
 
-def fpca_fit(curves: Sequence[FunctionalCurve], labels: Optional[Sequence[CurveLabel]] = None) -> FpcaModel:
+def fpca_fit(
+    curves: Sequence[FunctionalCurve],
+    labels: Optional[Sequence[CurveLabel]] = None,
+    space: Optional[CurveSpace] = None,
+) -> FpcaModel:
     """Fit functional PCA over curves sharing one basis.
 
     The coefficient covariance C is transformed to L^T C L (G = L L^T); its
@@ -317,6 +327,8 @@ def fpca_fit(curves: Sequence[FunctionalCurve], labels: Optional[Sequence[CurveL
     for k, c in enumerate(curves[1:], start=1):
         if not same_basis(c.basis, basis):
             raise ValueError(f"curve {k} is on a different basis than curve 0")
+    if space is not None and not same_basis(space.basis, basis):
+        raise ValueError("curves are not on the curve space's basis")
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != len(curves):
@@ -357,6 +369,7 @@ def fpca_fit(curves: Sequence[FunctionalCurve], labels: Optional[Sequence[CurveL
         training_scores=scores,
         labels=labels,
         gram=g,
+        space=space,
     )
 
 
@@ -384,7 +397,11 @@ def reconstruct(model: FpcaModel, scores: ScoreVector, n: int) -> FunctionalCurv
 
 
 def save_model(path, model: FpcaModel) -> None:
-    """Serialize to JSON. The Gram matrix is recomputed on load, not stored."""
+    """Serialize to JSON. The Gram matrix is recomputed on load, not stored.
+
+    A model that knows its curve space records lambda, grid and semitone
+    reference beside the basis, so a later run can check it uses the same space.
+    """
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "basis": {"n_basis": model.basis.n_basis, "order": model.basis.order},
@@ -400,6 +417,12 @@ def save_model(path, model: FpcaModel) -> None:
             for l in model.labels
         ],
     }
+    if model.space is not None:
+        payload["curve_space"] = {
+            "lambda": model.space.lam,
+            "grid_points": model.space.grid_points,
+            "semitone_ref_hz": model.space.ref_hz,
+        }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -421,6 +444,9 @@ def load_model(path) -> FpcaModel:
             for l in labels
         )
     components = tuple(FunctionalCurve(basis, np.asarray(c)) for c in payload["components"])
+    space = payload.get("curve_space")
+    if space is not None:
+        space = CurveSpace(basis, space["lambda"], space["grid_points"], space["semitone_ref_hz"])
     return FpcaModel(
         basis=basis,
         mean=FunctionalCurve(basis, np.asarray(payload["mean"])),
@@ -430,4 +456,5 @@ def load_model(path) -> FpcaModel:
         training_scores=np.asarray(payload["training_scores"], dtype=np.float64),
         labels=labels,
         gram=gram_matrix(basis),
+        space=space,
     )

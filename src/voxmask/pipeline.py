@@ -5,10 +5,10 @@ tests. load_config turns the config JSON into typed objects once (a
 PitchConfig per group, the fda.CurveSpace that fixes basis, smoothing lambda,
 grid and semitone reference, the FormantShiftConfig), so a bad value is a
 ConfigError before any audio is read; anonymize also rejects a config whose
-basis is not the model's. Per-utterance work is a frozen job dataclass that
-carries the paths and the group's PitchConfig to a worker: FitJob for f0
-tracking, AnonymizeJob, which adds the manifest row, its resolved strategy
-and the PipelineConfig, for a whole anonymization.
+curve space is not the one the model records. Per-utterance work is a frozen
+job dataclass that carries the paths and the group's PitchConfig to a worker:
+FitJob for f0 tracking, AnonymizeJob, which adds the manifest row, its
+resolved strategy and the PipelineConfig, for a whole anonymization.
 Parallel sections map over those jobs with a process pool and aggregate in
 utterance-id order, so the worker count never changes output bytes.
 """
@@ -232,7 +232,7 @@ def cmd_fit(
         fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
         for r in rows
     ]
-    model = fda.fpca_fit(curves, labels)
+    model = fda.fpca_fit(curves, labels, space=cfg.curve_space)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fda.save_model(out_path, model)
@@ -244,6 +244,22 @@ def cmd_fit(
 @lru_cache(maxsize=8)
 def _cached_model(path: str) -> fda.FpcaModel:
     return fda.load_model(path)
+
+
+@lru_cache(maxsize=4)
+def _space_from_values(n_basis: int, order: int, lam: float, grid_points: int, ref_hz: float) -> fda.CurveSpace:
+    return fda.CurveSpace(fda.build_basis(n_basis, order), lam, grid_points, ref_hz)
+
+
+def _shared_space(space: fda.CurveSpace) -> fda.CurveSpace:
+    """This process's one instance of a config's curve space.
+
+    A pool worker unpickles a new copy of the config with every job, and each
+    copy would factor the normal matrix again; keyed by value, all copies
+    share one factor per process. Config spaces always come from build_basis.
+    """
+    b = space.basis
+    return _space_from_values(b.n_basis, b.order, space.lam, space.grid_points, space.ref_hz)
 
 
 LOG_FIELDS = [
@@ -287,7 +303,7 @@ def _anonymize_job(job: AnonymizeJob) -> dict:
             model,
             job.strategy,
             job.row.speaker_id,
-            space=cfg.curve_space,
+            space=_shared_space(cfg.curve_space),
             pitch_floor=pcfg.floor,
             pitch_ceiling=pcfg.ceiling,
             max_hz=w.sample_rate / 4,
@@ -307,6 +323,10 @@ def _anonymize_job(job: AnonymizeJob) -> dict:
     except Exception as exc:  # per-utterance isolation: log and continue
         log.update(status="failed", message=f"{type(exc).__name__}: {exc}")
     return log
+
+
+def _describe_space(space: fda.CurveSpace) -> str:
+    return f"lambda {space.lam!r}, grid_points {space.grid_points}, semitone_ref_hz {space.ref_hz!r}"
 
 
 def cmd_anonymize(
@@ -339,6 +359,12 @@ def cmd_anonymize(
             raise ConfigError(
                 f"config basis (n_basis {cb.n_basis}, order {cb.order}) is not the model's "
                 f"(n_basis {mb.n_basis}, order {mb.order})"
+            )
+        # a model saved before curve spaces were recorded can only be checked by basis
+        if model.space is not None and not fda.same_space(model.space, cfg.curve_space):
+            raise ConfigError(
+                f"config curve space ({_describe_space(cfg.curve_space)}) is not the model's "
+                f"({_describe_space(model.space)})"
             )
     rows = manifest.filter(groups=groups, conditions=(synth.CONDITION_MODAL,), sessions=sessions)
     if not rows:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, num_frames
+from .audio import Waveform, frame_signal
 
 HZ = "hz"
 SEMITONE = "semitone"
@@ -22,6 +22,8 @@ WINDOW_PERIODS = 3.0  # analysis window spans this many periods of the floor
 SILENCE_THRESHOLD = 0.01  # frames below this fraction of the global peak are unvoiced
 OCTAVE_COST = 0.05  # per octave above the floor, favors the higher candidate
 OCTAVE_JUMP_COST = 0.35  # per octave of frame-to-frame f0 change
+MAX_CANDIDATES = 4  # strongest peaks per frame offered to path selection
+BLOCK_FRAMES = 32  # frames per FFT block; larger blocks cost memory and gain no speed
 
 
 @dataclass(frozen=True)
@@ -76,66 +78,82 @@ def _window_acf(window: np.ndarray, nfft: int) -> np.ndarray:
     return r / r[0]
 
 
-def _parabolic_peak(y: np.ndarray, i: int):
-    """Refine peak position i by fitting a parabola to (i-1, i, i+1)."""
-    a, b, c = y[i - 1], y[i], y[i + 1]
-    denom = a - 2 * b + c
-    if denom >= 0:  # not a proper maximum, fall back to the grid point
-        return float(i), float(b)
-    delta = 0.5 * (a - c) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    value = b - 0.25 * (a - c) * delta
-    return i + delta, float(value)
+def _block_candidates(frames, window, nfft, rw, lag_lo, level, fs, cfg):
+    """Up to MAX_CANDIDATES voiced candidates per frame for a block of frames.
 
-
-def _frame_candidates(rn, lag_lo, lag_hi, fs, cfg):
-    """Voiced candidates (freq, adjusted strength) for one frame.
-
-    Returns an empty list when the dominant periodicity sits above the
-    ceiling, which signals the frame should be treated as unvoiced.
+    Returns (freqs, adjs), each (n_frames, MAX_CANDIDATES), strongest first,
+    with empty slots NaN / -inf. A frame gets no candidates when it is below
+    the silence level, has no energy after mean removal, or when its
+    strongest periodicity sits above the ceiling: subharmonics in range are
+    then aliases of a pitch we are not allowed to report.
     """
-    cands = []
-    best_adj, best_freq = -np.inf, None
-    for i in range(lag_lo, min(lag_hi + 1, rn.size - 1)):
-        if rn[i] > rn[i - 1] and rn[i] >= rn[i + 1]:
-            lag, val = _parabolic_peak(rn, i)
-            freq = fs / lag
-            val = min(val, 1.0)
-            adj = val + OCTAVE_COST * math.log2(max(freq, 1e-9) / cfg.floor)
-            if adj > best_adj:
-                best_adj, best_freq = adj, freq
-            if cfg.floor <= freq <= cfg.ceiling and val > 0:
-                cands.append((freq, adj))
-    if best_freq is not None and best_freq > cfg.ceiling:
-        # periodicity above the search band: subharmonics in range are
-        # aliases of a pitch we are not allowed to report
-        return []
-    cands.sort(key=lambda c: -c[1])
-    return cands[:4]
+    freqs = np.full((frames.shape[0], MAX_CANDIDATES), np.nan)
+    adjs = np.full((frames.shape[0], MAX_CANDIDATES), -np.inf)
+
+    live = np.flatnonzero(np.max(np.abs(frames), axis=1) >= level)
+    seg = frames[live]
+    spec = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, nfft, axis=1)
+    r = np.fft.irfft((spec * np.conj(spec)).real, nfft, axis=1)
+    energy = r[:, 0] > 0  # a constant frame has none left after mean removal
+    live, r = live[energy], r[energy]
+    rn = (r[:, : rw.size] / r[:, :1]) / rw
+
+    # local maxima at lags lag_lo .. rw.size-2, so each has both neighbours
+    b = rn[:, lag_lo:-1]
+    row, col = np.nonzero((b > rn[:, lag_lo - 1 : -2]) & (b >= rn[:, lag_lo + 1 :]))
+    i = col + lag_lo
+    a, b, c = rn[row, i - 1], rn[row, i], rn[row, i + 1]
+    # parabolic refinement; a non-concave triple keeps the grid point
+    denom = a - 2 * b + c
+    proper = denom < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
+    lag = np.where(proper, i + delta, i)
+    val = np.minimum(np.where(proper, b - 0.25 * (a - c) * delta, b), 1.0)
+    freq = fs / lag
+    adj = val + OCTAVE_COST * np.log2(np.maximum(freq, 1e-9) / cfg.floor)
+
+    # frame by frame, strongest first; the stable sort keeps equal strengths
+    # in lag order, so a frame's first peak is the one a running strict >
+    # over increasing lags would pick
+    order = np.lexsort((-adj, row))
+    row, freq, adj, val = row[order], freq[order], adj[order], val[order]
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    above = row[first[freq[first] > cfg.ceiling]]
+    cand = (cfg.floor <= freq) & (freq <= cfg.ceiling) & (val > 0) & ~np.isin(row, above)
+    row, freq, adj = row[cand], freq[cand], adj[cand]
+    rank = np.arange(row.size) - np.searchsorted(row, row)
+    top = rank < MAX_CANDIDATES
+    freqs[live[row[top]], rank[top]] = freq[top]
+    adjs[live[row[top]], rank[top]] = adj[top]
+    return freqs, adjs
 
 
-def _select_path_greedy(candidates):
-    values = []
+def _select_path_greedy(freqs: np.ndarray, adjs: np.ndarray) -> np.ndarray:
+    """Per frame, the candidate that best trades strength against the octave
+    jump from the last voiced choice; NaN where none scores above
+    VOICING_THRESHOLD. Candidates come strongest first, NaN-padded."""
+    chosen = np.full(freqs.shape[0], np.nan)
     prev = None
-    for cands in candidates:
+    for k in np.flatnonzero(np.isfinite(adjs[:, 0])).tolist():
         best, best_score = None, VOICING_THRESHOLD
-        for freq, adj in cands:
+        for freq, adj in zip(freqs[k].tolist(), adjs[k].tolist()):
+            if math.isnan(freq):
+                break
             score = adj
             if prev is not None:
                 score -= OCTAVE_JUMP_COST * abs(math.log2(freq / prev))
             if score > best_score:
                 best, best_score = freq, score
-        values.append(best)
-        prev = best if best is not None else prev
-    return values
+        if best is not None:
+            chosen[k] = prev = best
+    return chosen
 
 
-def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
-    """Track f0 with the window-normalized autocorrelation method.
+def _candidates(w: Waveform, cfg: PitchConfig):
+    """Frame times and every frame's candidates as (times, freqs, adjs).
 
-    Frames are Hanning-windowed after mean removal; the frame ACF is divided
-    by the window ACF and candidate peaks are refined by parabolic
-    interpolation. Voiced values always lie within [floor, ceiling].
+    freqs/adjs are (n_frames, MAX_CANDIDATES) as _block_candidates returns them.
     """
     fs = w.sample_rate
     if cfg.ceiling >= fs / 2:
@@ -148,41 +166,40 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
             f"signal of {x.size} samples is shorter than one analysis window ({win_n})"
         )
 
-    n_fr = num_frames(x.size, win_n, hop_n)
+    frames = frame_signal(x, win_n, hop_n)
+    n_fr = frames.shape[0]
+    times = (np.arange(n_fr) * hop_n + win_n / 2) / fs
+    global_peak = float(np.max(np.abs(x)))
+    if global_peak == 0.0:
+        return times, np.full((n_fr, MAX_CANDIDATES), np.nan), np.full((n_fr, MAX_CANDIDATES), -np.inf)
+
     window = np.hanning(win_n)
     nfft = 1 << int(np.ceil(np.log2(2 * win_n)))
-    rw = _window_acf(window, nfft)
-
     search_fmax = min(2.0 * cfg.ceiling, 0.45 * fs)
     lag_lo = max(2, int(np.floor(fs / search_fmax)))
     lag_hi = int(np.ceil(fs / cfg.floor))
-    global_peak = float(np.max(np.abs(x))) if x.size else 0.0
+    # normalized ACF up to lag_hi + 1, so every lag up to lag_hi has both neighbours
+    rw = np.maximum(_window_acf(window, nfft)[: lag_hi + 2], 1e-12)
+    level = SILENCE_THRESHOLD * global_peak
+    blocks = [
+        _block_candidates(frames[i : i + BLOCK_FRAMES], window, nfft, rw, lag_lo, level, fs, cfg)
+        for i in range(0, n_fr, BLOCK_FRAMES)
+    ]
+    return times, np.concatenate([f for f, _ in blocks]), np.concatenate([a for _, a in blocks])
 
-    candidates = []
-    for k in range(n_fr):
-        seg = x[k * hop_n : k * hop_n + win_n]
-        if global_peak == 0.0 or np.max(np.abs(seg)) < SILENCE_THRESHOLD * global_peak:
-            candidates.append([])
-            continue
-        segw = (seg - seg.mean()) * window
-        spec = np.fft.rfft(segw, nfft)
-        r = np.fft.irfft((spec * np.conj(spec)).real + 0j, nfft)
-        if r[0] <= 0:
-            candidates.append([])
-            continue
-        rn = (r[: lag_hi + 2] / r[0]) / np.maximum(rw[: lag_hi + 2], 1e-12)
-        candidates.append(_frame_candidates(rn, lag_lo, lag_hi, fs, cfg))
 
-    chosen = _select_path_greedy(candidates)
+def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
+    """Track f0 with the window-normalized autocorrelation method (Boersma 1993).
 
-    times = (np.arange(n_fr) * hop_n + win_n / 2) / fs
-    values = np.full(n_fr, np.nan)
-    voiced = np.zeros(n_fr, dtype=bool)
-    for k, freq in enumerate(chosen):
-        if freq is not None:
-            values[k] = float(np.clip(freq, cfg.floor, cfg.ceiling))
-            voiced[k] = True
-    return F0Trajectory(times, values, voiced, HZ)
+    Frames are Hanning-windowed after mean removal; the frame ACF is divided
+    by the window ACF and candidate peaks are refined by parabolic
+    interpolation. Candidates are found BLOCK_FRAMES frames at a time, with
+    one FFT per block; only the path through them is chosen frame by frame.
+    Voiced values always lie within [floor, ceiling].
+    """
+    times, freqs, adjs = _candidates(w, cfg)
+    chosen = _select_path_greedy(freqs, adjs)
+    return F0Trajectory(times, np.clip(chosen, cfg.floor, cfg.ceiling), ~np.isnan(chosen), HZ)
 
 
 def interpolate_unvoiced(t: F0Trajectory) -> F0Trajectory:

@@ -14,6 +14,7 @@ are module constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import butter, lfilter, sosfiltfilt
@@ -149,11 +150,18 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
     return EpochSequence(pos[keep], v[keep])
 
 
+@lru_cache(maxsize=512)
 def _grain_window(pl: int, pr: int) -> np.ndarray:
-    """Asymmetric two-period Hanning: rises over pl samples, falls over pr."""
+    """Asymmetric two-period Hanning: rises over pl samples, falls over pr.
+
+    Neighbouring grains repeat the same period pairs, so windows are cached
+    and therefore read-only.
+    """
     rise = np.hanning(2 * pl + 1)[: pl + 1]
     fall = np.hanning(2 * pr + 1)[pr:]
-    return np.concatenate([rise, fall[1:]])
+    win = np.concatenate([rise, fall[1:]])
+    win.setflags(write=False)
+    return win
 
 
 def _add_grain(out, norm, x, center_src, center_out, pl, pr):

@@ -26,6 +26,7 @@ from voxmask.fda import (
     load_model,
     penalty_matrix,
     reconstruct,
+    same_space,
     save_model,
     smooth_curve,
     uniform_resample,
@@ -608,6 +609,29 @@ class TestModelSerialization:
         np.testing.assert_array_equal(back.training_scores, model.training_scores)
         np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
         assert back.labels == model.labels
+
+    def test_curve_space_round_trip(self, tmp_path):
+        basis = build_basis(30, 4)
+        curves, labels = make_family(31, n_curves=8, basis=basis)
+        space = CurveSpace(basis, 1e-6, 150, 120.0)
+        p = tmp_path / "model.json"
+        save_model(p, fpca_fit(curves, labels, space=space))
+        back = load_model(p).space
+        assert same_space(back, space)
+        assert not same_space(back, CurveSpace(basis, 1e-6, 150, 100.0))
+
+    def test_model_without_curve_space(self, tmp_path):
+        # no space given to the fit: no curve_space block, as in older model files
+        curves, labels = make_family(31, n_curves=8, basis=build_basis(30, 4))
+        p = tmp_path / "model.json"
+        save_model(p, fpca_fit(curves, labels))
+        assert "curve_space" not in p.read_text()
+        assert load_model(p).space is None
+
+    def test_space_must_share_the_curves_basis(self):
+        curves, labels = make_family(31, n_curves=8, basis=build_basis(30, 4))
+        with pytest.raises(ValueError, match="basis"):
+            fpca_fit(curves, labels, space=CurveSpace(build_basis(20, 4), grid_points=150))
 
     def test_version_field_enforced(self, tmp_path):
         import json

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import pickle
 from pathlib import Path
 
@@ -193,6 +194,11 @@ class TestFit:
         conditions = {lab.condition for lab in model.labels}
         assert conditions == {"modal"}
 
+    def test_model_records_its_curve_space(self, fitted_model, config_path):
+        space = fda.load_model(fitted_model).space
+        assert space is not None
+        assert fda.same_space(space, pipeline.load_config(config_path).curve_space)
+
     def test_empty_filter_names_predicate(self, small_corpus, config_path, tmp_path):
         with pytest.raises(ConfigError, match="nosuch"):
             pipeline.cmd_fit(small_corpus, config_path, tmp_path / "m.json", groups=("nosuch",))
@@ -277,6 +283,33 @@ class TestAnonymize:
             trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(trees[0]) == 13  # 12 session-2 modal WAVs and the log
         assert trees[0] == trees[1]
+
+    def test_pickled_configs_share_one_space_per_process(self, config_path):
+        cfg = pipeline.load_config(config_path)
+        a, b = (pickle.loads(pickle.dumps(cfg)).curve_space for _ in range(2))
+        assert a is not b
+        shared = pipeline._shared_space(a)
+        assert pipeline._shared_space(b) is shared
+        assert fda.same_space(shared, cfg.curve_space)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the call counter reaches workers only by fork"
+    )
+    def test_pool_workers_factor_the_space_once_each(self, small_corpus, fitted_model, tmp_path, monkeypatch):
+        calls = tmp_path / "penalty_calls"
+        real = fda.penalty_matrix
+
+        def counted(basis):
+            with open(calls, "a") as fh:
+                fh.write("call\n")
+            return real(basis)
+
+        monkeypatch.setattr(fda, "penalty_matrix", counted)
+        pipeline._space_from_values.cache_clear()  # forked workers must not inherit a factored space
+        cfg = write_config(tmp_path / "c.json")
+        failures = pipeline.cmd_anonymize(small_corpus, cfg, fitted_model, tmp_path / "out", sessions=("2",), workers=2)
+        assert failures == 0
+        assert 1 <= len(calls.read_text().split()) <= 2  # one factor per worker, not one per utterance
 
     def test_constant_zero_shift_is_transparent(self, small_corpus, tmp_path):
         cfg = write_config(
@@ -529,6 +562,31 @@ class TestCli:
              "--model", str(fitted_model)],
         )
         assert_config_exit(result, "config basis (n_basis 30, order 4) is not the model's (n_basis 40, order 4)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"semitone_ref_hz": 200.0}, "semitone_ref_hz 200.0"),
+            ({"basis": {"n_basis": 40, "order": 4, "lambda": 1e-6, "grid_points": 200}}, "lambda 1e-06"),
+            ({"basis": {"n_basis": 40, "order": 4, "lambda": 1e-8, "grid_points": 300}}, "grid_points 300"),
+        ],
+    )
+    def test_anonymize_rejects_a_curve_space_other_than_the_models(
+        self, over, message, small_corpus, fitted_model, tmp_path
+    ):
+        # fitted_model was fit with lambda 1e-8, 200 grid points and a 100 Hz reference
+        cfg = write_config(tmp_path / "c.json", **over)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), "anonymize",
+             "--model", str(fitted_model)],
+        )
+        assert_config_exit(
+            result, "is not the model's (lambda 1e-08, grid_points 200, semitone_ref_hz 100.0)"
+        )
+        assert message in result.stderr
         assert not out.exists()
 
     def test_bad_config_exits_2(self, small_corpus, tmp_path):

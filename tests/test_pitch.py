@@ -1,16 +1,22 @@
 """Autocorrelation pitch tracking and trajectory transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxmask.audio import Waveform
+from voxmask import pipeline, pitch, synth
+from voxmask.audio import Waveform, read_wav
 from voxmask.pitch import (
+    BLOCK_FRAMES,
     HOP_S,
     HZ,
     SEMITONE,
+    SILENCE_THRESHOLD,
     VOICING_THRESHOLD,
+    WINDOW_PERIODS,
     F0Trajectory,
     PitchConfig,
     extract_f0,
@@ -22,6 +28,7 @@ from voxmask.pitch import (
 )
 
 from conftest import make_tone, make_test_vowel
+from pitch_oracle import extract_f0_scalar, frame_candidates_scalar
 
 
 def traj(values, voiced=None, unit=HZ, hop=0.01):
@@ -89,6 +96,120 @@ class TestExtract:
         b = extract_f0(w, cfg)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.voiced, b.voiced)
+
+
+RANGES = {"low": PitchConfig(65, 380), "high": PitchConfig(140, 520), "wide": PitchConfig(75, 600)}
+RATES = (8000, 11025, 16000, 22050, 44100)
+
+
+def assert_matches_oracle(w, cfg):
+    """Same candidates as the oracle frame by frame, then the same trajectory bitwise."""
+    _, freqs, adjs = pitch._candidates(w, cfg)
+    want = frame_candidates_scalar(w, cfg)
+    found = np.isfinite(adjs)
+    assert found.sum(axis=1).tolist() == [len(c) for c in want]
+    assert np.array_equal(freqs[found], [f for c in want for f, _ in c])
+    # np.log2 and math.log2 may round the octave cost's log differently by one ulp
+    np.testing.assert_array_max_ulp(adjs[found], np.array([a for c in want for _, a in c]), maxulp=1)
+
+    got, want = extract_f0(w, cfg), extract_f0_scalar(w, cfg)
+    np.testing.assert_array_equal(got.times, want.times)
+    assert np.array_equal(got.voiced, want.voiced)
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    return got
+
+
+def edge_signals(fs, cfg):
+    """Named inputs that stress silence handling, energy checks, peak picking and block edges."""
+    win_n = int(round(WINDOW_PERIODS / cfg.floor * fs))
+    hop_n = int(round(HOP_S * fs))
+    n = int(0.4 * fs)
+    rng = np.random.default_rng(fs)
+    vowel = synth.make_vowel(1.0, 150.0, (700.0, 1200.0, 2600.0), fs=fs, seed=3).samples
+    click = np.zeros(n)
+    click[n // 2] = 0.8
+    t = np.arange(n) / fs
+    square = np.clip(1.5 * np.sin(2 * np.pi * 180.0 * t), -1.0, 1.0)  # peak exactly 1.0
+    signals = {
+        "silence": np.zeros(n),
+        "dc": np.full(n, 0.25),
+        "click": click,
+        "noise": 0.1 * rng.standard_normal(n),
+        "clipped_vowel": np.clip(4.0 * vowel, -0.5, 0.5),
+        "tone": 0.3 * np.sin(2 * np.pi * 230.0 * t),
+        "one_window": vowel[:win_n],
+        # a quiet half whose every frame peaks exactly at the silence level
+        "at_silence_level": np.concatenate([square, SILENCE_THRESHOLD * square]),
+    }
+    for frames in (BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1):
+        signals[f"{frames}_frames"] = vowel[: win_n + (frames - 1) * hop_n]
+    return {name: Waveform(x, fs) for name, x in signals.items()}
+
+
+@pytest.fixture(scope="module")
+def corpus_1234(tmp_path_factory):
+    manifest = pipeline.load_manifest(
+        synth.generate_corpus(
+            tmp_path_factory.mktemp("corpus1234"), seed=1234, n_per_group=1, n_modal=1, n_disguised=1
+        )
+    )
+    return [(r, read_wav(manifest.resolve(r))) for r in manifest.rows]
+
+
+class TestOracle:
+    """extract_f0 is the scalar per-frame tracker of tests/pitch_oracle.py, batched: bitwise equal."""
+
+    def test_corpus_utterances(self, corpus_1234):
+        assert {r.condition for r, _ in corpus_1234} == {"modal", "disguised"}
+        for row, w in corpus_1234:
+            for cfg in (RANGES[row.group], RANGES["wide"]):
+                assert assert_matches_oracle(w, cfg).n_voiced > 0
+
+    @pytest.mark.parametrize("fs", RATES)
+    @pytest.mark.parametrize("name", sorted(RANGES))
+    def test_edge_inputs(self, fs, name):
+        cfg = RANGES[name]
+        tracks = {label: assert_matches_oracle(w, cfg) for label, w in edge_signals(fs, cfg).items()}
+        assert tracks["silence"].n_voiced == 0
+        assert tracks["tone"].n_voiced > 0 and tracks[f"{BLOCK_FRAMES + 1}_frames"].n_voiced > 0
+        assert tracks["at_silence_level"].voiced[-1]  # the level itself is not silence
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fs=st.sampled_from(RATES),
+        name=st.sampled_from(sorted(RANGES)),
+        f0=st.floats(50.0, 700.0),
+        noise=st.floats(0.0, 1.0),
+        seconds=st.floats(0.05, 0.6),
+    )
+    def test_random_tone_in_noise(self, seed, fs, name, f0, noise, seconds):
+        cfg = RANGES[name]
+        n = max(int(seconds * fs), int(round(WINDOW_PERIODS / cfg.floor * fs)))
+        rng = np.random.default_rng(seed)
+        x = np.sin(2 * np.pi * f0 * np.arange(n) / fs + rng.uniform(0, 2 * np.pi)) + noise * rng.standard_normal(n)
+        assert_matches_oracle(Waveform(0.3 * x, fs), cfg)
+
+    def test_block_boundary_frame_counts(self):
+        cfg = RANGES["low"]
+        signals = edge_signals(16000, cfg)
+        for frames in (BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1):
+            assert len(extract_f0(signals[f"{frames}_frames"], cfg)) == frames
+        assert len(extract_f0(signals["one_window"], cfg)) == 1
+
+    @pytest.mark.parametrize(
+        "w, cfg",
+        [
+            (Waveform(np.zeros(100), 16000), RANGES["low"]),  # shorter than one window
+            (Waveform(np.zeros(16000), 8000), PitchConfig(65, 4000)),  # ceiling at Nyquist
+            (Waveform(np.zeros(16000), 8000), PitchConfig(65, 4500)),  # ceiling above Nyquist
+        ],
+    )
+    def test_same_errors(self, w, cfg):
+        with pytest.raises(ValueError) as want:
+            extract_f0_scalar(w, cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            extract_f0(w, cfg)
 
 
 class TestInterpolate:
