@@ -6,7 +6,11 @@ by per-coefficient mean and standard deviation, compared by cosine. EER
 numbers from it are internally comparable across methods, not calibrated
 against any external system. Every analysis setting, STOI's published values
 and the MFCC front end alike, is a module constant, so stoi, mfcc_frames and
-mfcc_embed take only waveforms.
+mfcc_embed take only waveforms. The analysis windows, the band matrix and
+the mel filterbank are built once, read-only. No Python code runs per frame
+or per segment: STOI scores its (segment, band) cells as arrays, a block of
+STOI_BLOCK_SEGMENTS segments at a time, and the MFCC sliding mean is a
+running sum.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .audio import Waveform, frame_signal, num_frames, resample
@@ -28,6 +33,7 @@ STOI_FIRST_CENTER = 150.0
 STOI_SEGMENT = 30
 STOI_BETA = -15.0
 STOI_DYN_RANGE = 40.0
+STOI_BLOCK_SEGMENTS = 256  # segments scored per array pass, so a long file's memory stays bounded
 
 MFCC_RATE = 16000
 MFCC_FRAME_S = 0.025
@@ -37,6 +43,9 @@ MFCC_N_MEL = 30
 MFCC_N_COEFFS = 23
 MFCC_CMN_WINDOW_S = 3.0  # span of the sliding mean subtracted from each frame
 MFCC_VAD_THRESHOLD_DB = 30.0  # frames further below the loudest are not speech
+MFCC_FRAME = int(round(MFCC_FRAME_S * MFCC_RATE))
+MFCC_HOP = int(round(MFCC_HOP_S * MFCC_RATE))
+MFCC_CMN_HALF = max(1, int(round(MFCC_CMN_WINDOW_S / MFCC_HOP_S)) // 2)  # frames on each side
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,12 @@ class TrialSet:
             object.__setattr__(self, name, arr)
 
 
-def _third_octave_bands(nfft: int, fs: float):
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _third_octave_bands(nfft: int, fs: float) -> np.ndarray:
     """Boolean bin-membership matrix for the 15 one-third-octave bands."""
     freqs = np.arange(nfft // 2 + 1) * fs / nfft
     centers = STOI_FIRST_CENTER * 2.0 ** (np.arange(STOI_N_BANDS) / 3.0)
@@ -65,38 +79,103 @@ def _third_octave_bands(nfft: int, fs: float):
     return (freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])
 
 
+def _mel_filterbank(n_filters: int, nfft: int, fs: float) -> np.ndarray:
+    mel = lambda f: 2595.0 * np.log10(1.0 + f / 700.0)
+    imel = lambda m: 700.0 * (10.0 ** (m / 2595.0) - 1.0)
+    pts = imel(np.linspace(mel(0.0), mel(fs / 2), n_filters + 2))
+    freqs = np.arange(nfft // 2 + 1) * fs / nfft
+    lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
+    rising = (freqs - lo) / (ctr - lo)
+    falling = (hi - freqs) / (hi - ctr)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
+
+
+STOI_WINDOW = _read_only(np.hanning(STOI_FRAME + 2)[1:-1])
+# boolean, not 0/1 floats: numpy multiplies by a bool matrix outside BLAS, and BLAS
+# rounds the band sums differently, which STOI amplifies in near-empty bands
+STOI_BANDS = _read_only(_third_octave_bands(STOI_NFFT, STOI_RATE))  # (bands, bins)
+MFCC_WINDOW = _read_only(np.hamming(MFCC_FRAME))
+MFCC_FILTERBANK = _read_only(_mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE))  # (filters, bins)
+
+
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
     """Drop frames where the reference is more than 40 dB below its loudest frame.
 
     Both signals are cut by the reference mask and rebuilt by overlap-add of
     the Hann-windowed kept frames (unit amplitude at 50% overlap).
     """
-    win = np.hanning(STOI_FRAME + 2)[1:-1]
     n_fr = num_frames(x.size, STOI_FRAME, STOI_HOP)
     if n_fr == 0:
         raise ValueError("signal shorter than one analysis frame")
-    xf = frame_signal(x, STOI_FRAME, STOI_HOP) * win
-    yf = frame_signal(y, STOI_FRAME, STOI_HOP) * win
+    xf = frame_signal(x, STOI_FRAME, STOI_HOP) * STOI_WINDOW
+    yf = frame_signal(y, STOI_FRAME, STOI_HOP) * STOI_WINDOW
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + 1e-30)
     keep = energy > energy.max() - STOI_DYN_RANGE
     if not np.any(keep) or energy.max() < -200.0:
         raise ValueError("reference signal is silent")
-    xf, yf = xf[keep], yf[keep]
-    out_len = (xf.shape[0] - 1) * STOI_HOP + STOI_FRAME
-    xr = np.zeros(out_len)
-    yr = np.zeros(out_len)
-    for k in range(xf.shape[0]):
-        xr[k * STOI_HOP : k * STOI_HOP + STOI_FRAME] += xf[k]
-        yr[k * STOI_HOP : k * STOI_HOP + STOI_FRAME] += yf[k]
-    return xr, yr
+    return _overlap_add(xf[keep]), _overlap_add(yf[keep])
 
 
-def _band_envelopes(x: np.ndarray, bands: np.ndarray) -> np.ndarray:
-    win = np.hanning(STOI_FRAME + 2)[1:-1]
-    frames = frame_signal(x, STOI_FRAME, STOI_HOP) * win
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Frames summed at hop spacing: at 50% overlap each hop-long block is one frame's
+    second half plus the next frame's first half."""
+    n = frames.shape[0]
+    out = np.zeros((n + 1, STOI_HOP))
+    out[:n] = frames[:, :STOI_HOP]
+    out[1:] += frames[:, STOI_HOP:]
+    return out.ravel()
+
+
+def _band_envelopes(x: np.ndarray) -> np.ndarray:
+    frames = frame_signal(x, STOI_FRAME, STOI_HOP) * STOI_WINDOW
     spec = np.fft.rfft(frames, STOI_NFFT, axis=1)
     power = np.abs(spec) ** 2
-    return np.sqrt(power @ bands.T)  # (n_frames, n_bands)
+    return np.sqrt(power @ STOI_BANDS.T)  # (n_frames, n_bands)
+
+
+def _cell_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, one BLAS dot per cell as np.dot takes them."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _envelope_correlation(ex: np.ndarray, ey: np.ndarray) -> float:
+    """Mean clipped correlation over every (30-frame segment, band) cell.
+
+    ex and ey are (frames, bands) envelopes. Segments are scored
+    STOI_BLOCK_SEGMENTS at a time as (segments, bands, frames) arrays. A cell
+    whose reference is all zero or constant has no defined correlation and is
+    left out; a cell whose clipped processed envelope is flat counts as 0.
+    Norms, means, dot products and the running total are taken in the order
+    a per-cell computation takes them, so the result rounds the same way.
+    """
+    m = ex.shape[0]
+    if m < STOI_SEGMENT:
+        raise ValueError(f"too little speech after silence removal ({m} frames < {STOI_SEGMENT})")
+    xw = sliding_window_view(ex, STOI_SEGMENT, axis=0)  # (segments, bands, frames)
+    yw = sliding_window_view(ey, STOI_SEGMENT, axis=0)
+    clip_bound = 1.0 + 10.0 ** (-STOI_BETA / 20.0)
+    total = 0.0
+    count = 0
+    for start in range(0, xw.shape[0], STOI_BLOCK_SEGMENTS):
+        block = slice(start, start + STOI_BLOCK_SEGMENTS)
+        # over (segments, frames, bands) views, norms add up frames as one segment's (frames, bands) norm does
+        xn = np.linalg.norm(xw[block].transpose(0, 2, 1), axis=1)
+        yn = np.linalg.norm(yw[block].transpose(0, 2, 1), axis=1)
+        xs = np.ascontiguousarray(xw[block])
+        ys = np.ascontiguousarray(yw[block])
+        alpha = np.divide(xn, yn, out=np.zeros_like(xn), where=yn > 0)
+        yc = np.minimum(alpha[..., None] * ys, clip_bound * xs)
+        xd = xs - xs.mean(axis=2, keepdims=True)
+        yd = yc - yc.mean(axis=2, keepdims=True)
+        dx = np.sqrt(_cell_dot(xd, xd))
+        dy = np.sqrt(_cell_dot(yd, yd))
+        valid = (xn != 0.0) & (dx != 0.0)
+        corr = np.divide(_cell_dot(xd, yd), dx * dy, out=np.zeros_like(dx), where=valid & (dy > 0))
+        total = float(np.cumsum(np.concatenate(([total], corr[valid])))[-1])
+        count += int(np.count_nonzero(valid))
+    if count == 0:
+        raise ValueError("no valid band segments; inputs degenerate")
+    return total / count
 
 
 def stoi(clean: Waveform, processed: Waveform) -> float:
@@ -116,73 +195,39 @@ def stoi(clean: Waveform, processed: Waveform) -> float:
     x, y = x[:n], y[:n]
 
     x, y = _remove_silent_frames(x, y)
-    bands = _third_octave_bands(STOI_NFFT, STOI_RATE)
-    ex = _band_envelopes(x, bands)
-    ey = _band_envelopes(y, bands)
-    m = ex.shape[0]
-    if m < STOI_SEGMENT:
-        raise ValueError(f"too little speech after silence removal ({m} frames < {STOI_SEGMENT})")
-
-    clip_bound = 1.0 + 10.0 ** (-STOI_BETA / 20.0)
-    total = 0.0
-    count = 0
-    for seg_end in range(STOI_SEGMENT, m + 1):
-        xs = ex[seg_end - STOI_SEGMENT : seg_end]  # (30, 15)
-        ys = ey[seg_end - STOI_SEGMENT : seg_end]
-        xn = np.linalg.norm(xs, axis=0)
-        yn = np.linalg.norm(ys, axis=0)
-        for j in range(STOI_N_BANDS):
-            if xn[j] == 0.0:
-                continue  # reference carries nothing in this band/segment
-            alpha = xn[j] / yn[j] if yn[j] > 0 else 0.0
-            yc = np.minimum(alpha * ys[:, j], clip_bound * xs[:, j])
-            xd = xs[:, j] - xs[:, j].mean()
-            yd = yc - yc.mean()
-            dx, dy = np.linalg.norm(xd), np.linalg.norm(yd)
-            if dx == 0.0:
-                continue  # constant reference envelope, correlation undefined
-            total += float(xd @ yd) / (dx * dy) if dy > 0 else 0.0
-            count += 1
-    if count == 0:
-        raise ValueError("no valid band segments; inputs degenerate")
-    return total / count
+    return _envelope_correlation(_band_envelopes(x), _band_envelopes(y))
 
 
-def _mel_filterbank(n_filters: int, nfft: int, fs: float) -> np.ndarray:
-    mel = lambda f: 2595.0 * np.log10(1.0 + f / 700.0)
-    imel = lambda m: 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-    pts = imel(np.linspace(mel(0.0), mel(fs / 2), n_filters + 2))
-    freqs = np.arange(nfft // 2 + 1) * fs / nfft
-    fb = np.zeros((n_filters, freqs.size))
-    for j in range(n_filters):
-        lo, ctr, hi = pts[j], pts[j + 1], pts[j + 2]
-        rising = (freqs - lo) / (ctr - lo)
-        falling = (hi - freqs) / (hi - ctr)
-        fb[j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
+def _subtract_sliding_mean(coeffs: np.ndarray, half: int) -> np.ndarray:
+    """Each frame minus the mean of the frames within half frames of it, by running sums.
+
+    The column means come off before the cumsum and go back on after, so the
+    running sums stay near zero and long inputs lose no precision to them.
+    """
+    n = coeffs.shape[0]
+    centre = coeffs.mean(axis=0)
+    sums = np.zeros((n + 1, coeffs.shape[1]))
+    np.cumsum(coeffs - centre, axis=0, out=sums[1:])
+    k = np.arange(n)
+    lo = np.maximum(k - half, 0)
+    hi = np.minimum(k + half + 1, n)
+    means = (sums[hi] - sums[lo]) / (hi - lo)[:, None] + centre
+    return coeffs - means
 
 
 def mfcc_frames(w: Waveform):
     """Per-frame MFCCs after sliding-window mean subtraction, plus the VAD mask."""
     w = resample(w, MFCC_RATE)
-    fl = int(round(MFCC_FRAME_S * MFCC_RATE))
-    hp = int(round(MFCC_HOP_S * MFCC_RATE))
     x = w.samples
-    if x.size < fl:
+    if x.size < MFCC_FRAME:
         raise ValueError("signal shorter than one analysis frame")
-    frames = frame_signal(x, fl, hp)
+    frames = frame_signal(x, MFCC_FRAME, MFCC_HOP)
     energies = 10.0 * np.log10(np.sum(frames**2, axis=1) + 1e-30)
-    windowed = frames * np.hamming(fl)
+    windowed = frames * MFCC_WINDOW
     power = np.abs(np.fft.rfft(windowed, MFCC_NFFT, axis=1)) ** 2
-    fb = _mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE)
-    logmel = np.log(np.maximum(power @ fb.T, 1e-30))
+    logmel = np.log(np.maximum(power @ MFCC_FILTERBANK.T, 1e-30))
     coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, :MFCC_N_COEFFS]
-
-    half = max(1, int(round(MFCC_CMN_WINDOW_S / MFCC_HOP_S)) // 2)
-    cmn = np.empty_like(coeffs)
-    for k in range(coeffs.shape[0]):
-        a, b = max(0, k - half), min(coeffs.shape[0], k + half + 1)
-        cmn[k] = coeffs[k] - coeffs[a:b].mean(axis=0)
+    cmn = _subtract_sliding_mean(coeffs, MFCC_CMN_HALF)
 
     mask = energies > energies.max() - MFCC_VAD_THRESHOLD_DB
     # digital silence has uniform floor energy; require real dynamics

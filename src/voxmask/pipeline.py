@@ -329,6 +329,26 @@ def _describe_space(space: fda.CurveSpace) -> str:
     return f"lambda {space.lam!r}, grid_points {space.grid_points}, semitone_ref_hz {space.ref_hz!r}"
 
 
+def _check_donors(model: fda.FpcaModel, model_path, jobs) -> None:
+    """ConfigError when the model holds the donor curves of no selected utterance.
+
+    Each distinct (speaker, resolved strategy) is looked up once. A model that
+    serves some rows but not others is left to fail those rows one by one.
+    """
+    keys = dict.fromkeys((j.row.speaker_id, j.strategy) for j in jobs)
+    errors = []
+    for speaker, strategy in keys:
+        try:
+            deid.replacement_first_score(strategy, model, speaker)
+        except ValueError as exc:
+            errors.append((speaker, str(exc)))
+    if len(errors) == len(keys):
+        speakers = ", ".join(sorted({speaker for speaker, _ in errors}))
+        raise ConfigError(
+            f"model {model_path} has donor curves for none of the selected speakers ({speakers}): {errors[0][1]}"
+        )
+
+
 def cmd_anonymize(
     manifest_path,
     config_path,
@@ -371,7 +391,6 @@ def cmd_anonymize(
         raise ConfigError("no modal utterances match the given filters")
     rows = sorted(rows, key=lambda r: r.utterance_id)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest_groups = manifest.groups
     jobs = []
@@ -396,6 +415,9 @@ def cmd_anonymize(
                 cfg=cfg,
             )
         )
+    if cfg.strategy.kind != deid.CONSTANT_SHIFT:
+        _check_donors(model, model_path, jobs)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = _map_jobs(_anonymize_job, jobs, workers)
     results = sorted(results, key=lambda d: d["utterance_id"])
     with open(out_dir / "anon_log.csv", "w", newline="") as fh:

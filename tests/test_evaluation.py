@@ -1,17 +1,26 @@
 """STOI, the MFCC-statistics speaker scorer, and EER computation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voxmask.audio import Waveform
+from voxmask import evaluation, pipeline, resynth, synth
+from voxmask.audio import Waveform, read_wav, resample
 from voxmask.evaluation import (
+    MFCC_CMN_HALF,
     MFCC_CMN_WINDOW_S,
     MFCC_FRAME_S,
     MFCC_HOP_S,
     MFCC_N_COEFFS,
     MFCC_N_MEL,
+    STOI_BLOCK_SEGMENTS,
+    STOI_FRAME,
+    STOI_HOP,
+    STOI_RATE,
+    STOI_SEGMENT,
     EvalReport,
     MethodResult,
     TrialSet,
@@ -21,8 +30,8 @@ from voxmask.evaluation import (
     score_trials,
     stoi,
 )
-from voxmask import synth
 
+import evaluation_oracle as oracle
 from conftest import make_noise, make_test_vowel
 
 
@@ -143,6 +152,205 @@ class TestStoi:
             stoi(z, z)
 
 
+# ------------------------------------------------------------------ stoi oracle
+
+
+def assert_stoi_matches_oracle(clean: Waveform, processed: Waveform) -> float:
+    """stoi within 1e-12 of the per-segment oracle, or the same ValueError text."""
+    try:
+        expected = oracle.stoi(clean, processed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            stoi(clean, processed)
+        assert str(got.value) == str(exc)
+        return float("nan")
+    value = stoi(clean, processed)
+    assert abs(value - expected) <= 1e-12, (value, expected)
+    return value
+
+
+def assert_correlation_matches_oracle(ex: np.ndarray, ey: np.ndarray) -> float:
+    expected = oracle.envelope_correlation(ex, ey)
+    value = evaluation._envelope_correlation(ex, ey)
+    assert abs(value - expected) <= 1e-12, (value, expected)
+    return value
+
+
+def envelope_frames(clean: Waveform, processed: Waveform) -> int:
+    x = resample(clean, STOI_RATE).samples
+    y = resample(processed, STOI_RATE).samples
+    return evaluation._band_envelopes(evaluation._remove_silent_frames(x, y)[0]).shape[0]
+
+
+def noise_pair(frames: int, seed: int = 0):
+    """Reference noise and a noisier copy at the STOI rate, exactly `frames` analysis frames long."""
+    rng = np.random.default_rng(seed)
+    n = STOI_FRAME + (frames - 1) * STOI_HOP
+    x = 0.1 * rng.standard_normal(n)
+    return Waveform(x, STOI_RATE), Waveform(x + 0.1 * rng.standard_normal(n), STOI_RATE)
+
+
+def long_pair(seconds: float = 120.0, seed: int = 1234):
+    """Corpus-style utterances end to end for `seconds`, and a scaled, noisy copy."""
+    speakers = synth.make_speakers(seed, 3)
+    parts, n, k = [], 0, 0
+    while n < seconds * 16000:
+        u = synth.synth_utterance(speakers[k % 3], synth.CONDITION_MODAL, 1, k, seed)
+        parts.append(u.samples)
+        n += u.samples.size
+        k += 1
+    x = np.concatenate(parts)[: int(seconds * 16000)]
+    y = 0.8 * x + 0.02 * np.random.default_rng(seed).standard_normal(x.size)
+    return Waveform(x, 16000), Waveform(y, 16000)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def benchmark_pairs(tmp_path_factory):
+    """The 18 test utterances of a seed-1234 corpus of the benchmark's evaluate shape.
+
+    Each is paired with its 1.2 formant shift, the formant half of the preset the benchmark scores.
+    """
+    manifest = pipeline.load_manifest(
+        synth.generate_corpus(tmp_path_factory.mktemp("eval1234"), seed=1234, n_per_group=3, n_modal=3, n_disguised=0)
+    )
+    rows = sorted(manifest.filter(conditions=("modal",), sessions=("2",)), key=lambda r: r.utterance_id)
+    pairs = []
+    for r in rows:
+        w = read_wav(manifest.resolve(r))
+        pairs.append((w, resynth.shift_formants_detailed(w, resynth.FormantShiftConfig(factor=1.2)).waveform))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def long_oracle():
+    """The 120 s pair, and the oracle's STOI on it with its tracemalloc peak (one slow run, shared)."""
+    clean, processed = long_pair()
+    expected, peak = traced_peak(oracle.stoi, clean, processed)
+    return clean, processed, expected, peak
+
+
+def random_envelopes(frames: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.1, 1.0, (frames, 15)), rng.uniform(0.1, 1.0, (frames, 15))
+
+
+class TestStoiOracle:
+    """stoi is tests/evaluation_oracle.py's per-segment STOI as array operations: within 1e-12, same errors."""
+
+    def test_overlap_add_is_bitwise_the_loop(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3, 57):
+            frames = rng.standard_normal((n, STOI_FRAME))
+            assert np.array_equal(evaluation._overlap_add(frames), oracle.overlap_add(frames))
+
+    def test_silent_frame_removal_is_bitwise_the_loop(self, benchmark_pairs):
+        for clean, processed in benchmark_pairs[:6]:
+            x = resample(clean, STOI_RATE).samples
+            y = resample(processed, STOI_RATE).samples[: x.size]
+            for got, want in zip(evaluation._remove_silent_frames(x, y), oracle.remove_silent_frames(x, y)):
+                assert np.array_equal(got, want)
+
+    def test_benchmark_pairs(self, benchmark_pairs):
+        assert len(benchmark_pairs) == 18
+        for clean, processed in benchmark_pairs:
+            assert 0.0 < assert_stoi_matches_oracle(clean, processed) < 1.0
+
+    @pytest.mark.parametrize("case", ["zero_reference", "constant_reference", "silent_processed", "all_three"])
+    def test_degenerate_cells(self, case):
+        ex, ey = random_envelopes(90)
+        if case in ("zero_reference", "all_three"):
+            ex[10:70, 3] = 0.0  # xn == 0 in the 31 segments inside the stretch
+        if case in ("constant_reference", "all_three"):
+            # a value whose sums and means are exact, so dx == 0 exactly
+            ex[20:75, 5] = 0.75
+        if case in ("silent_processed", "all_three"):
+            ey[:, 7] = 0.0  # yn == 0, so alpha == 0 and dy == 0: the cells count as 0
+        assert_correlation_matches_oracle(ex, ey)
+
+    def test_all_degenerate_input_raises(self):
+        ex, ey = random_envelopes(40)
+        for flat in (np.zeros_like(ex), np.full_like(ex, 0.5)):
+            with pytest.raises(ValueError, match="no valid band segments; inputs degenerate"):
+                evaluation._envelope_correlation(flat, ey)
+            with pytest.raises(ValueError, match="no valid band segments; inputs degenerate"):
+                oracle.envelope_correlation(flat, ey)
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            STOI_SEGMENT - 1,
+            STOI_SEGMENT,
+            STOI_SEGMENT + 1,
+            STOI_SEGMENT - 2 + STOI_BLOCK_SEGMENTS,  # block - 1 segments
+            STOI_SEGMENT - 1 + STOI_BLOCK_SEGMENTS,  # block segments
+            STOI_SEGMENT + STOI_BLOCK_SEGMENTS,  # block + 1 segments
+            STOI_SEGMENT - 1 + 2 * STOI_BLOCK_SEGMENTS + 7,
+        ],
+    )
+    def test_frame_and_block_boundaries(self, frames):
+        clean, processed = noise_pair(frames)
+        assert envelope_frames(clean, processed) == frames
+        value = assert_stoi_matches_oracle(clean, processed)
+        assert np.isnan(value) == (frames < STOI_SEGMENT)
+        ex, ey = random_envelopes(frames, seed=frames)
+        if frames >= STOI_SEGMENT:
+            assert_correlation_matches_oracle(ex, ey)
+
+    def test_silent_processed_signal(self, benchmark_pairs):
+        clean, _ = benchmark_pairs[0]
+        assert assert_stoi_matches_oracle(clean, Waveform(np.zeros_like(clean.samples), clean.sample_rate)) == 0.0
+
+    def test_same_errors(self, benchmark_pairs):
+        clean, processed = benchmark_pairs[0]
+        cases = [
+            (clean, Waveform(processed.samples, processed.sample_rate + 1000)),  # sample rates differ
+            (clean, Waveform(processed.samples[: processed.samples.size // 2], processed.sample_rate)),  # length
+            (Waveform(np.zeros(16000), 16000), Waveform(np.zeros(16000), 16000)),  # silent reference
+            (Waveform(np.ones(100), STOI_RATE), Waveform(np.ones(100), STOI_RATE)),  # shorter than one frame
+            noise_pair(STOI_SEGMENT - 1),  # too little speech
+        ]
+        for a, b in cases:
+            assert np.isnan(assert_stoi_matches_oracle(a, b))
+
+    def test_120_second_pair(self, long_oracle):
+        clean, processed, expected, _ = long_oracle
+        assert abs(stoi(clean, processed) - expected) <= 1e-12
+
+    def test_120_second_pair_memory(self, long_oracle):
+        clean, processed, expected, oracle_peak = long_oracle
+        value, peak = traced_peak(stoi, clean, processed)
+        assert abs(value - expected) <= 1e-12
+        assert peak <= 1.1 * oracle_peak, (peak, oracle_peak)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fs=st.sampled_from([8000, 11025, 16000, 22050, 44100]),
+        f0=st.floats(80.0, 3500.0),
+        noise=st.floats(0.0, 2.0),
+        seconds=st.floats(0.3, 1.5),
+    )
+    # near-empty bands above 4 kHz: a 0/1 float band matrix moved this one by 1.2e-12
+    @example(seed=0, fs=8000, f0=2450.0, noise=3.712512474207393e-09, seconds=1.0)
+    def test_random_tone_in_noise(self, seed, fs, f0, noise, seconds):
+        rng = np.random.default_rng(seed)
+        n = int(seconds * fs)
+        tone = np.sin(2 * np.pi * f0 * np.arange(n) / fs + rng.uniform(0, 2 * np.pi))
+        clean = Waveform(0.3 * (tone + noise * rng.standard_normal(n)), fs)
+        processed = Waveform(0.3 * (tone + noise * rng.standard_normal(n)), fs)
+        assert_stoi_matches_oracle(clean, processed)
+
+
 # ------------------------------------------------------------------ mfcc
 
 
@@ -187,6 +395,42 @@ class TestMfcc:
         same = score_trials([a1], a2)
         cross = score_trials([a1], b1)
         assert same > cross
+
+
+class TestSlidingMeanOracle:
+    """The cumsum mean normalization is tests/evaluation_oracle.py's per-frame loop, to 1e-12 of the peak."""
+
+    @pytest.mark.parametrize(
+        "frames",
+        [1, 2, MFCC_CMN_HALF, MFCC_CMN_HALF + 1, 2 * MFCC_CMN_HALF, 2 * MFCC_CMN_HALF + 1,
+         2 * MFCC_CMN_HALF + 2, 1000, 60_000],
+    )
+    def test_matches_loop(self, frames):
+        rng = np.random.default_rng(frames)
+        # MFCC-like columns: a large c0 offset, slow drift and frame noise
+        offset = np.concatenate([[-300.0], rng.uniform(-40.0, 40.0, MFCC_N_COEFFS - 1)])
+        drift = np.cumsum(rng.standard_normal((frames, MFCC_N_COEFFS)), axis=0) * 0.05
+        coeffs = offset + drift + rng.standard_normal((frames, MFCC_N_COEFFS)) * 5.0
+        for half in (1, 3, MFCC_CMN_HALF):
+            got = evaluation._subtract_sliding_mean(coeffs, half)
+            want = oracle.subtract_sliding_mean(coeffs, half)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(coeffs)), (frames, half)
+
+
+class TestAnalysisConstants:
+    def test_windows_bands_and_filterbank_are_read_only(self):
+        for name in ("STOI_WINDOW", "STOI_BANDS", "MFCC_WINDOW", "MFCC_FILTERBANK"):
+            arr = getattr(evaluation, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_constants_are_the_per_call_arrays(self):
+        assert np.array_equal(evaluation.STOI_WINDOW, np.hanning(STOI_FRAME + 2)[1:-1])
+        assert evaluation.STOI_BANDS.dtype == bool
+        assert np.array_equal(evaluation.STOI_BANDS, oracle.third_octave_bands(512, STOI_RATE))
+        assert np.array_equal(evaluation.MFCC_WINDOW, np.hamming(evaluation.MFCC_FRAME))
+        assert evaluation.MFCC_FILTERBANK.shape == (MFCC_N_MEL, 257)
 
 
 # ------------------------------------------------------------------ scoring

@@ -284,6 +284,22 @@ class TestAnonymize:
         assert len(trees[0]) == 13  # 12 session-2 modal WAVs and the log
         assert trees[0] == trees[1]
 
+    def test_a_partial_donor_miss_fails_row_by_row(self, small_corpus, tmp_path):
+        # a model of the low group only: its speakers have disguised curves, the high group's have none
+        model = tmp_path / "low.json"
+        pipeline.cmd_fit(small_corpus, write_config(tmp_path / "fit.json"), model, groups=("low",), sessions=("1",))
+        cfg = write_config(tmp_path / "c.json", strategy={"kind": "disguise_model", "donor_condition": "disguised"})
+        out = tmp_path / "anon"
+        assert pipeline.cmd_anonymize(small_corpus, cfg, model, out, sessions=("2",)) == 6
+        with open(out / "anon_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        for r in rows:
+            if r["utterance_id"].startswith("low"):
+                assert r["status"] == "ok"
+            else:
+                assert r["status"] != "ok" and "'disguised'-condition training curves" in r["message"]
+
     def test_pickled_configs_share_one_space_per_process(self, config_path):
         cfg = pipeline.load_config(config_path)
         a, b = (pickle.loads(pickle.dumps(cfg)).curve_space for _ in range(2))
@@ -587,6 +603,26 @@ class TestCli:
             result, "is not the model's (lambda 1e-08, grid_points 200, semitone_ref_hz 100.0)"
         )
         assert message in result.stderr
+        assert not out.exists()
+
+    def test_anonymize_rejects_a_model_without_donor_curves_before_reading_audio(
+        self, small_corpus, fitted_model, tmp_path, monkeypatch
+    ):
+        # fitted_model was fit on modal speech only, so no speaker has a disguised donor curve
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
+        cfg = write_config(tmp_path / "c.json", strategy={"kind": "disguise_model", "donor_condition": "disguised"})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), "anonymize",
+             "--model", str(fitted_model)],
+        )
+        speakers = sorted({r.speaker_id for r in pipeline.load_manifest(small_corpus).rows})
+        assert len(speakers) == 6
+        assert_config_exit(result, f"has donor curves for none of the selected speakers ({', '.join(speakers)})")
+        assert "no 'disguised'-condition training curves for speaker" in result.stderr
+        assert reads == []
         assert not out.exists()
 
     def test_bad_config_exits_2(self, small_corpus, tmp_path):
