@@ -30,21 +30,12 @@ print(f"after +15% PSOLA: median f0 {np.median(got.values[got.voiced]):.1f} Hz, 
 write_wav(OUT / "vowel_f0_up15.wav", shifted)
 
 # --- formants: scale the spectral envelope by 1.2 -------------------------
-def medians(wave):
-    frames = resynth.track_formants(wave, lpc_order=13)
-    cols = [[], [], []]
-    for fr in frames:
-        if fr and len(fr) >= 3:
-            for j in range(3):
-                cols[j].append(fr[j][0])
-    return [float(np.median(c)) for c in cols]
-
 fcfg = resynth.FormantShiftConfig(factor=1.2)
-out = resynth.shift_formants_detailed(w, fcfg).waveform
-before = medians(w)
-after = medians(out)
-print("formants before:", [f"{v:.0f}" for v in before])
-print("formants after x1.2:", [f"{v:.0f}" for v in after])
+result = resynth.shift_formants_detailed(w, fcfg)
+out = result.waveform
+print(f"formants x1.2: {result.clamped_poles} pole radii clamped for stability, "
+      f"{result.skipped_poles} formant poles left unshifted by the 0.95*pi guard, "
+      f"STOI vs input {stoi(w, out):.3f}")
 write_wav(OUT / "vowel_formants_up20.wav", out)
 
 # Both at once is what the anonymization pipeline does per utterance.

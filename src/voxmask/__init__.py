@@ -21,7 +21,7 @@ from .fda import (
     smooth_curve,
 )
 from .pitch import F0Trajectory, PitchConfig, extract_f0, hz_to_semitones, interpolate_unvoiced, semitones_to_hz
-from .resynth import EpochSequence, FormantShiftConfig, burg_lpc, detect_epochs, psola_modify, shift_formants_detailed, track_formants
+from .resynth import EpochSequence, FormantShiftConfig, burg_lpc, detect_epochs, psola_modify, shift_formants_detailed
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,5 @@ __all__ = [
     "shift_formants_detailed",
     "smooth_curve",
     "stoi",
-    "track_formants",
     "write_wav",
 ]

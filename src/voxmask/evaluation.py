@@ -8,9 +8,10 @@ against any external system. Every analysis setting, STOI's published values
 and the MFCC front end alike, is a module constant, so stoi, mfcc_frames and
 mfcc_embed take only waveforms. The analysis windows, the band matrix and
 the mel filterbank are built once, read-only. No Python code runs per frame
-or per segment: STOI scores its (segment, band) cells as arrays, a block of
-STOI_BLOCK_SEGMENTS segments at a time, and the MFCC sliding mean is a
-running sum.
+or per segment: STOI frames, windows and transforms the signals
+STOI_BLOCK_FRAMES frames at a time and scores its (segment, band) cells as
+arrays, STOI_BLOCK_SEGMENTS segments at a time, so its memory does not grow
+with a framed copy of the whole file; the MFCC sliding mean is a running sum.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ STOI_SEGMENT = 30
 STOI_BETA = -15.0
 STOI_DYN_RANGE = 40.0
 STOI_BLOCK_SEGMENTS = 256  # segments scored per array pass, so a long file's memory stays bounded
+STOI_BLOCK_FRAMES = 1024  # analysis frames windowed and transformed per array pass, for the same reason
 
 MFCC_RATE = 16000
 MFCC_FRAME_S = 0.025
@@ -98,22 +100,52 @@ MFCC_WINDOW = _read_only(np.hamming(MFCC_FRAME))
 MFCC_FILTERBANK = _read_only(_mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE))  # (filters, bins)
 
 
+def _frame_blocks(n: int) -> list:
+    """Slices of STOI_BLOCK_FRAMES frames that cover n frames.
+
+    A lone last frame joins the block before it: numpy takes a one-row matrix
+    product down another code path, which rounds the band sums differently
+    from the one-pass product over all frames.
+    """
+    starts = list(range(0, n, STOI_BLOCK_FRAMES))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
     """Drop frames where the reference is more than 40 dB below its loudest frame.
 
     Both signals are cut by the reference mask and rebuilt by overlap-add of
-    the Hann-windowed kept frames (unit amplitude at 50% overlap).
+    the Hann-windowed kept frames (unit amplitude at 50% overlap). Frames are
+    windowed a block at a time (_frame_blocks), once for the energies and
+    once for the rebuild, so no framed copy of a whole signal is held.
     """
     n_fr = num_frames(x.size, STOI_FRAME, STOI_HOP)
     if n_fr == 0:
         raise ValueError("signal shorter than one analysis frame")
-    xf = frame_signal(x, STOI_FRAME, STOI_HOP) * STOI_WINDOW
-    yf = frame_signal(y, STOI_FRAME, STOI_HOP) * STOI_WINDOW
-    energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + 1e-30)
+    xf = frame_signal(x, STOI_FRAME, STOI_HOP)
+    norms = [np.linalg.norm(xf[block] * STOI_WINDOW, axis=1) for block in _frame_blocks(n_fr)]
+    energy = 20.0 * np.log10(np.concatenate(norms) + 1e-30)
     keep = energy > energy.max() - STOI_DYN_RANGE
     if not np.any(keep) or energy.max() < -200.0:
         raise ValueError("reference signal is silent")
-    return _overlap_add(xf[keep]), _overlap_add(yf[keep])
+    kept = np.flatnonzero(keep)
+    return _rebuild(xf, kept), _rebuild(frame_signal(y, STOI_FRAME, STOI_HOP), kept)
+
+
+def _rebuild(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Overlap-add of the windowed frames listed in kept, a block at a time.
+
+    Each block's overlap-add is added in at its hop offset, so a block's
+    first row meets the previous block's last second half: the same sums,
+    bitwise, as one overlap-add of all kept frames.
+    """
+    out = np.zeros((kept.size + 1) * STOI_HOP)
+    for block in _frame_blocks(kept.size):
+        part = _overlap_add(frames[kept[block]] * STOI_WINDOW)
+        out[block.start * STOI_HOP : block.start * STOI_HOP + part.size] += part
+    return out
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:
@@ -127,10 +159,13 @@ def _overlap_add(frames: np.ndarray) -> np.ndarray:
 
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
-    frames = frame_signal(x, STOI_FRAME, STOI_HOP) * STOI_WINDOW
-    spec = np.fft.rfft(frames, STOI_NFFT, axis=1)
-    power = np.abs(spec) ** 2
-    return np.sqrt(power @ STOI_BANDS.T)  # (n_frames, n_bands)
+    """(frames, bands) one-third-octave envelopes: frame, rfft and band sums a block at a time."""
+    frames = frame_signal(x, STOI_FRAME, STOI_HOP)
+    out = np.empty((frames.shape[0], STOI_N_BANDS))
+    for block in _frame_blocks(frames.shape[0]):
+        power = np.abs(np.fft.rfft(frames[block] * STOI_WINDOW, STOI_NFFT, axis=1)) ** 2
+        out[block] = np.sqrt(power @ STOI_BANDS.T)
+    return out
 
 
 def _cell_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ job dataclass that carries the paths and the group's PitchConfig to a worker:
 FitJob for f0 tracking, AnonymizeJob, which adds the manifest row, its
 resolved strategy and the PipelineConfig, for a whole anonymization.
 Parallel sections map over those jobs with a process pool and aggregate in
-utterance-id order, so the worker count never changes output bytes.
+utterance-id order, so the worker count never changes output bytes. Every
+command, and every pool worker, runs OpenBLAS at one thread (see blas), so
+the core count and the BLAS thread settings do not change them either: the
+worker count is the only parallelism.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import deid, evaluation, fda, pitch, resynth, synth
+from . import blas, deid, evaluation, fda, pitch, resynth, synth
 from .audio import read_wav, write_wav
 
 CONFIG_FORMAT_VERSION = 1
@@ -184,10 +187,10 @@ def load_config(path) -> PipelineConfig:
 
 
 def _map_jobs(fn, jobs, workers: int):
-    """Order-preserving map, optionally through a process pool."""
+    """Order-preserving map, optionally through a process pool of one-BLAS-thread workers."""
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_worker) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -203,6 +206,7 @@ def _fit_job(job: FitJob) -> pitch.F0Trajectory:
     return pitch.extract_f0(read_wav(job.wav_path), job.pitch)
 
 
+@blas.one_thread()
 def cmd_fit(
     manifest_path,
     config_path,
@@ -349,6 +353,7 @@ def _check_donors(model: fda.FpcaModel, model_path, jobs) -> None:
         )
 
 
+@blas.one_thread()
 def cmd_anonymize(
     manifest_path,
     config_path,
@@ -448,6 +453,7 @@ def _find_test_audio(anon_dir: Path, utt_id: str) -> Optional[Path]:
     return None
 
 
+@blas.one_thread()
 def cmd_evaluate(
     manifest_path,
     config_path,
@@ -582,6 +588,7 @@ def cmd_evaluate(
 
 # ---------------------------------------------------------------- exports
 
+@blas.one_thread()
 def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) -> tuple:
     """Write mean/plus/minus curves for one component and the s1-s2 scatter.
 

@@ -5,8 +5,8 @@ windowed grains anchored at glottal epochs. The formant shifter,
 shift_formants_detailed, fits Burg LPC to all frames of an utterance in one
 batch, takes every frame's poles from one batched eigenvalue call, and
 re-filters each frame's LPC residual through its pole-modified all-pole
-filter before overlap-adding. It and track_formants share one analysis front
-end (_formant_band). Only the factor and the number of shifted formants are
+filter before overlap-adding; _formant_band and _frame_poles are its
+analysis front end. Only the factor and the number of shifted formants are
 configurable; the LPC frame, hop, pre-emphasis, analysis band and order rule
 are module constants.
 """
@@ -345,27 +345,6 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     formant = (roots.imag > 1e-9) & (bws < FORMANT_MAX_BW)
     formant &= (freqs >= FORMANT_MIN_HZ) & (freqs <= fs / 2 - FORMANT_EDGE_HZ)
     return active, segs, a, roots, freqs, bws, formant
-
-
-def track_formants(w: Waveform, lpc_order: int):
-    """Per-frame formant (frequency, bandwidth) lists; None marks an unusable frame.
-
-    Frames are analysed in the formant band (see MAX_FORMANT_HZ). All-zero
-    frames are unusable, and so is every frame when the batched analysis
-    fails (frames too short for lpc_order, or no eigenvalue convergence).
-    """
-    if lpc_order < 8:
-        raise ValueError("tracking three formants needs lpc_order >= 8")
-    y, fs, _, fl, hp = _formant_band(w)
-    result = [None] * num_frames(y.size, fl, hp)
-    try:
-        active, _, _, _, freqs, bws, formant = _frame_poles(y, fs, fl, hp, lpc_order)
-    except (ValueError, np.linalg.LinAlgError):
-        return result
-    for k, fq, bw, is_formant in zip(np.flatnonzero(active), freqs, bws, formant):
-        fq, bw = fq[is_formant], bw[is_formant]
-        result[k] = [(float(fq[i]), float(bw[i])) for i in np.argsort(fq)]
-    return result
 
 
 @dataclass(frozen=True)

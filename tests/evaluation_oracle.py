@@ -2,10 +2,12 @@
 
 This is the evaluation code as it was before it became array operations:
 one Python pass per (segment, band) cell in STOI, one per kept frame in the
-overlap-add, and one per frame in the sliding mean subtraction. It is kept
-only as a test oracle; evaluation.stoi must agree with it to 1e-12 and raise
-the same errors, the overlap-add must be bitwise equal, and the mean
-normalization must agree to 1e-12 of the coefficients' peak.
+overlap-add, and one per frame in the sliding mean subtraction. Silent-frame
+removal and the band envelopes frame, window and transform each whole signal
+at once. It is kept only as a test oracle; evaluation.stoi must agree with it
+to 1e-12 and raise the same errors, the overlap-add and the block-at-a-time
+framing must be bitwise equal, and the mean normalization must agree to
+1e-12 of the coefficients' peak.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Scalar reference for the frame-batched formant shifter in voxmask.resynth.
+"""Scalar reference for the frame-batched formant shifter in voxmask.resynth, and a formant tracker.
 
 One Burg fit, one ``np.roots`` call and one ``np.poly`` call per frame. The
 shipped path batches the same analysis over all frames of an utterance; the
-tests compare the two.
+tests compare the two. track_formants reads each frame's formants through
+the shifter's own analysis front end; criterion 5 and the resynthesis tests
+measure formant shifts with it.
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from voxmask.resynth import (
     PREEMPHASIS_HZ,
     FormantShift,
     FormantShiftConfig,
+    _formant_band,
+    _frame_poles,
     _lpc_order,
 )
 
@@ -128,3 +132,24 @@ def shift_formants_oracle(w: Waveform, cfg: FormantShiftConfig) -> FormantShift:
         else:
             result = result[:n]
     return FormantShift(Waveform(result, fs), clamped, skipped)
+
+
+def track_formants(w: Waveform, lpc_order: int):
+    """Per-frame formant (frequency, bandwidth) lists; None marks an unusable frame.
+
+    Frames are analysed in the formant band (see MAX_FORMANT_HZ). All-zero
+    frames are unusable, and so is every frame when the batched analysis
+    fails (frames too short for lpc_order, or no eigenvalue convergence).
+    """
+    if lpc_order < 8:
+        raise ValueError("tracking three formants needs lpc_order >= 8")
+    y, fs, _, fl, hp = _formant_band(w)
+    result = [None] * num_frames(y.size, fl, hp)
+    try:
+        active, _, _, _, freqs, bws, formant = _frame_poles(y, fs, fl, hp, lpc_order)
+    except (ValueError, np.linalg.LinAlgError):
+        return result
+    for k, fq, bw, is_formant in zip(np.flatnonzero(active), freqs, bws, formant):
+        fq, bw = fq[is_formant], bw[is_formant]
+        result[k] = [(float(fq[i]), float(bw[i])) for i in np.argsort(fq)]
+    return result

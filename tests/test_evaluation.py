@@ -16,9 +16,11 @@ from voxmask.evaluation import (
     MFCC_HOP_S,
     MFCC_N_COEFFS,
     MFCC_N_MEL,
+    STOI_BLOCK_FRAMES,
     STOI_BLOCK_SEGMENTS,
     STOI_FRAME,
     STOI_HOP,
+    STOI_NFFT,
     STOI_RATE,
     STOI_SEGMENT,
     EvalReport,
@@ -260,6 +262,31 @@ class TestStoiOracle:
             for got, want in zip(evaluation._remove_silent_frames(x, y), oracle.remove_silent_frames(x, y)):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "frames", [STOI_BLOCK_FRAMES - 1, STOI_BLOCK_FRAMES, STOI_BLOCK_FRAMES + 1, 2 * STOI_BLOCK_FRAMES + 1]
+    )
+    def test_blocked_framing_is_bitwise_one_pass(self, frames):
+        """Both framing helpers, a block of frames at a time, equal the oracle's whole-signal framing."""
+        clean, processed = noise_pair(frames)
+        x, y = clean.samples, processed.samples
+        for got, want in zip(evaluation._remove_silent_frames(x, y), oracle.remove_silent_frames(x, y)):
+            assert np.array_equal(got, want)
+        bands = oracle.third_octave_bands(STOI_NFFT, STOI_RATE)
+        assert np.array_equal(evaluation._band_envelopes(x), oracle.band_envelopes(x, bands))
+
+    @pytest.mark.parametrize("kept", [STOI_BLOCK_FRAMES - 1, STOI_BLOCK_FRAMES, STOI_BLOCK_FRAMES + 1])
+    def test_blocked_rebuild_around_dropped_frames(self, kept):
+        """A silent stretch drops frames, so the kept frames meet the block edges elsewhere than all frames do."""
+        total = 2 * STOI_BLOCK_FRAMES + 1
+        clean, processed = noise_pair(total)
+        x, y = clean.samples.copy(), processed.samples
+        gap = total - kept + 1  # hops of silence: the gap - 1 frames wholly inside it are dropped
+        x[100 * STOI_HOP : (100 + gap) * STOI_HOP] = 0.0
+        want = oracle.remove_silent_frames(x, y)
+        assert want[0].size == (kept + 1) * STOI_HOP
+        for got, expected in zip(evaluation._remove_silent_frames(x, y), want):
+            assert np.array_equal(got, expected)
+
     def test_benchmark_pairs(self, benchmark_pairs):
         assert len(benchmark_pairs) == 18
         for clean, processed in benchmark_pairs:
@@ -331,6 +358,11 @@ class TestStoiOracle:
         value, peak = traced_peak(stoi, clean, processed)
         assert abs(value - expected) <= 1e-12
         assert peak <= 1.1 * oracle_peak, (peak, oracle_peak)
+
+    def test_120_second_pair_memory_is_half_the_oracle(self, long_oracle):
+        clean, processed, _, oracle_peak = long_oracle
+        _, peak = traced_peak(stoi, clean, processed)
+        assert peak <= 0.5 * oracle_peak, (peak, oracle_peak)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -15,12 +15,11 @@ from voxmask.resynth import (
     detect_epochs,
     psola_modify,
     shift_formants_detailed,
-    track_formants,
 )
 from voxmask import synth
 
 from conftest import make_noise, make_test_vowel, make_tone
-from formant_oracle import shift_formants_oracle
+from formant_oracle import shift_formants_oracle, track_formants
 
 PITCH_CFG = PitchConfig(floor=65, ceiling=380)
 
