@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import logging
-from functools import lru_cache
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +26,6 @@ _SYMBOLS = tuple(
 )
 
 
-@lru_cache(maxsize=None)
 def _controls(path: str):
     """(get, set) thread-count functions of the library at path, or None."""
     try:
@@ -52,11 +50,6 @@ def openblas_libraries() -> dict:
         return {}
     found = {path: _controls(path) for path in paths}
     return {path: fns for path, fns in found.items() if fns is not None}
-
-
-def thread_counts() -> dict:
-    """Thread count of each loaded OpenBLAS, keyed by file path."""
-    return {path: get() for path, (get, _) in openblas_libraries().items()}
 
 
 def pin_worker() -> None:

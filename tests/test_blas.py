@@ -22,13 +22,18 @@ SRC = ROOT / "src"
 CALLER_THREADS = 3  # a count no command runs at, allowed on any core count
 
 
+def thread_counts() -> dict:
+    """Thread count of each loaded OpenBLAS, keyed by file path."""
+    return {path: get() for path, (get, _) in blas.openblas_libraries().items()}
+
+
 @pytest.fixture
 def caller_counts():
     """Every loaded OpenBLAS at CALLER_THREADS threads; each old count comes back after the test."""
     libs = blas.openblas_libraries()
     if not libs:
         pytest.skip("no OpenBLAS thread control in this process")
-    old = blas.thread_counts()
+    old = thread_counts()
     for _, set_ in libs.values():
         set_(CALLER_THREADS)
     yield dict.fromkeys(libs, CALLER_THREADS)
@@ -54,7 +59,7 @@ def spy_counts(monkeypatch, module, name) -> list:
     real = getattr(module, name)
 
     def spy(*args, **kwargs):
-        seen.append(blas.thread_counts())
+        seen.append(thread_counts())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
@@ -78,7 +83,7 @@ def tree_bytes(path: Path) -> dict:
 
 
 def _worker_counts(_job) -> list:
-    return sorted(blas.thread_counts().values())
+    return sorted(thread_counts().values())
 
 
 def test_import_leaves_thread_counts_unchanged(caller_counts):
@@ -89,7 +94,7 @@ def test_import_leaves_thread_counts_unchanged(caller_counts):
         import voxmask  # noqa: F401  runs every module's top level again
         import voxmask.pipeline  # noqa: F401
 
-        assert blas.thread_counts() == caller_counts
+        assert thread_counts() == caller_counts
     finally:
         for k in [k for k in sys.modules if k == "voxmask" or k.startswith("voxmask.")]:
             del sys.modules[k]
@@ -107,13 +112,13 @@ def test_command_runs_at_one_thread_and_restores_the_callers(
     seen = seen_model + seen_config
     assert seen, "no spied call ran inside the command"
     assert all(counts == dict.fromkeys(caller_counts, 1) for counts in seen)
-    assert blas.thread_counts() == caller_counts
+    assert thread_counts() == caller_counts
 
 
 def test_config_error_restores_the_callers_counts(caller_counts, small_corpus, tmp_path):
     with pytest.raises(ConfigError):
         pipeline.cmd_fit(small_corpus, tmp_path / "missing.json", tmp_path / "model.json")
-    assert blas.thread_counts() == caller_counts
+    assert thread_counts() == caller_counts
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
@@ -122,13 +127,15 @@ def test_pool_workers_run_one_thread(method, caller_counts, monkeypatch):
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
     for counts in pipeline._map_jobs(_worker_counts, list(range(4)), workers=2):
         assert counts and set(counts) == {1}
-    assert blas.thread_counts() == caller_counts
+    assert thread_counts() == caller_counts
 
 
-def test_no_openblas_runs_unpinned_with_one_warning(small_corpus, config_path, fitted_model, tmp_path, monkeypatch, caplog):
+def test_no_openblas_runs_unpinned_with_one_warning(
+    small_corpus, config_path, fitted_model, tmp_path, monkeypatch, caplog
+):
     pipeline._cached_model.cache_clear()
     run_command("anonymize", small_corpus, config_path, fitted_model, tmp_path / "pinned")
-    before = blas.thread_counts()
+    before = thread_counts()
     monkeypatch.setattr(blas, "openblas_libraries", lambda: {})
     pipeline._cached_model.cache_clear()
     with caplog.at_level(logging.WARNING, logger="voxmask.blas"):
@@ -136,7 +143,7 @@ def test_no_openblas_runs_unpinned_with_one_warning(small_corpus, config_path, f
     warnings = [r for r in caplog.records if r.name == "voxmask.blas"]
     assert len(warnings) == 1 and "no OpenBLAS" in warnings[0].getMessage()
     monkeypatch.undo()
-    assert blas.thread_counts() == before
+    assert thread_counts() == before
     assert tree_bytes(tmp_path / "unpinned") == tree_bytes(tmp_path / "pinned")
 
 
