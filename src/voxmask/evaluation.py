@@ -93,8 +93,11 @@ def _mel_filterbank(n_filters: int, nfft: int, fs: float) -> np.ndarray:
 
 
 STOI_WINDOW = _read_only(np.hanning(STOI_FRAME + 2)[1:-1])
-# boolean, not 0/1 floats: numpy multiplies by a bool matrix outside BLAS, and BLAS
-# rounds the band sums differently, which STOI amplifies in near-empty bands
+# boolean, not 0/1 floats. Both go through BLAS: numpy multiplies by a C-ordered
+# float copy of the boolean STOI_BANDS.T, but by a float matrix's transposed view.
+# OpenBLAS rounds the two layouts differently in products of up to about 80 rows
+# (frames) and alike in larger ones; STOI amplifies that in near-empty bands, and
+# the test oracle multiplies by the boolean matrix
 STOI_BANDS = _read_only(_third_octave_bands(STOI_NFFT, STOI_RATE))  # (bands, bins)
 MFCC_WINDOW = _read_only(np.hamming(MFCC_FRAME))
 MFCC_FILTERBANK = _read_only(_mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE))  # (filters, bins)

@@ -9,6 +9,9 @@ curve space is not the one the model records. Per-utterance work is a frozen
 job dataclass that carries the paths and the group's PitchConfig to a worker:
 FitJob for f0 tracking, AnonymizeJob, which adds the manifest row, its
 resolved strategy and the PipelineConfig, for a whole anonymization.
+anonymize reads its model file once per run and hands that one model to
+each pool worker once, through the pool's initializer, so a model refit to
+the same path is seen by the next run.
 Parallel sections map over those jobs with a process pool and aggregate in
 utterance-id order, so the worker count never changes output bytes. Every
 command, and every pool worker, runs OpenBLAS at one thread (see blas), so
@@ -24,7 +27,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -186,12 +189,29 @@ def load_config(path) -> PipelineConfig:
     return config_from_dict(data)
 
 
-def _map_jobs(fn, jobs, workers: int):
-    """Order-preserving map, optionally through a process pool of one-BLAS-thread workers."""
+def _map_jobs(fn, jobs, workers: int, *shared):
+    """Order-preserving map of fn(job, *shared), optionally through a process pool of one-BLAS-thread workers.
+
+    A pool hands shared to each worker once, through its initializer, not
+    with every job.
+    """
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_worker) as pool:
-        return list(pool.map(fn, jobs))
+        return [fn(j, *shared) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=shared) as pool:
+        return list(pool.map(partial(_call_with_shared, fn), jobs))
+
+
+_worker_shared: tuple = ()  # what this pool worker's initializer was given
+
+
+def _init_worker(*shared) -> None:
+    global _worker_shared
+    blas.pin_worker()
+    _worker_shared = shared
+
+
+def _call_with_shared(fn, job):
+    return fn(job, *_worker_shared)
 
 
 # ---------------------------------------------------------------- fit
@@ -245,11 +265,6 @@ def cmd_fit(
 
 # ---------------------------------------------------------------- anonymize
 
-@lru_cache(maxsize=8)
-def _cached_model(path: str) -> fda.FpcaModel:
-    return fda.load_model(path)
-
-
 @lru_cache(maxsize=4)
 def _space_from_values(n_basis: int, order: int, lam: float, grid_points: int, ref_hz: float) -> fda.CurveSpace:
     return fda.CurveSpace(fda.build_basis(n_basis, order), lam, grid_points, ref_hz)
@@ -286,13 +301,12 @@ class AnonymizeJob:
     row: ManifestRow
     wav_path: str
     out_path: str
-    model_path: Optional[str]
     pitch: pitch.PitchConfig
     strategy: deid.DeidStrategy
     cfg: PipelineConfig
 
 
-def _anonymize_job(job: AnonymizeJob) -> dict:
+def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
     cfg, pcfg = job.cfg, job.pitch
     log = dict.fromkeys(LOG_FIELDS, "")
     log.update(utterance_id=job.row.utterance_id, formant_factor=f"{cfg.formant.factor:.3f}")
@@ -301,7 +315,6 @@ def _anonymize_job(job: AnonymizeJob) -> dict:
         traj = pitch.extract_f0(w, pcfg)
         if traj.n_voiced == 0:
             raise ValueError("no voiced frames found")
-        model = _cached_model(job.model_path) if job.model_path else None
         target = deid.anonymize_trajectory(
             traj,
             model,
@@ -370,13 +383,14 @@ def cmd_anonymize(
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
+    model = None
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         if model_path is None:
             raise ConfigError(f"strategy {cfg.strategy.kind!r} requires a model file")
         if not Path(model_path).exists():
             raise ConfigError(f"model file not found: {model_path}")
         try:
-            model = _cached_model(str(model_path))  # fail fast before touching any audio
+            model = fda.load_model(model_path)  # once per run; fail fast before touching any audio
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise ConfigError(f"unreadable model file {model_path}: {exc}") from exc
         mb, cb = model.basis, cfg.curve_space.basis
@@ -414,7 +428,6 @@ def cmd_anonymize(
                 row=r,
                 wav_path=str(manifest.resolve(r)),
                 out_path=str(out_dir / f"{r.utterance_id}.anon.wav"),
-                model_path=str(model_path) if model_path else None,
                 pitch=cfg.pitch_config(r.group),
                 strategy=strategy,
                 cfg=cfg,
@@ -423,7 +436,7 @@ def cmd_anonymize(
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         _check_donors(model, model_path, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_anonymize_job, jobs, workers)
+    results = _map_jobs(_anonymize_job, jobs, workers, model)
     results = sorted(results, key=lambda d: d["utterance_id"])
     with open(out_dir / "anon_log.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)

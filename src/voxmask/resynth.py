@@ -1,18 +1,24 @@
 """Waveform resynthesis: pitch modification by TD-PSOLA and formant shifting by Burg LPC.
 
-Both transforms are time-domain and deterministic. PSOLA moves two-period
-windowed grains anchored at glottal epochs. The formant shifter,
+Both transforms are time-domain and deterministic, and neither loops over
+frames or grains in Python. PSOLA moves two-period windowed grains anchored
+at glottal epochs: detect_epochs reads the local period from one table per
+voiced span, the synthesis marks are collected in one scalar march, and all
+grains are overlap-added in blocks with bincount. The formant shifter,
 shift_formants_detailed, fits Burg LPC to all frames of an utterance in one
 batch, takes every frame's poles from one batched eigenvalue call, and
-re-filters each frame's LPC residual through its pole-modified all-pole
-filter before overlap-adding; _formant_band and _frame_poles are its
-analysis front end. Only the factor and the number of shifted formants are
-configurable; the LPC frame, hop, pre-emphasis, analysis band and order rule
-are module constants.
+re-filters every frame's LPC residual through its pole-modified all-pole
+filter in one recursion over the frame's samples before overlap-adding;
+_formant_band and _frame_poles are its analysis front end. Each array path
+is bitwise equal to the per-frame or per-grain loop it replaced, which the
+tests keep as oracles. Only the factor and the number of shifted formants
+are configurable; the LPC frame, hop, pre-emphasis, analysis band and order
+rule are module constants.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,20 +75,13 @@ class FormantShiftConfig:
 
 def _voiced_sample_spans(f0: F0Trajectory, fs: float, n: int):
     """Half-hop-padded sample ranges covered by runs of voiced frames."""
-    spans = []
-    start = None
     hop = float(np.median(np.diff(f0.times))) if len(f0) > 1 else UNVOICED_ANCHOR_S
-    for k in range(len(f0)):
-        if f0.voiced[k] and start is None:
-            start = f0.times[k] - hop / 2
-        elif not f0.voiced[k] and start is not None:
-            spans.append((start, f0.times[k - 1] + hop / 2))
-            start = None
-    if start is not None:
-        spans.append((start, f0.times[-1] + hop / 2))
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], f0.voiced.astype(np.int8), [0]])))
+    t0 = f0.times[edges[::2]] - hop / 2
+    t1 = f0.times[edges[1::2] - 1] + hop / 2
     out = []
-    for t0, t1 in spans:
-        a, b = max(0, int(t0 * fs)), min(n, int(t1 * fs))
+    for a, b in zip((t0 * fs).tolist(), (t1 * fs).tolist()):
+        a, b = max(0, int(a)), min(n, int(b))
         if b - a > 2:
             out.append((a, b))
     return out
@@ -92,8 +91,10 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
     """Peak-following epoch marker.
 
     Voiced spans: one anchor per local period, found on the low-passed
-    signal by searching [0.7p, 1.4p] ahead of the previous anchor. Unvoiced
-    spans: uniform 10 ms anchors, so PSOLA passes them through unchanged.
+    signal by searching [0.7p, 1.4p] ahead of the previous anchor, where p is
+    read from a table of the clipped period at every sample of the span.
+    Unvoiced spans: uniform 10 ms anchors, so PSOLA passes them through
+    unchanged.
     """
     fs = w.sample_rate
     x = w.samples
@@ -108,24 +109,24 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
         cutoff = min(1000.0, 0.45 * fs)
         sos = butter(4, cutoff / (fs / 2), output="sos")
         lp = sosfiltfilt(sos, x)
-        period_at = lambda s: fs / float(np.interp(s / fs, f0.times, f0.values))
         for a, b in voiced_spans:
             seg = lp[a:b]
-            sign = 1.0 if np.max(seg) >= -np.min(seg) else -1.0
-            ref = sign * lp
-            p0 = int(np.clip(period_at(a), MIN_PERIOD_S * fs, MAX_PERIOD_S * fs))
-            cur = a + int(np.argmax(ref[a : min(a + p0, b)]))
+            ref = (1.0 if np.max(seg) >= -np.min(seg) else -1.0) * seg
+            period = fs / np.interp(np.arange(a, b) / fs, f0.times, f0.values)
+            period = np.clip(period, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs).tolist()
+            # positions relative to a from here on
+            cur = int(ref[: min(int(period[0]), b - a)].argmax())
             span_marks = [cur]
             while True:
-                p = np.clip(period_at(cur), MIN_PERIOD_S * fs, MAX_PERIOD_S * fs)
+                p = period[cur]
                 lo = cur + int(0.7 * p)
-                hi = min(cur + int(1.4 * p) + 1, b)
+                hi = min(cur + int(1.4 * p) + 1, b - a)
                 if lo >= hi:
                     break
-                cur = lo + int(np.argmax(ref[lo:hi]))
+                cur = lo + int(ref[lo:hi].argmax())
                 span_marks.append(cur)
-            positions.extend(span_marks)
-            flags.extend([True] * len(span_marks))
+            positions.append(np.asarray(span_marks, dtype=np.int64) + a)
+            flags.append(np.ones(len(span_marks), dtype=bool))
 
     hop = max(1, int(round(UNVOICED_ANCHOR_S * fs)))
     gaps = []
@@ -137,48 +138,145 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
     if prev_end < n:
         gaps.append((prev_end, n))
     for a, b in gaps:
-        anchors = list(range(a, b, hop))
-        if not anchors:
-            anchors = [a]
-        positions.extend(anchors)
-        flags.extend([False] * len(anchors))
+        anchors = np.arange(a, b, hop, dtype=np.int64)
+        positions.append(anchors)
+        flags.append(np.zeros(anchors.size, dtype=bool))
 
-    order = np.argsort(positions, kind="stable")
-    pos = np.asarray(positions, dtype=np.int64)[order]
-    v = np.asarray(flags, dtype=bool)[order]
+    if not positions:  # an empty signal
+        return EpochSequence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+    pos = np.concatenate(positions)
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    v = np.concatenate(flags)[order]
     keep = np.concatenate([[True], np.diff(pos) >= 2])
     return EpochSequence(pos[keep], v[keep])
 
 
-@lru_cache(maxsize=512)
-def _grain_window(pl: int, pr: int) -> np.ndarray:
-    """Asymmetric two-period Hanning: rises over pl samples, falls over pr.
+@lru_cache(maxsize=1024)
+def _hanning(half: int) -> np.ndarray:
+    """np.hanning(2 * half + 1), cached and therefore read-only.
 
-    Neighbouring grains repeat the same period pairs, so windows are cached
-    and therefore read-only.
+    A grain window rises over the first half of one of these and falls over
+    the second half of another; neighbouring grains repeat the same periods.
     """
-    rise = np.hanning(2 * pl + 1)[: pl + 1]
-    fall = np.hanning(2 * pr + 1)[pr:]
-    win = np.concatenate([rise, fall[1:]])
+    win = np.hanning(2 * half + 1)
     win.setflags(write=False)
     return win
 
 
-def _add_grain(out, norm, x, center_src, center_out, pl, pr):
+def _interpolator(xp: np.ndarray, fp: np.ndarray):
+    """np.interp(x, xp, fp) for one float x at a time, in Python floats with np.interp's bits.
+
+    fp[0] left of xp[0], fp[-1] from xp[-1] on, fp[j] at x == xp[j], else the
+    slope of the bracketing pair times (x - xp[j]) plus fp[j], as numpy's C
+    loop computes it. The trajectories here are finite, so numpy's fallbacks
+    for a NaN result never apply.
+    """
+    xs, ys = xp.tolist(), fp.tolist()
+    last = len(xs) - 1
+
+    def at(x: float) -> float:
+        j = bisect_right(xs, x) - 1
+        if j < 0:
+            return ys[0]
+        if j >= last:
+            return ys[-1]
+        if x == xs[j]:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (x - xs[j]) + ys[j]
+
+    return at
+
+
+def _synthesis_marks(epochs: EpochSequence, step_src: np.ndarray, ratio_at, lo: float, hi: float):
+    """(source epoch, output centre) of every grain, in the order grains are added.
+
+    Unvoiced runs keep their anchors. Voiced runs march from the first epoch
+    by the source spacing times ratio_at, clipped to [lo, hi], and each mark
+    takes the nearest epoch of its run; at an exact midpoint the earlier one,
+    as argmin over the distances picks it.
+    """
+    pos, voiced = epochs.positions, epochs.voiced
+    steps = step_src.tolist()
+    bounds = np.concatenate([[0], np.flatnonzero(voiced[1:] != voiced[:-1]) + 1, [len(epochs)]]).tolist()
+    ks, centres = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if not voiced[a]:
+            ks.append(np.arange(a, b))
+            centres.append(pos[a:b])
+            continue
+        run = pos[a:b].tolist()
+        run_k, run_c = [], []
+        tau = float(run[0])
+        end = float(run[-1])
+        while tau <= end + 1:
+            i = bisect_left(run, tau)
+            if i == len(run) or (i > 0 and tau - run[i - 1] <= run[i] - tau):
+                i -= 1
+            run_k.append(a + i)
+            run_c.append(round(tau))
+            tau += min(max(steps[a + i] * ratio_at(tau), lo), hi)
+        ks.append(np.asarray(run_k, dtype=np.int64))
+        centres.append(np.asarray(run_c, dtype=np.int64))
+    return np.concatenate(ks), np.concatenate(centres)
+
+
+GRAIN_BLOCK = 256  # grains summed per np.bincount call; bounds the index arrays
+
+
+def _overlap_add_grains(x, src, centre, pl, pr):
+    """(sum of windowed grains, sum of windows) over the grains g in order.
+
+    Grain g is x around src[g], windowed by an asymmetric two-period Hanning
+    that rises over pl[g] samples and falls over pr[g], and added around
+    centre[g]. Parts of a grain outside the signal, on the source or the
+    output side, are cut with the window kept aligned. Each sample sums its
+    grains in order starting from zero, the running sum carried from block to
+    block as bincount's first weight, so the sums are bitwise those of adding
+    one grain at a time.
+    """
     n = x.size
-    win = _grain_window(pl, pr)
-    src_lo, src_hi = center_src - pl, center_src + pr + 1
-    out_lo, out_hi = center_out - pl, center_out + pr + 1
-    # clip against both signal and output bounds, keeping window alignment
-    cut_lo = max(0, -src_lo, -out_lo)
-    cut_hi = max(0, src_hi - n, out_hi - out.size)
-    if cut_lo + cut_hi >= win.size:
-        return
-    sl_src = slice(src_lo + cut_lo, src_hi - cut_hi)
-    sl_out = slice(out_lo + cut_lo, out_hi - cut_hi)
-    wpart = win[cut_lo : win.size - cut_hi]
-    out[sl_out] += x[sl_src] * wpart
-    norm[sl_out] += wpart
+    cut_lo = np.maximum(0, pl - np.minimum(src, centre))
+    cut_hi = np.maximum(0, np.maximum(src, centre) + pr + 1 - n)
+    length = np.maximum(0, pl + pr + 1 - cut_lo - cut_hi)
+
+    # every distinct window once, in one table: window u rises over the first
+    # half of one cached Hanning and falls over the second half of another
+    span = int(pr.max()) + 1
+    pairs, which = np.unique(pl * span + pr, return_inverse=True)
+    upl, upr = pairs // span, pairs % span
+    halves = np.unique(np.concatenate([upl, upr]))
+    hann = np.concatenate([_hanning(int(h)) for h in halves])
+    hann_at = np.cumsum(2 * halves + 1) - (2 * halves + 1)
+    size = upl + upr + 1
+    r = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+    rise = np.repeat(hann_at[np.searchsorted(halves, upl)], size)
+    fall = np.repeat(hann_at[np.searchsorted(halves, upr)] + upr - upl, size)
+    table = hann[np.where(r <= np.repeat(upl, size), rise, fall) + r]
+
+    # where each grain's kept part starts in the table, the source and the output
+    win_at = (np.cumsum(size) - size)[which] + cut_lo
+    src_at = src - pl + cut_lo
+    out_at = centre - pl + cut_lo
+    out = np.zeros(n)
+    norm = np.zeros(n)
+    for b in range(0, length.size, GRAIN_BLOCK):
+        g = slice(b, b + GRAIN_BLOCK)
+        count = length[g]
+        kept = count > 0
+        if not kept.any():
+            continue
+        lo = int(out_at[g][kept].min())
+        hi = int((out_at[g] + count)[kept].max())
+        step = np.arange(int(count.sum()))
+        first = np.cumsum(count) - count
+        win = table[step + np.repeat(win_at[g] - first, count)]
+        grains = x[step + np.repeat(src_at[g] - first, count)] * win
+        bins = np.concatenate([np.arange(hi - lo), step + np.repeat(out_at[g] - first - lo, count)])
+        out[lo:hi] = np.bincount(bins, np.concatenate([out[lo:hi], grains]), hi - lo)
+        norm[lo:hi] = np.bincount(bins, np.concatenate([norm[lo:hi], win]), hi - lo)
+    return out, norm
 
 
 def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) -> Waveform:
@@ -189,7 +287,8 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     elsewhere; each mark receives the grain of the nearest source epoch.
     Scaling the measured spacing (rather than stepping by fs/f0_target)
     keeps the identity mapping exact: equal trajectories give ratio 1 and
-    marks that never leave the anchors.
+    marks that never leave the anchors. The marks are collected first, then
+    all grains are overlap-added in blocks.
     """
     fs = w.sample_rate
     x = w.samples
@@ -221,9 +320,9 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
 
     if target_f0.n_voiced and source_f0.n_voiced:
         tgt = interpolate_unvoiced(target_f0)
-        ratio_at = lambda s: float(
-            np.interp(s / fs, src.times, src.values) / np.interp(s / fs, tgt.times, tgt.values)
-        )
+        src_at = _interpolator(src.times, src.values)
+        tgt_at = _interpolator(tgt.times, tgt.values)
+        ratio_at = lambda s: src_at(s / fs) / tgt_at(s / fs)
     else:
         ratio_at = lambda s: 1.0
 
@@ -236,26 +335,8 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     else:
         step_src[0] = UNVOICED_ANCHOR_S * fs
 
-    out = np.zeros(n)
-    norm = np.zeros(n)
-
-    # walk runs of equal voicing over the epoch sequence
-    run_starts = [0] + [k for k in range(1, n_ep) if epochs.voiced[k] != epochs.voiced[k - 1]] + [n_ep]
-    for r in range(len(run_starts) - 1):
-        a, b = run_starts[r], run_starts[r + 1]
-        if not epochs.voiced[a]:
-            for k in range(a, b):
-                _add_grain(out, norm, x, int(pos[k]), int(pos[k]), int(pl[k]), int(pr[k]))
-            continue
-        run_pos = pos[a:b]
-        tau = float(run_pos[0])
-        end = float(run_pos[-1])
-        while tau <= end + 1:
-            k = a + int(np.argmin(np.abs(run_pos - tau)))
-            _add_grain(out, norm, x, int(pos[k]), int(round(tau)), int(pl[k]), int(pr[k]))
-            step = step_src[k] * ratio_at(tau)
-            tau += float(np.clip(step, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs))
-
+    k, centre = _synthesis_marks(epochs, step_src, ratio_at, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs)
+    out, norm = _overlap_add_grains(x, pos[k], centre, pl[k], pr[k])
     covered = norm > 1e-3
     out[covered] /= norm[covered]
     out[~covered] = 0.0
@@ -347,6 +428,70 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     return active, segs, a, roots, freqs, bws, formant
 
 
+def _all_pole(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of x through 1/A_i(z), a[i] = [1, a1..ap]: lfilter([1], a[i], x[i]) for all rows at once.
+
+    lfilter's direct-form-II-transposed recursion, one step per sample over
+    every row: y = z0 + x, then z[j] = z[j+1] - y*a[j+1], the last z being
+    -y*ap. The state is (order + 1, rows) with a last row of zeros, so each
+    step is one product and one shifted sum. Every row takes lfilter's
+    products and sums in lfilter's order, so its values are lfilter's bit
+    for bit. lfilter also adds x*0 to each state, which can only flip the
+    sign of an exact zero; a sum that starts from +0, as the overlap-add
+    does, cannot tell the two apart.
+    """
+    rows, n = x.shape
+    order = a.shape[1] - 1
+    neg = -np.ascontiguousarray(a[:, 1:].T)  # y * -a is -(y * a), bitwise
+    z = np.zeros((order + 1, rows))
+    z_next = np.zeros((order + 1, rows))
+    prod = np.empty((order, rows))
+    xt = np.ascontiguousarray(x.T)
+    y = np.empty((n, rows))
+    for t in range(n):
+        np.add(z[0], xt[t], out=y[t])
+        np.multiply(neg, y[t], out=prod)
+        np.add(z[1:], prod, out=z_next[:-1])
+        z, z_next = z_next, z
+    return np.ascontiguousarray(y.T)
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Row k of frames added at k * hop into zeros, the rows at each sample in order.
+
+    One strided add per hop-long piece of a frame, the last piece first:
+    each sample then takes the rows that cover it oldest first, as adding one
+    row at a time does, so the sum is bitwise that loop's. The result runs
+    past the last frame's end to a whole number of hops.
+    """
+    rows, fl = frames.shape
+    pieces = -(-fl // hop)
+    out = np.zeros((rows + pieces - 1, hop))
+    for j in reversed(range(pieces)):
+        part = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + rows, : part.shape[1]] += part
+    return out.ravel()
+
+
+def _resynthesize_frames(active, a_mod, resid, rms_in, hp):
+    """(windowed overlap-add of the re-filtered frames, overlap-add of the squared windows).
+
+    Each active frame's residual goes through its pole-modified all-pole
+    filter, is scaled back to the frame's input energy and windowed; frames
+    that are all zero add nothing.
+    """
+    fl = resid.shape[1]
+    resyn = _all_pole(a_mod, resid)
+    # moving poles off the harmonic comb changes the frame gain; restore it
+    rms_out = np.sqrt(np.sum(resyn * resyn, axis=1))
+    gain = np.divide(rms_in, rms_out, out=np.ones_like(rms_out), where=rms_out > 0)
+    resyn *= np.clip(gain, 0.25, 4.0)[:, None]
+    win = np.hanning(fl)
+    frames = np.zeros((active.size, fl))
+    frames[active] = resyn * win
+    return _overlap_add(frames, hp), _overlap_add(np.where(active[:, None], win**2, 0.0), hp)
+
+
 @dataclass(frozen=True)
 class FormantShift:
     """Shifted waveform plus pole diagnostics.
@@ -410,18 +555,7 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
     for j in range(1, order + 1):
         resid[:, j:] += a[:, j, None] * seg[:, :-j]
     rms_in = np.sqrt(np.sum(seg * seg, axis=1))
-
-    win = np.hanning(fl)
-    out = np.zeros(pad)
-    den = np.zeros(pad)
-    for i, k in enumerate(np.flatnonzero(active)):
-        resyn = lfilter([1.0], a_mod[i], resid[i])
-        # moving poles off the harmonic comb changes the frame gain; restore it
-        rms_out = np.sqrt(np.sum(resyn * resyn))
-        if rms_out > 0:
-            resyn *= np.clip(rms_in[i] / rms_out, 0.25, 4.0)
-        out[k * hp : k * hp + fl] += resyn * win
-        den[k * hp : k * hp + fl] += win**2
+    out, den = _resynthesize_frames(active, a_mod, resid, rms_in, hp)
 
     covered = den > 1e-8
     out[covered] /= den[covered]

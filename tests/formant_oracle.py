@@ -1,10 +1,13 @@
-"""Scalar reference for the frame-batched formant shifter in voxmask.resynth, and a formant tracker.
+"""Scalar references for the frame-batched formant shifter in voxmask.resynth, and a formant tracker.
 
-One Burg fit, one ``np.roots`` call and one ``np.poly`` call per frame. The
-shipped path batches the same analysis over all frames of an utterance; the
-tests compare the two. track_formants reads each frame's formants through
-the shifter's own analysis front end; criterion 5 and the resynthesis tests
-measure formant shifts with it.
+shift_formants_oracle makes one Burg fit, one ``np.roots`` call and one
+``np.poly`` call per frame; the shipped path batches the same analysis over
+all frames of an utterance, and the tests compare the two within a bound.
+resynthesize_frames_oracle is the shifter's resynthesis as it was before it
+became array code, one lfilter call and one overlap-add per frame; the
+shipped _resynthesize_frames must be bitwise equal to it. track_formants
+reads each frame's formants through the shifter's own analysis front end;
+criterion 5 and the resynthesis tests measure formant shifts with it.
 """
 
 import numpy as np
@@ -153,3 +156,21 @@ def track_formants(w: Waveform, lpc_order: int):
         fq, bw = fq[is_formant], bw[is_formant]
         result[k] = [(float(fq[i]), float(bw[i])) for i in np.argsort(fq)]
     return result
+
+
+def resynthesize_frames_oracle(active, a_mod, resid, rms_in, hp):
+    """resynth._resynthesize_frames as one lfilter call and one overlap-add per active frame."""
+    fl = resid.shape[1]
+    pad = (active.size - 1) * hp + fl
+    win = np.hanning(fl)
+    out = np.zeros(pad)
+    den = np.zeros(pad)
+    for i, k in enumerate(np.flatnonzero(active)):
+        resyn = lfilter([1.0], a_mod[i], resid[i])
+        # moving poles off the harmonic comb changes the frame gain; restore it
+        rms_out = np.sqrt(np.sum(resyn * resyn))
+        if rms_out > 0:
+            resyn *= np.clip(rms_in[i] / rms_out, 0.25, 4.0)
+        out[k * hp : k * hp + fl] += resyn * win
+        den[k * hp : k * hp + fl] += win**2
+    return out, den

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,51 @@ def test_refuses_a_missing_file(tmp_path, capsys):
     (results / "anon_formant-s1234-t1.json").unlink()
     assert run(results, tmp_path / "records") == 1
     assert "missing" in capsys.readouterr().err
+
+
+def stub_tier1(monkeypatch, stdout: str, returncode: int = 0) -> list:
+    """Replace the Tier-1 subprocess with one that prints stdout; returns the calls it saw."""
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append((command, kwargs))
+        return subprocess.CompletedProcess(command, returncode, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    return calls
+
+
+def test_tier1_runs_the_suite_and_records_time_and_passes(tmp_path, monkeypatch):
+    calls = stub_tier1(monkeypatch, "....\n[100%]\n426 passed, 5 warnings in 98.12s (0:01:38)\n")
+    assert run(write_results(tmp_path), tmp_path / "records", "--tier1") == 0
+    record = json.loads((tmp_path / "records" / "BENCH_abcdef0.json").read_text())
+    assert record["tier1"]["passed"] == 426
+    assert 0.0 <= record["tier1"]["wall_s"] < 60.0  # the stub's own time, not pytest's figure
+    (command, kwargs), = calls
+    assert command[1:] == ("-m", "pytest", "-q", "--continue-on-collection-errors")
+    assert kwargs["cwd"] == ROOT
+    assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
+
+
+@pytest.mark.parametrize(
+    "stdout, returncode, message",
+    [
+        ("F...\n1 failed, 425 passed in 97.00s (0:01:37)\n", 1, "1 failed, 425 passed"),
+        ("E...\n425 passed, 1 error in 97.00s (0:01:37)\n", 1, "1 error"),
+        ("Traceback (most recent call last):\n", 4, "no pytest summary line"),
+    ],
+)
+def test_tier1_refuses_a_failed_run(tmp_path, monkeypatch, capsys, stdout, returncode, message):
+    stub_tier1(monkeypatch, stdout, returncode)
+    assert run(write_results(tmp_path), tmp_path / "records", "--tier1") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
+
+
+def test_tier1_excludes_hand_copied_figures(tmp_path, monkeypatch):
+    calls = stub_tier1(monkeypatch, "1 passed in 0.01s\n")
+    results = write_results(tmp_path)
+    for extra in (("--tier1-seconds", "90"), ("--tier1-passed", "401")):
+        with pytest.raises(SystemExit):
+            run(results, tmp_path / "records", "--tier1", *extra)
+    assert not calls

@@ -107,7 +107,6 @@ def test_command_runs_at_one_thread_and_restores_the_callers(
 ):
     seen_model = spy_counts(monkeypatch, fda, "load_model")
     seen_config = spy_counts(monkeypatch, pipeline, "load_config")
-    pipeline._cached_model.cache_clear()
     run_command(command, small_corpus, config_path, fitted_model, tmp_path)
     seen = seen_model + seen_config
     assert seen, "no spied call ran inside the command"
@@ -133,11 +132,9 @@ def test_pool_workers_run_one_thread(method, caller_counts, monkeypatch):
 def test_no_openblas_runs_unpinned_with_one_warning(
     small_corpus, config_path, fitted_model, tmp_path, monkeypatch, caplog
 ):
-    pipeline._cached_model.cache_clear()
     run_command("anonymize", small_corpus, config_path, fitted_model, tmp_path / "pinned")
     before = thread_counts()
     monkeypatch.setattr(blas, "openblas_libraries", lambda: {})
-    pipeline._cached_model.cache_clear()
     with caplog.at_level(logging.WARNING, logger="voxmask.blas"):
         run_command("anonymize", small_corpus, config_path, fitted_model, tmp_path / "unpinned")
     warnings = [r for r in caplog.records if r.name == "voxmask.blas"]

@@ -41,6 +41,10 @@ def base_config(**over) -> dict:
     return cfg
 
 
+def tree_digests(path: Path) -> dict:
+    return {str(f.relative_to(path)): hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(path.rglob("*")) if f.is_file()}
+
+
 def write_config(path: Path, **over) -> Path:
     path.write_text(json.dumps(base_config(**over), indent=1))
     return path
@@ -170,7 +174,7 @@ class TestConfig:
         assert (space.lam, space.grid_points, space.ref_hz) == (1e-8, 200, 100.0)
         assert "factor" not in vars(space) and "design" not in vars(space)
         row = pipeline.load_manifest(small_corpus).rows[0]
-        job = pipeline.AnonymizeJob(row, "in.wav", "out.wav", None, cfg.pitch_config(row.group), cfg.strategy, cfg)
+        job = pipeline.AnonymizeJob(row, "in.wav", "out.wav", cfg.pitch_config(row.group), cfg.strategy, cfg)
         assert len(pickle.dumps(job)) < 20_000
 
     def test_pitch_config_unknown_group(self):
@@ -299,6 +303,39 @@ class TestAnonymize:
                 assert r["status"] == "ok"
             else:
                 assert r["status"] != "ok" and "'disguised'-condition training curves" in r["message"]
+
+    def test_each_run_reads_the_model_file_again(self, small_corpus, config_path, tmp_path):
+        """fit, anonymize, refit to the same path, anonymize: the second run uses the second model."""
+        model = tmp_path / "model.json"
+        pipeline.cmd_fit(small_corpus, config_path, model, groups=("low",), conditions=("modal",))
+        pipeline.cmd_anonymize(small_corpus, config_path, model, tmp_path / "first", sessions=("2",))
+        pipeline.cmd_fit(small_corpus, config_path, model, conditions=("modal",))
+        pipeline.cmd_anonymize(small_corpus, config_path, model, tmp_path / "second", sessions=("2",))
+        fresh = tmp_path / "fresh.json"
+        fresh.write_bytes(model.read_bytes())
+        pipeline.cmd_anonymize(small_corpus, config_path, fresh, tmp_path / "fresh", sessions=("2",))
+        first, second, want = (tree_digests(tmp_path / d) for d in ("first", "second", "fresh"))
+        assert first != want
+        assert second == want
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the call counter reaches workers only by fork"
+    )
+    def test_pool_workers_do_not_load_the_model(self, small_corpus, config_path, fitted_model, tmp_path, monkeypatch):
+        calls = tmp_path / "load_calls"
+        real = fda.load_model
+
+        def counted(path):
+            with open(calls, "a") as fh:
+                fh.write("call\n")
+            return real(path)
+
+        monkeypatch.setattr(fda, "load_model", counted)
+        failures = pipeline.cmd_anonymize(
+            small_corpus, config_path, fitted_model, tmp_path / "out", sessions=("2",), workers=2
+        )
+        assert failures == 0
+        assert calls.read_text().split() == ["call"]  # the command's own read, none in the workers
 
     def test_pickled_configs_share_one_space_per_process(self, config_path):
         cfg = pipeline.load_config(config_path)

@@ -1,10 +1,16 @@
 """PSOLA resynthesis, Burg LPC, and formant manipulation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter, welch
 
-from voxmask.audio import Waveform
+import psola_oracle
+from voxmask import pipeline, resynth
+from voxmask.audio import Waveform, read_wav
 from voxmask.evaluation import stoi
 from voxmask.pitch import HZ, F0Trajectory, PitchConfig, extract_f0, interpolate_unvoiced
 from voxmask.resynth import (
@@ -19,7 +25,8 @@ from voxmask.resynth import (
 from voxmask import synth
 
 from conftest import make_noise, make_test_vowel, make_tone
-from formant_oracle import shift_formants_oracle, track_formants
+from formant_oracle import resynthesize_frames_oracle, shift_formants_oracle, track_formants
+from psola_oracle import detect_epochs_oracle, psola_modify_oracle
 
 PITCH_CFG = PitchConfig(floor=65, ceiling=380)
 
@@ -361,8 +368,197 @@ def test_batched_shift_matches_per_frame_oracle(name, factor, n_formants):
     cfg = FormantShiftConfig(factor=factor, n_formants=n_formants)
     got = shift_formants_detailed(w, cfg)
     want = shift_formants_oracle(w, cfg)
+    # a bound, not bitwise: the oracle fits Burg with BLAS dot products and
+    # takes roots and polynomials frame by frame, which round differently
     peak = np.max(np.abs(want.waveform.samples))
     assert got.waveform.sample_rate == want.waveform.sample_rate
     assert np.max(np.abs(got.waveform.samples - want.waveform.samples)) <= 1e-8 * peak
     assert got.clamped_poles == want.clamped_poles
     assert got.skipped_poles == want.skipped_poles
+
+
+# ------------------------------------------------- loop-free resynthesis oracles
+
+
+@pytest.fixture(scope="module")
+def bench_utterances(tmp_path_factory):
+    """The session-2 utterances of a seed-1234 corpus of the benchmark's anonymize shape, with f0."""
+    manifest = synth.generate_corpus(
+        tmp_path_factory.mktemp("bench_corpus"), seed=1234, n_per_group=3, n_modal=2, n_disguised=0
+    )
+    m = pipeline.load_manifest(manifest)
+    cfg = pipeline.load_config(Path(pipeline.__file__).parent / "presets" / "f0_S-F1-3_20.json")
+    out = []
+    for r in sorted(m.filter(sessions=("2",)), key=lambda r: r.utterance_id):
+        w = read_wav(m.resolve(r))
+        out.append((r.utterance_id, w, extract_f0(w, cfg.pitch_config(r.group))))
+    return out
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_psola_matches_oracle(w, source, target):
+    assert_bitwise(psola_modify(w, source, target).samples, psola_modify_oracle(w, source, target).samples)
+
+
+def fixed_epochs(monkeypatch, positions, voiced):
+    """Make both PSOLA implementations use the given epochs."""
+    epochs = EpochSequence(np.asarray(positions), np.asarray(voiced))
+    monkeypatch.setattr(resynth, "detect_epochs", lambda w, f0: epochs)
+    monkeypatch.setattr(psola_oracle, "detect_epochs_oracle", lambda w, f0: epochs)
+
+
+def flat_track(f0: float, frames: int, voiced=True) -> F0Trajectory:
+    v = np.full(frames, voiced)
+    return F0Trajectory(np.arange(frames) * 0.01, np.where(v, f0, np.nan), v, HZ)
+
+
+class TestPsolaOracle:
+    @pytest.mark.parametrize("ratio", [0.8, 1.0, 1.15, 1.3])
+    def test_benchmark_utterances(self, bench_utterances, ratio):
+        for _, w, traj in bench_utterances:
+            assert_psola_matches_oracle(w, traj, scaled(traj, ratio))
+
+    def test_epochs_of_benchmark_utterances(self, bench_utterances):
+        for _, w, traj in bench_utterances:
+            src = interpolate_unvoiced(traj)
+            got, want = detect_epochs(w, src), detect_epochs_oracle(w, src)
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.voiced, want.voiced)
+
+    def test_mark_midway_between_two_epochs_takes_the_earlier(self, monkeypatch):
+        # 100-sample spacing at half the period: the second mark lands on 1050
+        w = make_noise(0.25, seed=18)
+        epochs = EpochSequence(np.arange(1000, 3001, 100), np.ones(21, bool))
+        ks, centres = resynth._synthesis_marks(epochs, np.full(21, 100.0), lambda s: 0.5, 32.0, 800.0)
+        assert centres[1] == 1050 and ks[1] == 0
+        fixed_epochs(monkeypatch, epochs.positions, epochs.voiced)
+        assert_psola_matches_oracle(w, flat_track(100.0, 25), flat_track(200.0, 25))
+
+    def test_grains_cut_at_both_signal_ends(self, monkeypatch):
+        # long periods at both ends push grains past the first and last sample,
+        # on the source side and on the output side
+        w = make_noise(0.2, seed=19)
+        n = w.samples.size
+        fixed_epochs(monkeypatch, [2, 700, 1600, n - 700, n - 3], [True] * 5)
+        source = flat_track(100.0, 20)
+        for ratio in (0.8, 1.0, 1.3):
+            assert_psola_matches_oracle(w, source, scaled(source, 1 / ratio))
+
+    def test_unvoiced_grains_cut_at_both_signal_ends(self, monkeypatch):
+        w = make_noise(0.1, seed=20)
+        n = w.samples.size
+        fixed_epochs(monkeypatch, [0, 500, n - 300, n - 1], [False, False, False, False])
+        source = flat_track(0.0, 10, voiced=False)
+        assert_psola_matches_oracle(w, source, source)
+
+    @pytest.mark.parametrize("voiced", [True, False])
+    def test_one_epoch(self, monkeypatch, voiced):
+        w = make_noise(0.05, seed=21)
+        fixed_epochs(monkeypatch, [300], [voiced])
+        source = flat_track(100.0, 5)
+        assert_psola_matches_oracle(w, source, scaled(source, 1.2))
+
+    def test_one_epoch_from_a_short_unvoiced_signal(self):
+        w = make_noise(0.008, seed=22)  # shorter than one 10 ms anchor hop
+        source = flat_track(0.0, 1, voiced=False)
+        assert len(detect_epochs(w, source)) == 1
+        assert_psola_matches_oracle(w, source, source)
+
+    def test_all_unvoiced_signal(self):
+        w = make_noise(0.5, seed=23)
+        source = flat_track(0.0, 50, voiced=False)
+        assert_psola_matches_oracle(w, source, source)
+        ep, want = detect_epochs(w, source), detect_epochs_oracle(w, source)
+        np.testing.assert_array_equal(ep.positions, want.positions)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        voicing=st.lists(st.booleans(), min_size=1, max_size=40),
+        f0=st.floats(70.0, 300.0),
+        ratio=st.floats(0.8, 1.3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_voicing_patterns_and_ratios(self, voicing, f0, ratio, seed):
+        frames = len(voicing)
+        w = make_test_vowel(f0, duration=frames * 0.01 + 0.02, seed=seed)
+        v = np.asarray(voicing)
+        wobble = 1.0 + 0.1 * np.sin(np.arange(frames) / 3.0)
+        source = F0Trajectory(np.arange(frames) * 0.01 + 0.01, np.where(v, f0 * wobble, np.nan), v, HZ)
+        target = F0Trajectory(source.times, source.values * ratio, v, HZ)
+        assert_psola_matches_oracle(w, source, target)
+        if source.n_voiced:
+            src = interpolate_unvoiced(source)
+            got, want = detect_epochs(w, src), detect_epochs_oracle(w, src)
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.voiced, want.voiced)
+
+
+def test_interpolator_matches_np_interp():
+    xp = np.array([0.0, 0.01, 0.02, 0.035, 0.05])
+    fp = np.array([100.0, 103.3, 97.1, 97.1, 250.0])
+    at = resynth._interpolator(xp, fp)
+    xs = np.concatenate([xp, xp + 1e-17, xp - 1e-17, [-1.0, 0.7, 0.0049, 0.0271]])
+    for x in xs.tolist():
+        assert at(x) == float(np.interp(x, xp, fp)), x
+    assert resynth._interpolator(xp[:1], fp[:1])(0.3) == 100.0
+
+
+def test_all_pole_rows_match_lfilter():
+    rng = np.random.default_rng(24)
+    poles = 0.97 * np.exp(1j * rng.uniform(0.1, 3.0, (40, 6)))
+    a = np.real(np.array([np.poly(np.concatenate([p, p.conj()])) for p in poles]))
+    x = rng.standard_normal((40, 275))
+    x[:, :3] = -0.0  # leading negative zeros, as a Hann window's first sample makes
+    x[:20, 3:30] = -0.0  # long enough to reach the output: zero signs may differ there
+    x[7] = 0.0
+    got = resynth._all_pole(a, x)
+    for i in range(40):
+        want = lfilter([1.0], a[i], x[i])
+        assert np.array_equal(got[i], want)
+        if i >= 20:
+            assert_bitwise(got[i], want)
+
+
+@pytest.mark.parametrize("fl,hp", [(275, 110), (400, 160), (8, 8), (9, 4)])
+def test_overlap_add_matches_frame_loop(fl, hp):
+    rng = np.random.default_rng(fl)
+    frames = rng.standard_normal((13, fl))
+    frames[4] = 0.0
+    want = np.zeros((13 - 1) * hp + fl)
+    for k, row in enumerate(frames):
+        want[k * hp : k * hp + fl] += row
+    got = resynth._overlap_add(frames, hp)
+    assert_bitwise(got[: want.size], want)
+    assert not np.any(got[want.size :])
+
+
+def oracle_frames_shift(monkeypatch, w, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(resynth, "_resynthesize_frames", resynthesize_frames_oracle)
+        return shift_formants_detailed(w, cfg)
+
+
+@pytest.mark.parametrize("n_formants", [1, 3])
+@pytest.mark.parametrize("factor", [0.8, 1.2])
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_frame_resynthesis_matches_frame_loop(monkeypatch, name, factor, n_formants):
+    w = ORACLE_INPUTS[name]()
+    cfg = FormantShiftConfig(factor=factor, n_formants=n_formants)
+    got, want = shift_formants_detailed(w, cfg), oracle_frames_shift(monkeypatch, w, cfg)
+    assert_bitwise(got.waveform.samples, want.waveform.samples)
+    assert (got.clamped_poles, got.skipped_poles) == (want.clamped_poles, want.skipped_poles)
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.2])
+def test_frame_resynthesis_of_benchmark_utterances(monkeypatch, bench_utterances, factor):
+    cfg = FormantShiftConfig(factor=factor)
+    for _, w, traj in bench_utterances:
+        shifted = psola_modify(w, traj, scaled(traj, 1.15))
+        got, want = shift_formants_detailed(shifted, cfg), oracle_frames_shift(monkeypatch, shifted, cfg)
+        assert_bitwise(got.waveform.samples, want.waveform.samples)
+        assert (got.clamped_poles, got.skipped_poles) == (want.clamped_poles, want.skipped_poles)

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout, after ``python3 perfbench/run.py`` has
 run every workload untraced and traced:
 
-    python3 tools/bench_record.py [--seed 1234] [--tier1-seconds S --tier1-passed N] [--traced-only]
+    python3 tools/bench_record.py [--seed 1234] [--tier1 | --tier1-seconds S --tier1-passed N] [--traced-only]
 
 Reads .perfbench/results/<workload>-s<seed>-t0.json and -t1.json for every
 workload named in BENCHMARK.json and writes records/BENCH_<short-sha>.json:
@@ -11,13 +11,18 @@ per workload, the median and quartiles of each end-to-end metric over the
 untraced calls, the per-layer metrics of the traced run and every check;
 once, the environment record the runs share (BLAS thread counts and thread
 variables included), the git SHA and source digest the results name, and
-the Tier-1 wall time and pass count when given, else null. With
+the Tier-1 wall time and pass count when given, else null. With --tier1
+it runs the Tier-1 suite itself, in a subprocess from the root of the
+checkout (``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``,
+as ROADMAP.md gives it), and records the subprocess's wall time and the pass
+count from pytest's summary line. With
 --traced-only it reads the -t1 files alone, for a run made with --trace 1,
 and takes the end-to-end figures from the untraced calls of those runs.
 
-It refuses to write when a result is not correct, when a file is missing, or
+It refuses to write when a result is not correct, when a file is missing,
 when the files name more than one source digest or git SHA, which is how
-stale results from another tree show. It reads perfbench's output files only,
+stale results from another tree show, or when the Tier-1 run it made failed
+or ended without a summary line. It reads perfbench's output files only,
 and changes nothing under perfbench/.
 """
 
@@ -25,12 +30,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD_FORMAT = 1
+TIER1_COMMAND = (sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 class RecordError(Exception):
@@ -76,6 +86,22 @@ def load_results(results: Path, workloads: list, seed: int, traces: tuple) -> di
     return out
 
 
+def run_tier1(root: Path) -> tuple:
+    """(wall seconds, tests passed) of one Tier-1 run in a subprocess, with root/src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1_COMMAND, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = [line for line in proc.stdout.splitlines() if re.search(r" in [0-9.]+s\b", line)]
+    if not summary:
+        raise RecordError(f"the Tier-1 run (exit {proc.returncode}) printed no pytest summary line")
+    counts = {word.rstrip("s"): int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary[-1])}
+    if proc.returncode != 0 or counts.get("failed") or counts.get("error"):
+        raise RecordError(f"the Tier-1 run failed (exit {proc.returncode}): {summary[-1].strip(' =')}")
+    return wall, counts.get("passed", 0)
+
+
 def build_record(results: dict, workloads: list, seed: int, tier1_seconds, tier1_passed) -> dict:
     untraced = 0 if (workloads[0], 0) in results else 1
     envs = [data["stage"]["env"] for data in results.values()]
@@ -111,14 +137,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--results", type=Path, default=ROOT / ".perfbench" / "results")
     parser.add_argument("--out", type=Path, default=ROOT / "records")
-    parser.add_argument("--tier1-seconds", type=float, default=None)
+    tier1 = parser.add_mutually_exclusive_group()
+    tier1.add_argument("--tier1", action="store_true", help="run the Tier-1 suite and record its time and pass count")
+    tier1.add_argument("--tier1-seconds", type=float, default=None)
     parser.add_argument("--tier1-passed", type=int, default=None)
     parser.add_argument("--traced-only", action="store_true", help="read the --trace 1 results alone")
     args = parser.parse_args(argv)
+    if args.tier1 and args.tier1_passed is not None:
+        parser.error("--tier1 measures the pass count itself; drop --tier1-passed")
 
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     try:
         results = load_results(args.results, workloads, args.seed, (1,) if args.traced_only else (0, 1))
+        if args.tier1:
+            args.tier1_seconds, args.tier1_passed = run_tier1(ROOT)
     except RecordError as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
