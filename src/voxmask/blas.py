@@ -4,9 +4,9 @@ numpy and scipy each load their own OpenBLAS, which starts one thread per
 core. Inside a process pool that puts several BLAS threads on each CPU, and
 the thread count changes how matrix products round, so a fitted model's
 bytes would follow the machine's core count. Every command therefore runs
-with each loaded OpenBLAS pinned to one thread (one_thread), and pool
-workers pin themselves when they start (pin_worker). Importing voxmask
-changes nothing: the caller's counts come back when a command returns.
+with each loaded OpenBLAS pinned to one thread (one_thread); pool workers
+inherit that pin by fork or set it when they start (pin_worker). Importing
+voxmask changes nothing: the caller's counts come back when a command returns.
 Where no OpenBLAS is found the command runs unpinned and logs a warning.
 """
 
@@ -53,9 +53,14 @@ def openblas_libraries() -> dict:
 
 
 def pin_worker() -> None:
-    """Pool initializer: one BLAS thread for the rest of the worker's life."""
-    for _, set_ in openblas_libraries().values():
-        set_(1)
+    """Pool initializer: one BLAS thread for the rest of the worker's life.
+
+    A count already at one is not set again: after a fork any set call makes
+    OpenBLAS rebuild its thread pool, whose new threads spin before they sleep.
+    """
+    for get, set_ in openblas_libraries().values():
+        if get() != 1:
+            set_(1)
 
 
 @contextlib.contextmanager

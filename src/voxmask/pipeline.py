@@ -8,10 +8,10 @@ ConfigError before any audio is read; anonymize also rejects a config whose
 curve space is not the one the model records. Per-utterance work is a frozen
 job dataclass that carries the paths and the group's PitchConfig to a worker:
 FitJob for f0 tracking, AnonymizeJob, which adds the manifest row, its
-resolved strategy and the PipelineConfig, for a whole anonymization.
-anonymize reads its model file once per run and hands that one model to
-each pool worker once, through the pool's initializer, so a model refit to
-the same path is seen by the next run.
+resolved strategy and the FormantShiftConfig, for a whole anonymization.
+anonymize reads its model file and factors the config's curve space once
+per run, and hands both to each pool worker once, through the pool's
+initializer, so a model refit to the same path is seen by the next run.
 Parallel sections map over those jobs with a process pool and aggregate in
 utterance-id order, so the worker count never changes output bytes. Every
 command, and every pool worker, runs OpenBLAS at one thread (see blas), so
@@ -27,7 +27,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -192,12 +192,12 @@ def load_config(path) -> PipelineConfig:
 def _map_jobs(fn, jobs, workers: int, *shared):
     """Order-preserving map of fn(job, *shared), optionally through a process pool of one-BLAS-thread workers.
 
-    A pool hands shared to each worker once, through its initializer, not
-    with every job.
+    A pool of at most one worker per job (under fork all start at once) hands
+    shared to each worker once, through its initializer, not with every job.
     """
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j, *shared) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=shared) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_init_worker, initargs=shared) as pool:
         return list(pool.map(partial(_call_with_shared, fn), jobs))
 
 
@@ -265,22 +265,6 @@ def cmd_fit(
 
 # ---------------------------------------------------------------- anonymize
 
-@lru_cache(maxsize=4)
-def _space_from_values(n_basis: int, order: int, lam: float, grid_points: int, ref_hz: float) -> fda.CurveSpace:
-    return fda.CurveSpace(fda.build_basis(n_basis, order), lam, grid_points, ref_hz)
-
-
-def _shared_space(space: fda.CurveSpace) -> fda.CurveSpace:
-    """This process's one instance of a config's curve space.
-
-    A pool worker unpickles a new copy of the config with every job, and each
-    copy would factor the normal matrix again; keyed by value, all copies
-    share one factor per process. Config spaces always come from build_basis.
-    """
-    b = space.basis
-    return _space_from_values(b.n_basis, b.order, space.lam, space.grid_points, space.ref_hz)
-
-
 LOG_FIELDS = [
     "utterance_id",
     "status",
@@ -303,13 +287,13 @@ class AnonymizeJob:
     out_path: str
     pitch: pitch.PitchConfig
     strategy: deid.DeidStrategy
-    cfg: PipelineConfig
+    formant: resynth.FormantShiftConfig
 
 
-def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
-    cfg, pcfg = job.cfg, job.pitch
+def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel], space: Optional[fda.CurveSpace]) -> dict:
+    pcfg = job.pitch
     log = dict.fromkeys(LOG_FIELDS, "")
-    log.update(utterance_id=job.row.utterance_id, formant_factor=f"{cfg.formant.factor:.3f}")
+    log.update(utterance_id=job.row.utterance_id, formant_factor=f"{job.formant.factor:.3f}")
     try:
         w = read_wav(job.wav_path)
         traj = pitch.extract_f0(w, pcfg)
@@ -320,13 +304,13 @@ def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
             model,
             job.strategy,
             job.row.speaker_id,
-            space=_shared_space(cfg.curve_space),
+            space=space,
             pitch_floor=pcfg.floor,
             pitch_ceiling=pcfg.ceiling,
             max_hz=w.sample_rate / 4,
         )
         shifted = resynth.psola_modify(w, traj, target)
-        result = resynth.shift_formants_detailed(shifted, cfg.formant)
+        result = resynth.shift_formants_detailed(shifted, job.formant)
         write_wav(job.out_path, result.waveform, encoding="float32")
         log.update(
             status="ok",
@@ -383,7 +367,7 @@ def cmd_anonymize(
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
-    model = None
+    model = space = None
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         if model_path is None:
             raise ConfigError(f"strategy {cfg.strategy.kind!r} requires a model file")
@@ -405,6 +389,11 @@ def cmd_anonymize(
                 f"config curve space ({_describe_space(cfg.curve_space)}) is not the model's "
                 f"({_describe_space(model.space)})"
             )
+        space = cfg.curve_space
+        try:
+            space.factor  # factored once here; pool workers inherit or unpickle it
+        except ValueError as exc:
+            raise ConfigError(f"config curve space ({_describe_space(space)}): {exc}") from exc
     rows = manifest.filter(groups=groups, conditions=(synth.CONDITION_MODAL,), sessions=sessions)
     if not rows:
         raise ConfigError("no modal utterances match the given filters")
@@ -430,13 +419,13 @@ def cmd_anonymize(
                 out_path=str(out_dir / f"{r.utterance_id}.anon.wav"),
                 pitch=cfg.pitch_config(r.group),
                 strategy=strategy,
-                cfg=cfg,
+                formant=cfg.formant,
             )
         )
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         _check_donors(model, model_path, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_anonymize_job, jobs, workers, model)
+    results = _map_jobs(_anonymize_job, jobs, workers, model, space)
     results = sorted(results, key=lambda d: d["utterance_id"])
     with open(out_dir / "anon_log.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)

@@ -86,6 +86,10 @@ def _worker_counts(_job) -> list:
     return sorted(thread_counts().values())
 
 
+def _worker_threads(_job) -> tuple:
+    return len(os.listdir("/proc/self/task")), set(thread_counts().values())
+
+
 def test_import_leaves_thread_counts_unchanged(caller_counts):
     saved = {k: m for k, m in sys.modules.items() if k == "voxmask" or k.startswith("voxmask.")}
     for k in saved:
@@ -127,6 +131,21 @@ def test_pool_workers_run_one_thread(method, caller_counts, monkeypatch):
     for counts in pipeline._map_jobs(_worker_counts, list(range(4)), workers=2):
         assert counts and set(counts) == {1}
     assert thread_counts() == caller_counts
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not Path("/proc/self/task").is_dir(),
+    reason="counts a forked worker's threads in /proc/self/task",
+)
+def test_forked_workers_start_no_blas_threads(monkeypatch):
+    # a set call after fork makes OpenBLAS rebuild its thread pool, which then spins
+    if not blas.openblas_libraries():
+        pytest.skip("no OpenBLAS thread control in this process")
+    context = multiprocessing.get_context("fork")
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
+    with blas.one_thread():
+        results = pipeline._map_jobs(_worker_threads, list(range(4)), workers=2)
+    assert results == [(1, {1})] * 4
 
 
 def test_no_openblas_runs_unpinned_with_one_warning(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -168,13 +169,13 @@ class TestConfig:
             pipeline.config_from_dict(base_config(**over))
 
     def test_curve_space_not_factored_at_load(self, small_corpus):
-        # evaluate never smooths, and anonymize jobs carry the config to workers
+        # evaluate never smooths, and anonymize jobs are pickled to workers
         cfg = pipeline.config_from_dict(base_config())
         space = cfg.curve_space
         assert (space.lam, space.grid_points, space.ref_hz) == (1e-8, 200, 100.0)
         assert "factor" not in vars(space) and "design" not in vars(space)
         row = pipeline.load_manifest(small_corpus).rows[0]
-        job = pipeline.AnonymizeJob(row, "in.wav", "out.wav", cfg.pitch_config(row.group), cfg.strategy, cfg)
+        job = pipeline.AnonymizeJob(row, "in.wav", "out.wav", cfg.pitch_config(row.group), cfg.strategy, cfg.formant)
         assert len(pickle.dumps(job)) < 20_000
 
     def test_pitch_config_unknown_group(self):
@@ -337,13 +338,14 @@ class TestAnonymize:
         assert failures == 0
         assert calls.read_text().split() == ["call"]  # the command's own read, none in the workers
 
-    def test_pickled_configs_share_one_space_per_process(self, config_path):
+    def test_pickled_job_holds_no_curve_space(self, small_corpus, config_path):
+        # the one factored space travels beside the model, once per worker, never with a job
         cfg = pipeline.load_config(config_path)
-        a, b = (pickle.loads(pickle.dumps(cfg)).curve_space for _ in range(2))
-        assert a is not b
-        shared = pipeline._shared_space(a)
-        assert pipeline._shared_space(b) is shared
-        assert fda.same_space(shared, cfg.curve_space)
+        row = pipeline.load_manifest(small_corpus).rows[0]
+        job = pipeline.AnonymizeJob(row, "in.wav", "out.wav", cfg.pitch_config(row.group), cfg.strategy, cfg.formant)
+        data = pickle.dumps(job)
+        assert b"CurveSpace" not in data and b"PipelineConfig" not in data
+        assert pickle.loads(data) == job
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork", reason="the call counter reaches workers only by fork"
@@ -358,11 +360,22 @@ class TestAnonymize:
             return real(basis)
 
         monkeypatch.setattr(fda, "penalty_matrix", counted)
-        pipeline._space_from_values.cache_clear()  # forked workers must not inherit a factored space
         cfg = write_config(tmp_path / "c.json")
         failures = pipeline.cmd_anonymize(small_corpus, cfg, fitted_model, tmp_path / "out", sessions=("2",), workers=2)
         assert failures == 0
-        assert 1 <= len(calls.read_text().split()) <= 2  # one factor per worker, not one per utterance
+        assert calls.read_text().split() == ["call"]  # the command's own factor, inherited by both workers
+
+    def test_unfactorable_space_of_an_unrecorded_model_exits_2(self, small_corpus, fitted_model, tmp_path):
+        # a model file without a curve_space block is checked by basis only;
+        # 14 grid points cannot determine 40 basis functions without a penalty
+        data = json.loads(Path(fitted_model).read_text())
+        del data["curve_space"]
+        model = tmp_path / "old_model.json"
+        model.write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "c.json", basis={"n_basis": 40, "order": 4, "lambda": 0.0, "grid_points": 14})
+        with pytest.raises(ConfigError, match="singular normal matrix"):
+            pipeline.cmd_anonymize(small_corpus, cfg, model, tmp_path / "out", sessions=("2",))
+        assert not (tmp_path / "out").exists()
 
     def test_constant_zero_shift_is_transparent(self, small_corpus, tmp_path):
         cfg = write_config(
@@ -425,6 +438,21 @@ class TestAnonymize:
         assert rows["broken"]["message"]
         assert rows["broken"]["clamped_poles"] == rows["broken"]["skipped_poles"] == ""
         assert (out / f"{good.utterance_id}.anon.wav").exists()
+
+
+@pytest.mark.parametrize("workers, n_jobs, started", [(4, 2, 2), (2, 3, 2)])
+def test_pool_starts_no_more_workers_than_jobs(workers, n_jobs, started, monkeypatch):
+    # under fork a pool starts all of its workers at once, whether or not they get a job
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    assert pipeline._map_jobs(abs, [-j for j in range(n_jobs)], workers) == list(range(n_jobs))
+    assert sizes == [started]
 
 
 # ---------------------------------------------------------------- evaluate
