@@ -39,7 +39,8 @@ with open(manifest, newline="") as fh:
         labels.append(fda.CurveLabel(row["utterance_id"], row["speaker_id"],
                                      row["group"], row["condition"]))
 
-model = fda.fpca_fit(curves, labels)
+# The model keeps the space it was fit in: its scores mean something only there.
+model = fda.fpca_fit(curves, labels, space=space)
 print(f"{len(curves)} curves -> {model.n_components} components")
 print("variance fractions:", np.round(model.variance_fraction[:5], 3))
 
@@ -61,8 +62,8 @@ np.savetxt(OUT / "component_1.csv",
            delimiter=",", header="t,mean,plus,minus", comments="")
 print(f"wrote {OUT / 'component_1.csv'}")
 
-# Models round-trip through JSON; projection of a training curve returns
-# its stored score vector.
+# Models round-trip through JSON, curve space included; projection of a
+# training curve returns its stored score vector.
 fda.save_model(OUT / "pitch_model.json", model)
 reloaded = fda.load_model(OUT / "pitch_model.json")
 scores = fda.fpca_project(curves[0], reloaded)

@@ -45,10 +45,9 @@ strategies = {
 }
 
 # disguise_model draws on disguised-condition curves, so it needs a model
-# that has seen them. Both models were fit in the preset's curve space
-# (basis, smoothing, grid, semitone reference), so utterances are projected
-# in that same space.
-space = pipeline.load_config(preset).curve_space
+# that has seen them. Each model carries the curve space it was fit in
+# (basis, smoothing, grid, semitone reference), and anonymize_trajectory
+# projects the utterance in that space.
 all_model_path = OUT / "anon_model_all.json"
 pipeline.cmd_fit(manifest, preset, all_model_path)
 all_model = fda.load_model(all_model_path)
@@ -56,8 +55,7 @@ all_model = fda.load_model(all_model_path)
 for name, strategy in strategies.items():
     m = all_model if name == "disguise_model" else model
     target = deid.anonymize_trajectory(
-        traj, m, strategy, speaker=row.speaker_id, space=space,
-        pitch_floor=65.0, pitch_ceiling=380.0,
+        traj, m, strategy, speaker=row.speaker_id, pitch_floor=65.0, pitch_ceiling=380.0,
     )
     out = resynth.psola_modify(w, traj, target)
     got = pitch.extract_f0(out, pitch.PitchConfig(floor=65.0, ceiling=520.0))

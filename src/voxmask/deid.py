@@ -2,9 +2,9 @@
 
 Strategies operate on a fitted functional PCA model: swap the first score
 with a donor statistic and rebuild the curve. The utterance is projected in
-the fda.CurveSpace the model was fit in, which also maps the rebuilt curve
-back to Hz. The constant-shift strategy bypasses the model entirely and just
-scales the trajectory.
+the model's own fda.CurveSpace, the one it was fit in, which also maps the
+rebuilt curve back to Hz. The constant-shift strategy bypasses the model
+entirely and just scales the trajectory.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fda import CurveSpace, FpcaModel, ScoreVector, curve_from_trajectory, fpca_project, reconstruct
+from .fda import FpcaModel, ScoreVector, curve_from_trajectory, fpca_project, reconstruct
 from .pitch import HZ, F0Trajectory
 
 DISGUISE_MODEL = "disguise_model"
@@ -127,29 +127,29 @@ def anonymize_trajectory(
     strategy: DeidStrategy,
     speaker: str = "",
     *,
-    space: Optional[CurveSpace] = None,
     pitch_floor: Optional[float] = None,
     pitch_ceiling: Optional[float] = None,
     max_hz: Optional[float] = None,
 ) -> F0Trajectory:
     """Full score-replacement pipeline for one trajectory.
 
-    curve_from_trajectory -> project -> swap s1 -> reconstruct, all in the
-    curve space the model was fit in, then the space maps the curve back to
-    Hz on the input frame times. Frame count, times, and voicing flags pass
-    through untouched; unvoiced frames stay NaN. Reconstructed values are
-    clamped to [pitch_floor/2, 2*pitch_ceiling] when those bounds are given,
-    guarding resynthesis against spline overshoot near the curve edges.
+    curve_from_trajectory -> project -> swap s1 -> reconstruct, all in
+    model.space, the curve space the model was fit in, which then maps the
+    curve back to Hz on the input frame times. Frame count, times, and
+    voicing flags pass through untouched; unvoiced frames stay NaN.
+    Reconstructed values are clamped to [pitch_floor/2, 2*pitch_ceiling] when
+    those bounds are given, guarding resynthesis against spline overshoot near
+    the curve edges.
     """
     if strategy.kind == CONSTANT_SHIFT:
         return constant_pitch_shift(t, strategy.shift_percent, max_hz)
-    if model is None or space is None:
-        raise ValueError(f"strategy {strategy.kind!r} requires a fitted model and its curve space")
+    if model is None:
+        raise ValueError(f"strategy {strategy.kind!r} requires a fitted model")
 
-    scores = fpca_project(curve_from_trajectory(t, space), model)
+    scores = fpca_project(curve_from_trajectory(t, model.space), model)
     n = select_n_components(model, strategy.variance_threshold, strategy.max_components)
     swapped = anonymize_scores(scores, replacement_first_score(strategy, model, speaker), n)
-    hz = space.to_hz(reconstruct(model, swapped, n), t.times)
+    hz = model.space.to_hz(reconstruct(model, swapped, n), t.times)
     if pitch_floor is not None:
         hz = np.maximum(hz, pitch_floor / 2.0)
     if pitch_ceiling is not None:

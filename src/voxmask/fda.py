@@ -2,12 +2,13 @@
 
 Curves live on the normalized domain [0,1]. A CurveSpace fixes how an f0
 trajectory becomes a curve (basis, smoothing lambda, resampling grid,
-semitone reference); it is checked once when built and factors its
-penalized normal matrix once, on the first curve it smooths. All inner
-products are true L2 inner products: the basis is not orthonormal, so the
-Gram matrix enters every projection. The eigenproblem is solved in the
-metric-corrected coordinates Y = (X - mean) @ L with G = L L^T, which makes
-ordinary PCA on Y equivalent to functional PCA on the curves.
+semitone reference); it is checked once when built, and factors its
+penalized normal matrix and builds its basis Gram matrix once, on first use.
+An FpcaModel owns the space it was fit in, and its scores mean something
+only there. All inner products are true L2 inner products: the basis is not
+orthonormal, so the Gram matrix enters every projection. The eigenproblem is
+solved in the metric-corrected coordinates Y = (X - mean) @ L with G = L L^T,
+which makes ordinary PCA on Y equivalent to functional PCA on the curves.
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ class CurveSpace:
 
     Every curve fitted, projected or rebuilt against one model must come from
     the same space. The constructor is the only place lam, grid_points and
-    ref_hz are checked. The grid design matrix and the Cholesky factor of the
-    penalized normal matrix are built on first use and then shared by every
-    curve smoothed in this space.
+    ref_hz are checked. The grid design matrix, the Cholesky factor of the
+    penalized normal matrix and the basis Gram matrix are built on first use
+    and then shared by every curve smoothed, fitted or projected in this space.
     """
 
     basis: BSplineBasis
@@ -221,6 +222,11 @@ class CurveSpace:
             return cho_factor(a)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The basis Gram matrix: every L2 inner product of curves in this space."""
+        return gram_matrix(self.basis)
 
     def to_hz(self, curve: FunctionalCurve, times: np.ndarray) -> np.ndarray:
         """A semitone curve in Hz at frame times, mapped onto [0,1] as the fit mapped them."""
@@ -263,21 +269,19 @@ def curve_from_trajectory(t: F0Trajectory, space: CurveSpace) -> FunctionalCurve
 class FpcaModel:
     """Functional PCA decomposition: mean curve, eigenfunctions, and the training record.
 
-    components are orthonormal under the L2 inner product, not in raw
-    coefficient space. gram caches the basis Gram matrix so projections skip
-    the quadrature. space is the CurveSpace the training curves came from,
-    when the fit was told it; save_model records it.
+    space is the CurveSpace the training curves came from: its basis carries
+    every curve of the model, its Gram matrix every projection, and a curve
+    projected against the model must come from it. components are
+    orthonormal under the L2 inner product, not in raw coefficient space.
     """
 
-    basis: BSplineBasis
+    space: CurveSpace
     mean: FunctionalCurve
     components: tuple
     eigenvalues: np.ndarray
     variance_fraction: np.ndarray
     training_scores: np.ndarray
     labels: Optional[tuple]
-    gram: np.ndarray
-    space: Optional[CurveSpace] = None
 
     @property
     def n_components(self) -> int:
@@ -310,9 +314,10 @@ def _fix_component_signs(b: np.ndarray, gram_ones: np.ndarray) -> np.ndarray:
 def fpca_fit(
     curves: Sequence[FunctionalCurve],
     labels: Optional[Sequence[CurveLabel]] = None,
-    space: Optional[CurveSpace] = None,
+    *,
+    space: CurveSpace,
 ) -> FpcaModel:
-    """Fit functional PCA over curves sharing one basis.
+    """Fit functional PCA over curves smoothed in one curve space, which the model keeps.
 
     The coefficient covariance C is transformed to L^T C L (G = L L^T); its
     symmetric eigendecomposition gives eigenfunctions B = L^{-T} U that are
@@ -323,12 +328,10 @@ def fpca_fit(
     curves = list(curves)
     if len(curves) < 2:
         raise ValueError("functional PCA needs at least 2 curves")
-    basis = curves[0].basis
-    for k, c in enumerate(curves[1:], start=1):
+    basis = space.basis
+    for k, c in enumerate(curves):
         if not same_basis(c.basis, basis):
-            raise ValueError(f"curve {k} is on a different basis than curve 0")
-    if space is not None and not same_basis(space.basis, basis):
-        raise ValueError("curves are not on the curve space's basis")
+            raise ValueError(f"curve {k} is not on the curve space's basis")
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != len(curves):
@@ -339,7 +342,7 @@ def fpca_fit(
     mean_c = x.mean(axis=0)
     xc = x - mean_c
 
-    g = gram_matrix(basis)
+    g = space.gram
     l = cholesky(g, lower=True)
     y = xc @ l
     cov = (y.T @ y) / (n_curves - 1)
@@ -361,24 +364,22 @@ def fpca_fit(
 
     components = tuple(FunctionalCurve(basis, b[:, j]) for j in range(n_keep))
     return FpcaModel(
-        basis=basis,
+        space=space,
         mean=FunctionalCurve(basis, mean_c),
         components=components,
         eigenvalues=eigenvalues,
         variance_fraction=variance_fraction,
         training_scores=scores,
         labels=labels,
-        gram=g,
-        space=space,
     )
 
 
 def fpca_project(curve: FunctionalCurve, model: FpcaModel, curve_id: str = "") -> ScoreVector:
     """Scores s_i = <curve - mean, PC_i> under the L2 inner product."""
-    if not same_basis(curve.basis, model.basis):
+    if not same_basis(curve.basis, model.space.basis):
         raise ValueError("curve basis does not match model basis")
     centered = curve.coefficients - model.mean.coefficients
-    values = (model.gram @ centered) @ model.component_matrix()
+    values = (model.space.gram @ centered) @ model.component_matrix()
     return ScoreVector(values=values, curve_id=curve_id)
 
 
@@ -393,18 +394,20 @@ def reconstruct(model: FpcaModel, scores: ScoreVector, n: int) -> FunctionalCurv
     c = model.mean.coefficients.copy()
     if n:
         c = c + model.component_matrix()[:, :n] @ scores.values[:n]
-    return FunctionalCurve(model.basis, c)
+    return FunctionalCurve(model.space.basis, c)
 
 
 def save_model(path, model: FpcaModel) -> None:
-    """Serialize to JSON. The Gram matrix is recomputed on load, not stored.
+    """Serialize to JSON, the curve space included: its basis and a curve_space block.
 
-    A model that knows its curve space records lambda, grid and semitone
-    reference beside the basis, so a later run can check it uses the same space.
+    The block (lambda, grid, semitone reference) lets a later run check that it
+    uses the same space. The Gram matrix is recomputed on load, not stored.
     """
+    space = model.space
     payload = {
         "version": MODEL_FORMAT_VERSION,
-        "basis": {"n_basis": model.basis.n_basis, "order": model.basis.order},
+        "basis": {"n_basis": space.basis.n_basis, "order": space.basis.order},
+        "curve_space": {"lambda": space.lam, "grid_points": space.grid_points, "semitone_ref_hz": space.ref_hz},
         "mean": model.mean.coefficients.tolist(),
         "components": [c.coefficients.tolist() for c in model.components],
         "eigenvalues": model.eigenvalues.tolist(),
@@ -417,12 +420,6 @@ def save_model(path, model: FpcaModel) -> None:
             for l in model.labels
         ],
     }
-    if model.space is not None:
-        payload["curve_space"] = {
-            "lambda": model.space.lam,
-            "grid_points": model.space.grid_points,
-            "semitone_ref_hz": model.space.ref_hz,
-        }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -431,10 +428,14 @@ def save_model(path, model: FpcaModel) -> None:
 def load_model(path) -> FpcaModel:
     with open(path) as fh:
         payload = json.load(fh)
-    version = payload.get("version")
+    version = payload.get("version") if isinstance(payload, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model file version: {version!r}")
+    if "curve_space" not in payload:
+        raise ValueError("model file has no curve_space block, so its scores cannot be checked; refit the model")
     basis = build_basis(payload["basis"]["n_basis"], payload["basis"]["order"])
+    cs = payload["curve_space"]
+    space = CurveSpace(basis, cs["lambda"], cs["grid_points"], cs["semitone_ref_hz"])
     labels = payload["labels"]
     if labels is not None:
         labels = tuple(
@@ -444,17 +445,12 @@ def load_model(path) -> FpcaModel:
             for l in labels
         )
     components = tuple(FunctionalCurve(basis, np.asarray(c)) for c in payload["components"])
-    space = payload.get("curve_space")
-    if space is not None:
-        space = CurveSpace(basis, space["lambda"], space["grid_points"], space["semitone_ref_hz"])
     return FpcaModel(
-        basis=basis,
+        space=space,
         mean=FunctionalCurve(basis, np.asarray(payload["mean"])),
         components=components,
         eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
         variance_fraction=np.asarray(payload["variance_fraction"], dtype=np.float64),
         training_scores=np.asarray(payload["training_scores"], dtype=np.float64),
         labels=labels,
-        gram=gram_matrix(basis),
-        space=space,
     )

@@ -4,18 +4,18 @@ All commands are plain functions so they can be driven from the CLI or from
 tests. load_config turns the config JSON into typed objects once (a
 PitchConfig per group, the fda.CurveSpace that fixes basis, smoothing lambda,
 grid and semitone reference, the FormantShiftConfig), so a bad value is a
-ConfigError before any audio is read; anonymize also rejects a config whose
-curve space is not the one the model records. Per-utterance work is a frozen
-job dataclass that carries the paths and the group's PitchConfig to a worker:
-FitJob for f0 tracking, AnonymizeJob, which adds the manifest row, its
-resolved strategy and the FormantShiftConfig, for a whole anonymization.
-anonymize reads its model file and factors the config's curve space once
-per run, and hands both to each pool worker once, through the pool's
-initializer, so a model refit to the same path is seen by the next run.
-Parallel sections map over those jobs with a process pool and aggregate in
-utterance-id order, so the worker count never changes output bytes. Every
-command, and every pool worker, runs OpenBLAS at one thread (see blas), so
-the core count and the BLAS thread settings do not change them either: the
+ConfigError before any audio is read; so is a missing or unreadable model
+file, which one reader loads. A model owns the curve space it was fit in,
+and anonymize rejects a config whose space is not that one. Per-utterance
+work is a frozen job dataclass: FitJob (a path and the group's PitchConfig)
+for f0 tracking; AnonymizeJob, which adds the manifest row, its resolved
+strategy and the FormantShiftConfig; EvalJob, one file to embed and score by
+STOI. anonymize reads its model once per run, factors its space and builds
+its Gram matrix before the pool starts, and hands the model to each worker
+once, through the pool's initializer. A command starts at most one pool and
+aggregates in utterance-id order, so the worker count never changes output
+bytes. Every command and pool worker runs OpenBLAS at one thread (see blas),
+so the core count and the BLAS thread settings do not change them either: the
 worker count is the only parallelism.
 """
 
@@ -290,7 +290,7 @@ class AnonymizeJob:
     formant: resynth.FormantShiftConfig
 
 
-def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel], space: Optional[fda.CurveSpace]) -> dict:
+def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
     pcfg = job.pitch
     log = dict.fromkeys(LOG_FIELDS, "")
     log.update(utterance_id=job.row.utterance_id, formant_factor=f"{job.formant.factor:.3f}")
@@ -304,7 +304,6 @@ def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel], space: Opt
             model,
             job.strategy,
             job.row.speaker_id,
-            space=space,
             pitch_floor=pcfg.floor,
             pitch_ceiling=pcfg.ceiling,
             max_hz=w.sample_rate / 4,
@@ -324,6 +323,20 @@ def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel], space: Opt
     except Exception as exc:  # per-utterance isolation: log and continue
         log.update(status="failed", message=f"{type(exc).__name__}: {exc}")
     return log
+
+
+def _read_model(model_path) -> fda.FpcaModel:
+    """The one model reader: a missing or unreadable model file is a ConfigError (exit 2)."""
+    if not Path(model_path).exists():
+        raise ConfigError(f"model file not found: {model_path}")
+    try:
+        return fda.load_model(model_path)
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"unreadable model file {model_path}: {exc}") from exc
+
+
+def _describe_basis(space: fda.CurveSpace) -> str:
+    return f"n_basis {space.basis.n_basis}, order {space.basis.order}"
 
 
 def _describe_space(space: fda.CurveSpace) -> str:
@@ -367,33 +380,21 @@ def cmd_anonymize(
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
-    model = space = None
+    model = None
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         if model_path is None:
             raise ConfigError(f"strategy {cfg.strategy.kind!r} requires a model file")
-        if not Path(model_path).exists():
-            raise ConfigError(f"model file not found: {model_path}")
+        model = _read_model(model_path)  # once per run; fail fast before touching any audio
+        space = model.space
+        if not fda.same_space(space, cfg.curve_space):
+            # name the basis when that is what differs, else the rest of the space
+            same_basis = fda.same_basis(space.basis, cfg.curve_space.basis)
+            what, describe = ("curve space", _describe_space) if same_basis else ("basis", _describe_basis)
+            raise ConfigError(f"config {what} ({describe(cfg.curve_space)}) is not the model's ({describe(space)})")
         try:
-            model = fda.load_model(model_path)  # once per run; fail fast before touching any audio
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"unreadable model file {model_path}: {exc}") from exc
-        mb, cb = model.basis, cfg.curve_space.basis
-        if not fda.same_basis(mb, cb):
-            raise ConfigError(
-                f"config basis (n_basis {cb.n_basis}, order {cb.order}) is not the model's "
-                f"(n_basis {mb.n_basis}, order {mb.order})"
-            )
-        # a model saved before curve spaces were recorded can only be checked by basis
-        if model.space is not None and not fda.same_space(model.space, cfg.curve_space):
-            raise ConfigError(
-                f"config curve space ({_describe_space(cfg.curve_space)}) is not the model's "
-                f"({_describe_space(model.space)})"
-            )
-        space = cfg.curve_space
-        try:
-            space.factor  # factored once here; pool workers inherit or unpickle it
+            space.factor, space.gram  # built once here; pool workers inherit or unpickle them
         except ValueError as exc:
-            raise ConfigError(f"config curve space ({_describe_space(space)}): {exc}") from exc
+            raise ConfigError(f"model curve space ({_describe_space(space)}): {exc}") from exc
     rows = manifest.filter(groups=groups, conditions=(synth.CONDITION_MODAL,), sessions=sessions)
     if not rows:
         raise ConfigError("no modal utterances match the given filters")
@@ -425,7 +426,7 @@ def cmd_anonymize(
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         _check_donors(model, model_path, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_anonymize_job, jobs, workers, model, space)
+    results = _map_jobs(_anonymize_job, jobs, workers, model)
     results = sorted(results, key=lambda d: d["utterance_id"])
     with open(out_dir / "anon_log.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
@@ -436,13 +437,18 @@ def cmd_anonymize(
 
 # ---------------------------------------------------------------- evaluate
 
-def _embed_job(path: str) -> np.ndarray:
-    return evaluation.mfcc_embed(read_wav(path))
+@dataclass(frozen=True)
+class EvalJob:
+    """One file to embed; clean_path, when given, is the original its STOI is scored against."""
+
+    path: str
+    clean_path: Optional[str] = None
 
 
-def _stoi_job(args) -> float:
-    clean_path, processed_path = args
-    return evaluation.stoi(read_wav(clean_path), read_wav(processed_path))
+def _eval_job(job: EvalJob) -> tuple:
+    w = read_wav(job.path)
+    score = None if job.clean_path is None else evaluation.stoi(read_wav(job.clean_path), w)
+    return evaluation.mfcc_embed(w), score
 
 
 def _find_test_audio(anon_dir: Path, utt_id: str) -> Optional[Path]:
@@ -517,8 +523,11 @@ def cmd_evaluate(
         raise ConfigError(f"no test audio under {anon_dir} for: {row_errors[:5]}")
 
     enroll_paths = sorted({str(manifest.resolve(r)) for rows in enroll_rows.values() for r in rows})
-    all_paths = enroll_paths + [str(test_paths[u]) for u in test_ids]
-    embeddings = dict(zip(all_paths, _map_jobs(_embed_job, all_paths, workers)))
+    jobs = [EvalJob(p) for p in enroll_paths] + [
+        EvalJob(str(test_paths[u]), str(manifest.resolve(by_id[u])) if cfg.eval_stoi else None) for u in test_ids
+    ]
+    results = _map_jobs(_eval_job, jobs, workers)
+    embeddings = {job.path: embedding for job, (embedding, _) in zip(jobs, results)}
 
     enroll_models = {
         spk: [embeddings[str(manifest.resolve(r))] for r in rows] for spk, rows in enroll_rows.items()
@@ -539,9 +548,7 @@ def cmd_evaluate(
     stoi_by_group = {}
     all_stoi = []
     if cfg.eval_stoi:
-        pairs = [(str(manifest.resolve(by_id[u])), str(test_paths[u])) for u in test_ids]
-        values = _map_jobs(_stoi_job, pairs, workers)
-        for utt_id, v in zip(test_ids, values):
+        for utt_id, (_, v) in zip(test_ids, results[len(enroll_paths):]):
             stoi_by_group.setdefault(by_id[utt_id].group, []).append(v)
             all_stoi.append(v)
 
@@ -598,7 +605,7 @@ def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) 
     training scores. Scatter rows carry a combined group:condition:speaker
     label per training curve.
     """
-    model = fda.load_model(model_path)
+    model = _read_model(model_path)
     i = component_index
     if i < 1 or i > model.n_components:
         raise ConfigError(f"component index {i} outside 1..{model.n_components}")

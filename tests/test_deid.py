@@ -45,7 +45,7 @@ def fit_two_group_model(n_per_group: int = 6):
             grid = uniform_resample(st.times, st.values, GRID)
             curves.append(smooth_curve(grid, SPACE))
             labels.append(CurveLabel(f"{group}{k}", f"spk_{group}{k}", group, "modal"))
-    return fpca_fit(curves, labels)
+    return fpca_fit(curves, labels, space=SPACE)
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +207,16 @@ class TestAnonymizeTrajectory:
         with pytest.raises(ValueError):
             anonymize_trajectory(t, None, DeidStrategy(kind="cross_group", donor_group="high"))
 
-    def test_space_required_for_score_swap(self, two_group_model):
+    def test_score_swap_takes_its_space_from_the_model(self, two_group_model):
+        # a second space argument could only disagree with the model's; there is none
         t = hz_traj(contour(120.0))
-        with pytest.raises(ValueError, match="curve space"):
-            anonymize_trajectory(t, two_group_model, DeidStrategy(kind="cross_group", donor_group="high"))
+        strategy = DeidStrategy(kind="cross_group", donor_group="high")
+        with pytest.raises(TypeError, match="space"):
+            anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
+        moved = dataclasses.replace(two_group_model, space=CurveSpace(BASIS, 1e-8, GRID, 200.0))
+        a = anonymize_trajectory(t, two_group_model, strategy)
+        b = anonymize_trajectory(t, moved, strategy)
+        assert not np.allclose(a.values[t.voiced], b.values[t.voiced])
 
     def test_frame_geometry_preserved(self, two_group_model):
         f0 = contour(115.0)
@@ -220,7 +226,6 @@ class TestAnonymizeTrajectory:
             t,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            space=SPACE,
         )
         assert len(out) == len(t)
         np.testing.assert_array_equal(out.times, t.times)
@@ -234,7 +239,6 @@ class TestAnonymizeTrajectory:
             low,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            space=SPACE,
         )
         assert np.median(up.values[up.voiced]) > np.median(low.values[low.voiced])
 
@@ -243,15 +247,14 @@ class TestAnonymizeTrajectory:
             high,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="low"),
-            space=SPACE,
         )
         assert np.median(down.values[down.voiced]) < np.median(high.values[high.voiced])
 
     def test_deterministic(self, two_group_model):
         t = hz_traj(contour(118.0))
         strategy = DeidStrategy(kind="cross_group", donor_group="high")
-        a = anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
-        b = anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
+        a = anonymize_trajectory(t, two_group_model, strategy)
+        b = anonymize_trajectory(t, two_group_model, strategy)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_own_score_replacement_is_near_identity(self):
@@ -268,12 +271,12 @@ class TestAnonymizeTrajectory:
             st = hz_to_semitones(hz_traj(f0), 100.0)
             curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), SPACE))
             labels.append(CurveLabel(f"r{k}", f"spk{k}", "rest", "modal"))
-        model = fpca_fit(curves, labels)
+        model = fpca_fit(curves, labels, space=SPACE)
         strategy = DeidStrategy(
             kind="cross_group", donor_group="solo", variance_threshold=1.0, max_components=99
         )
         t = hz_traj(solo_f0)
-        out = anonymize_trajectory(t, model, strategy, space=SPACE)
+        out = anonymize_trajectory(t, model, strategy)
         rel = np.abs(out.values[t.voiced] - t.values[t.voiced]) / t.values[t.voiced]
         assert np.max(rel) < 0.02
 
@@ -283,7 +286,6 @@ class TestAnonymizeTrajectory:
             t,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            space=SPACE,
             pitch_floor=65.0,
             pitch_ceiling=380.0,
         )

@@ -385,6 +385,11 @@ def make_family(seed: int, n_curves: int = 20, kind: str = "trig", basis=None, m
     return curves, labels
 
 
+def space_of(curves) -> CurveSpace:
+    """A curve space on the curves' basis, for fits that depend on nothing else of it."""
+    return CurveSpace(curves[0].basis)
+
+
 def dense_grid_pca(curves, m: int = 2000):
     """Ordinary PCA of the curves sampled on a dense grid, trapezoid-weighted.
 
@@ -420,7 +425,7 @@ class TestFpcaBasics:
         delta = np.sin(2 * np.pi * t)
         c1 = smooth(mu + delta, basis, 1e-9)
         c2 = smooth(mu - delta, basis, 1e-9)
-        model = fpca_fit([c1, c2])
+        model = fpca_fit([c1, c2], space=space_of([c1, c2]))
         assert model.n_components == 1
         np.testing.assert_allclose(model.variance_fraction, [1.0], atol=1e-12)
         # PC1 is the normalized offset; sign fixed by the integral convention
@@ -447,37 +452,37 @@ class TestFpcaBasics:
         a = a / a.std(ddof=1) * 2.0
         b = b / b.std(ddof=1) * 1.0
         curves = [smooth(2.0 + a[k] * g1 + b[k] * g2, basis, 1e-9) for k in range(n)]
-        model = fpca_fit(curves)
+        model = fpca_fit(curves, space=space_of(curves))
         np.testing.assert_allclose(model.variance_fraction[:2], [0.8, 0.2], atol=1e-3)
 
     def test_requires_two_curves(self):
         basis = build_basis(10, 4)
         c = smooth(np.ones(40), basis)
         with pytest.raises(ValueError):
-            fpca_fit([c])
+            fpca_fit([c], space=space_of([c]))
 
     def test_mismatched_bases_rejected(self):
         c1 = smooth(np.ones(60), build_basis(10, 4))
         c2 = smooth(np.ones(60), build_basis(12, 4))
         with pytest.raises(ValueError):
-            fpca_fit([c1, c2])
+            fpca_fit([c1, c2], space=space_of([c1, c2]))
 
     def test_identical_curves_rejected(self):
         basis = build_basis(10, 4)
         c = smooth(np.ones(60), basis)
         with pytest.raises(ValueError):
-            fpca_fit([c, c])
+            fpca_fit([c, c], space=space_of([c]))
 
     def test_label_count_mismatch_rejected(self):
         curves, labels = make_family(3, n_curves=4, basis=build_basis(20, 4))
         with pytest.raises(ValueError):
-            fpca_fit(curves, labels[:-1])
+            fpca_fit(curves, labels[:-1], space=space_of(curves))
 
 
 @pytest.fixture(scope="module")
 def invariant_model():
     curves, labels = make_family(11, n_curves=20)
-    return fpca_fit(curves, labels), curves
+    return fpca_fit(curves, labels, space=space_of(curves)), curves
 
 
 class TestFpcaInvariants:
@@ -493,14 +498,14 @@ class TestFpcaInvariants:
     def test_components_l2_orthonormal(self, invariant_model):
         m, _ = invariant_model
         b = m.component_matrix()
-        gram = b.T @ m.gram @ b
+        gram = b.T @ m.space.gram @ b
         np.testing.assert_allclose(gram, np.eye(m.n_components), atol=1e-8)
 
     def test_sign_convention_integral_nonnegative(self, invariant_model):
         m, _ = invariant_model
-        ones = np.ones(m.basis.n_basis)
+        ones = np.ones(m.space.basis.n_basis)
         for comp in m.components:
-            integral = comp.coefficients @ (m.gram @ ones)
+            integral = comp.coefficients @ (m.space.gram @ ones)
             assert integral >= -1e-9
 
     def test_training_scores_match_projection(self, invariant_model):
@@ -519,7 +524,7 @@ class TestFpcaInvariants:
     def test_projection_of_shifted_mean(self, invariant_model):
         m, _ = invariant_model
         c = m.mean.coefficients + 2.0 * m.components[0].coefficients
-        s = fpca_project(FunctionalCurve(m.basis, c), m)
+        s = fpca_project(FunctionalCurve(m.space.basis, c), m)
         expected = np.zeros(m.n_components)
         expected[0] = 2.0
         np.testing.assert_allclose(s.values, expected, atol=1e-8)
@@ -534,7 +539,7 @@ class TestFpcaInvariants:
 @pytest.fixture(scope="module")
 def fitted():
     curves, labels = make_family(23, n_curves=12, kind="bumps")
-    model = fpca_fit(curves, labels)
+    model = fpca_fit(curves, labels, space=space_of(curves))
     return model, curves
 
 
@@ -577,7 +582,7 @@ class TestReconstruction:
 class TestDenseGridOracle:
     def test_eigenvalues_and_functions_match_grid_pca(self):
         curves, _ = make_family(17, n_curves=20, kind="trig")
-        model = fpca_fit(curves)
+        model = fpca_fit(curves, space=space_of(curves))
         lam, funcs, t = dense_grid_pca(curves)
         # compare the components that carry real variance
         keep = model.eigenvalues > 1e-10 * model.eigenvalues[0]
@@ -598,7 +603,7 @@ class TestDenseGridOracle:
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
         curves, labels = make_family(31, n_curves=8, basis=build_basis(30, 4))
-        model = fpca_fit(curves, labels)
+        model = fpca_fit(curves, labels, space=space_of(curves))
         p = tmp_path / "model.json"
         save_model(p, model)
         back = load_model(p)
@@ -621,12 +626,31 @@ class TestModelSerialization:
         assert not same_space(back, CurveSpace(basis, 1e-6, 150, 100.0))
 
     def test_model_without_curve_space(self, tmp_path):
-        # no space given to the fit: no curve_space block, as in older model files
+        # a model's scores mean something only in its space, so a file that does not record it is refused
+        import json
+
         curves, labels = make_family(31, n_curves=8, basis=build_basis(30, 4))
         p = tmp_path / "model.json"
-        save_model(p, fpca_fit(curves, labels))
-        assert "curve_space" not in p.read_text()
-        assert load_model(p).space is None
+        save_model(p, fpca_fit(curves, labels, space=space_of(curves)))
+        payload = json.loads(p.read_text())
+        del payload["curve_space"]
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="no curve_space block.*refit the model"):
+            load_model(p)
+
+    def test_model_owns_its_space(self, tmp_path):
+        names = {f.name for f in dataclasses.fields(fda.FpcaModel)}
+        assert "space" in names and not names & {"basis", "gram"}
+        curves, labels = make_family(31, n_curves=8, basis=build_basis(30, 4))
+        with pytest.raises(TypeError, match="space"):
+            fpca_fit(curves, labels)
+        space = space_of(curves)
+        model = fpca_fit(curves, labels, space=space)
+        assert model.space is space
+        p = tmp_path / "model.json"
+        save_model(p, model)
+        assert '"curve_space"' in p.read_text()
+        assert fda.MODEL_FORMAT_VERSION == 1
 
     def test_space_must_share_the_curves_basis(self):
         curves, labels = make_family(31, n_curves=8, basis=build_basis(30, 4))
@@ -637,7 +661,7 @@ class TestModelSerialization:
         import json
 
         curves, _ = make_family(5, n_curves=4, basis=build_basis(20, 4))
-        model = fpca_fit(curves)
+        model = fpca_fit(curves, space=space_of(curves))
         p = tmp_path / "model.json"
         save_model(p, model)
         payload = json.loads(p.read_text())

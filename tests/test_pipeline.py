@@ -1,6 +1,7 @@
 """End-to-end tests for the manifest pipeline and its command line."""
 
 import csv
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -351,31 +352,45 @@ class TestAnonymize:
         multiprocessing.get_start_method() != "fork", reason="the call counter reaches workers only by fork"
     )
     def test_pool_workers_factor_the_space_once_each(self, small_corpus, fitted_model, tmp_path, monkeypatch):
-        calls = tmp_path / "penalty_calls"
-        real = fda.penalty_matrix
+        calls = tmp_path / "calls"
+        for name in ("penalty_matrix", "gram_matrix"):
+            real = getattr(fda, name)
 
-        def counted(basis):
-            with open(calls, "a") as fh:
-                fh.write("call\n")
-            return real(basis)
+            def counted(basis, name=name, real=real):
+                with open(calls, "a") as fh:
+                    fh.write(f"{name}\n")
+                return real(basis)
 
-        monkeypatch.setattr(fda, "penalty_matrix", counted)
+            monkeypatch.setattr(fda, name, counted)
         cfg = write_config(tmp_path / "c.json")
         failures = pipeline.cmd_anonymize(small_corpus, cfg, fitted_model, tmp_path / "out", sessions=("2",), workers=2)
         assert failures == 0
-        assert calls.read_text().split() == ["call"]  # the command's own factor, inherited by both workers
+        # the command's own factor and Gram matrix, inherited by both workers
+        assert sorted(calls.read_text().split()) == ["gram_matrix", "penalty_matrix"]
 
-    def test_unfactorable_space_of_an_unrecorded_model_exits_2(self, small_corpus, fitted_model, tmp_path):
-        # a model file without a curve_space block is checked by basis only;
+    def test_unfactorable_model_space_exits_2(self, small_corpus, fitted_model, tmp_path):
         # 14 grid points cannot determine 40 basis functions without a penalty
         data = json.loads(Path(fitted_model).read_text())
-        del data["curve_space"]
-        model = tmp_path / "old_model.json"
+        data["curve_space"].update({"lambda": 0.0, "grid_points": 14})
+        model = tmp_path / "edited_model.json"
         model.write_text(json.dumps(data))
         cfg = write_config(tmp_path / "c.json", basis={"n_basis": 40, "order": 4, "lambda": 0.0, "grid_points": 14})
         with pytest.raises(ConfigError, match="singular normal matrix"):
             pipeline.cmd_anonymize(small_corpus, cfg, model, tmp_path / "out", sessions=("2",))
         assert not (tmp_path / "out").exists()
+
+    def test_spawned_pool_workers_match_one_worker(self, small_corpus, config_path, fitted_model, tmp_path,
+                                                   monkeypatch):
+        # spawned workers get the model, its factored space included, by pickle rather than by fork
+        assert pipeline.cmd_anonymize(small_corpus, config_path, fitted_model, tmp_path / "w1", sessions=("2",)) == 0
+        context = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
+        failures = pipeline.cmd_anonymize(
+            small_corpus, config_path, fitted_model, tmp_path / "w2", sessions=("2",), workers=2
+        )
+        assert failures == 0
+        want = tree_digests(tmp_path / "w1")
+        assert len(want) == 13 and tree_digests(tmp_path / "w2") == want
 
     def test_constant_zero_shift_is_transparent(self, small_corpus, tmp_path):
         cfg = write_config(
@@ -440,9 +455,8 @@ class TestAnonymize:
         assert (out / f"{good.utterance_id}.anon.wav").exists()
 
 
-@pytest.mark.parametrize("workers, n_jobs, started", [(4, 2, 2), (2, 3, 2)])
-def test_pool_starts_no_more_workers_than_jobs(workers, n_jobs, started, monkeypatch):
-    # under fork a pool starts all of its workers at once, whether or not they get a job
+def record_pool_sizes(monkeypatch) -> list:
+    """The max_workers of every process pool the pipeline starts from now on."""
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -451,6 +465,13 @@ def test_pool_starts_no_more_workers_than_jobs(workers, n_jobs, started, monkeyp
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, n_jobs, started", [(4, 2, 2), (2, 3, 2)])
+def test_pool_starts_no_more_workers_than_jobs(workers, n_jobs, started, monkeypatch):
+    # under fork a pool starts all of its workers at once, whether or not they get a job
+    sizes = record_pool_sizes(monkeypatch)
     assert pipeline._map_jobs(abs, [-j for j in range(n_jobs)], workers) == list(range(n_jobs))
     assert sizes == [started]
 
@@ -491,6 +512,21 @@ class TestEvaluate:
         assert 0.0 <= overall.eer_percent <= 50.0
         assert overall.n_genuine == 12
         assert overall.n_impostor == 24
+
+    def test_one_process_pool_per_run(self, small_corpus, config_path, anon_dir, tmp_path, monkeypatch):
+        sizes = record_pool_sizes(monkeypatch)
+        root = Path(small_corpus).parent
+        pipeline.cmd_evaluate(small_corpus, config_path, anon_dir, root / "trials.csv", tmp_path, workers=2)
+        assert sizes == [2]  # embeddings and STOI share one pool
+
+    def test_each_test_file_is_read_once(self, small_corpus, config_path, anon_dir, tmp_path, monkeypatch):
+        reads = []
+        real = pipeline.read_wav
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(str(path)) or real(path))
+        root = Path(small_corpus).parent
+        pipeline.cmd_evaluate(small_corpus, config_path, anon_dir, root / "trials.csv", tmp_path)
+        tests = [r for r in reads if r.startswith(str(anon_dir))]
+        assert len(tests) == 12 and len(set(tests)) == 12  # once for its embedding and its STOI
 
     def test_missing_trial_file(self, small_corpus, config_path, tmp_path):
         root = Path(small_corpus).parent
@@ -668,6 +704,38 @@ class TestCli:
             result, "is not the model's (lambda 1e-08, grid_points 200, semitone_ref_hz 100.0)"
         )
         assert message in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("missing", "model file not found"),
+            ("truncated", "unreadable model file"),
+            ("wrong_version", "unsupported model file version: 99"),
+            ("not_an_object", "unsupported model file version: None"),
+            ("no_curve_space", "has no curve_space block, so its scores cannot be checked; refit the model"),
+        ],
+        ids=["missing", "truncated", "wrong_version", "not_an_object", "no_curve_space"],
+    )
+    @pytest.mark.parametrize("command", ["anonymize", "export-curves"])
+    def test_bad_model_file_exits_2(self, command, damage, message, small_corpus, fitted_model, tmp_path):
+        text = Path(fitted_model).read_text()
+        data = json.loads(text)
+        model = tmp_path / "model.json"
+        if damage == "truncated":
+            model.write_text(text[: len(text) // 2])
+        elif damage == "wrong_version":
+            model.write_text(json.dumps({**data, "version": 99}))
+        elif damage == "not_an_object":
+            model.write_text(json.dumps([data]))
+        elif damage == "no_curve_space":
+            del data["curve_space"]
+            model.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = ["--out", str(out), command, "--model", str(model)]
+        if command == "anonymize":
+            args = ["--config", str(write_config(tmp_path / "c.json")), "--manifest", str(small_corpus), *args]
+        assert_config_exit(CliRunner().invoke(cli.main, args), message)
         assert not out.exists()
 
     def test_anonymize_rejects_a_model_without_donor_curves_before_reading_audio(
