@@ -128,9 +128,9 @@ def export_curves(ctx, model, component, n_points):
 
 
 @main.command("make-synth-corpus")
-@click.option("--n-per-group", type=int, default=5, show_default=True)
-@click.option("--n-modal", type=int, default=4, show_default=True)
-@click.option("--n-disguised", type=int, default=2, show_default=True)
+@click.option("--n-per-group", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--n-modal", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--n-disguised", type=click.IntRange(min=0), default=2, show_default=True)
 @click.pass_context
 def make_synth_corpus(ctx, n_per_group, n_modal, n_disguised):
     """Generate the deterministic synthetic corpus under --out."""

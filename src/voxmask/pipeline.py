@@ -135,8 +135,13 @@ class PipelineConfig:
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build every typed object once; their own checks make a bad value a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
     if data.get("version") != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config version: {data.get('version')!r}")
+    for block in ("pitch", "basis", "strategy", "formant", "evaluation"):
+        if not isinstance(data.get(block, {}), dict):
+            raise ConfigError(f"config block {block!r} must be a JSON object")
     try:
         basis = data.get("basis", {})
         strat = data["strategy"]

@@ -5,6 +5,10 @@ scaling and vowel targets, sentence-like f0 contours with declination and
 accent peaks, a modal and a raised-pitch "disguised" condition, two
 sessions. Every sample is a pure function of (seed, speaker, condition,
 session, utterance), so a fixed seed reproduces the corpus byte for byte.
+
+The glottal pulse train is found one period at a time, each period by one
+cumsum, and is bitwise equal to the sample-at-a-time phase loop kept as a
+test oracle in tests/synth_oracle.py.
 """
 
 from __future__ import annotations
@@ -93,18 +97,44 @@ def make_speakers(seed: int, n_per_group: int = 5):
 
 
 def pulse_train(f0_curve: np.ndarray, fs: float, rng=None, shimmer: float = 0.0) -> np.ndarray:
-    """Impulse excitation by phase accumulation; f0_curve gives Hz per sample."""
-    n = f0_curve.size
-    out = np.zeros(n)
+    """Impulse excitation by phase accumulation; f0_curve gives Hz per sample, each in (0, fs).
+
+    The phase gains f0/fs per sample; a pulse fires on each sample where it
+    reaches 1, and it then drops by 1. The loop runs once per pulse: each step
+    adds the carried phase to the first of the next ~1.5 periods of
+    increments, so one cumsum makes the per-sample sums in the per-sample
+    order and every pulse lands where a sample-at-a-time sum puts it. (One
+    cumsum over the whole curve rounds differently and moves pulses by a
+    sample.) A step that reaches no pulse, as when f0 falls fast, carries its
+    sum to the next. Shimmer draws one normal per pulse, in pulse order.
+    """
+    inc = np.asarray(f0_curve, dtype=np.float64) / fs
+    if inc.ndim != 1:
+        raise ValueError(f"f0 curve must be 1-D, got shape {inc.shape}")
+    if not np.all(np.isfinite(inc)):
+        raise ValueError("f0 curve must be finite")
+    # f0 / fs < 1 exactly when f0 < fs: each step's sums then rise, and the phase after a pulse is below 1
+    if not np.all((inc > 0) & (inc < 1)):
+        raise ValueError(f"f0 curve must lie strictly between 0 and fs = {fs} Hz")
+    n = inc.size
+    widths = (np.minimum(1.5 / inc, n) + 1).astype(np.intp).tolist()
+    pulses = []
     phase = 0.0
-    for k in range(n):
-        phase += f0_curve[k] / fs
-        if phase >= 1.0:
-            phase -= 1.0
-            amp = 1.0
-            if rng is not None and shimmer > 0:
-                amp += shimmer * float(rng.standard_normal())
-            out[k] = amp
+    k = 0  # first sample whose increment is not yet in the phase
+    while k < n:
+        run = inc[k : k + widths[k]].copy()
+        run[0] += phase
+        np.add.accumulate(run, out=run)  # cumsum, in place
+        j = int(run.searchsorted(1.0))
+        if j == run.size:
+            phase = run[-1]
+        else:
+            pulses.append(k + j)
+            phase = run[j] - 1.0
+            j += 1
+        k += j
+    out = np.zeros(n)
+    out[pulses] = 1.0 + shimmer * rng.standard_normal(len(pulses)) if rng is not None and shimmer > 0 else 1.0
     return out
 
 

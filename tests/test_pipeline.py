@@ -169,6 +169,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             pipeline.config_from_dict(base_config(**over))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "config must be a JSON object, not list"),
+            (base_config(pitch=[1]), "config block 'pitch' must be a JSON object"),
+            (base_config(basis=[]), "config block 'basis' must be a JSON object"),
+            (base_config(strategy="x"), "config block 'strategy' must be a JSON object"),
+            (base_config(formant=5), "config block 'formant' must be a JSON object"),
+            (base_config(evaluation="x"), "config block 'evaluation' must be a JSON object"),
+        ],
+        ids=["top_level_list", "pitch_list", "basis_list", "strategy_string", "formant_number", "evaluation_string"],
+    )
+    def test_config_that_is_not_an_object_rejected(self, data, message, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=message):
+            pipeline.load_config(p)
+
     def test_curve_space_not_factored_at_load(self, small_corpus):
         # evaluate never smooths, and anonymize jobs are pickled to workers
         cfg = pipeline.config_from_dict(base_config())
@@ -667,6 +685,41 @@ class TestCli:
             cli.main, ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), command, *extra]
         )
         assert_config_exit(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [([], "config must be a JSON object, not list"),
+         (base_config(pitch=[1]), "config block 'pitch' must be a JSON object")],
+        ids=["top_level_list", "pitch_list"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate"])
+    def test_config_that_is_not_an_object_exits_2(self, command, data, message, small_corpus, fitted_model,
+                                                   tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        extra = {
+            "fit": [],
+            "anonymize": ["--model", str(fitted_model)],
+            "evaluate": ["--anon-dir", str(Path(small_corpus).parent / "wav"),
+                         "--trials", str(Path(small_corpus).parent / "trials.csv")],
+        }[command]
+        result = CliRunner().invoke(
+            cli.main, ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), command, *extra]
+        )
+        assert_config_exit(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--n-per-group", "0", "x>=1"), ("--n-modal", "-2", "x>=1"), ("--n-disguised", "-1", "x>=0")],
+    )
+    def test_make_synth_corpus_rejects_empty_or_negative_sizes(self, option, value, message, tmp_path):
+        out = tmp_path / "corp"
+        result = CliRunner().invoke(cli.main, ["--out", str(out), "make-synth-corpus", option, value])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.stderr and message in result.stderr
         assert not out.exists()
 
     def test_anonymize_rejects_a_basis_other_than_the_models(self, small_corpus, fitted_model, tmp_path):

@@ -1,14 +1,22 @@
 """Tests for the synthetic evaluation corpus generator."""
 
+import copy
 import csv
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from synth_oracle import pulse_train_oracle
 
 from voxmask import pitch, synth
 from voxmask.audio import read_wav
+
+RATES = (8000, 11025, 16000, 22050, 44100)
+# perfbench's corpus shapes: fit and anonymize, then evaluate
+BENCH_SHAPES = ({"n_per_group": 3, "n_modal": 2, "n_disguised": 0}, {"n_per_group": 3, "n_modal": 3, "n_disguised": 0})
 
 
 def _tree_hashes(root: Path) -> dict:
@@ -44,6 +52,112 @@ class TestSpeakers:
         assert synth.hash_speaker("low00") == synth.hash_speaker("low00")
         assert synth.hash_speaker("low00") != synth.hash_speaker("low01")
         assert 0 <= synth.hash_speaker("high04") < 1000003
+
+
+def assert_matches_oracle(curve, fs, shimmer=0.03, seed=0):
+    """pulse_train is bitwise the sample-at-a-time loop and leaves the generator where the loop does."""
+    rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = synth.pulse_train(curve, fs, rng, shimmer)
+    ref = pulse_train_oracle(curve, fs, rng_oracle, shimmer)
+    assert np.array_equal(out, ref), f"pulses at {np.flatnonzero(out != ref)[:5]} differ"
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+    return ref
+
+
+@st.composite
+def f0_curves(draw):
+    """(fs, per-sample f0): smooth glides, piecewise-constant steps, or a fall by half within one period."""
+    fs = draw(st.sampled_from(RATES))
+    n = draw(st.integers(1, 3000))
+    f0 = draw(st.floats(50.0, 500.0))
+    t = np.arange(n)
+    kind = draw(st.sampled_from(["smooth", "stepped", "halving"]))
+    if kind == "smooth":
+        slope = draw(st.floats(-0.5, 0.5))
+        depth = draw(st.floats(0.0, 0.5))
+        cycles = draw(st.floats(0.0, 20.0))
+        return fs, f0 * (1.0 + slope * t / n) * (1.0 + depth * np.sin(2 * np.pi * cycles * t / n))
+    if kind == "stepped":
+        factors = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=8))
+        edges = sorted(draw(st.lists(st.integers(0, n), min_size=len(factors) - 1, max_size=len(factors) - 1)))
+        return fs, f0 * np.repeat(factors, np.diff([0, *edges, n]))
+    start = draw(st.integers(0, n))
+    return fs, f0 * np.interp(t, [start, start + fs / f0], [1.0, 0.5])
+
+
+class TestPulseTrain:
+    """pulse_train runs once per pulse; tests/synth_oracle.py is the per-sample loop it must equal bitwise."""
+
+    @pytest.mark.parametrize("shimmer", [0.0, 0.03])
+    @pytest.mark.parametrize("fs", RATES)
+    def test_constant_f0_matches_the_oracle(self, fs, shimmer):
+        # whole periods (fs / f0 an integer) are where one cumsum over the whole curve misplaces pulses
+        whole = {f for f in range(50, 501) if fs % f == 0}
+        assert whole
+        for f0 in sorted({*range(50, 501, 25), *whole, 57.3, 123.4, 333.3, 499.9}):
+            ref = assert_matches_oracle(np.full(fs // 2, float(f0)), fs, shimmer)
+            assert np.count_nonzero(ref) >= int(f0 / 2) - 1
+
+    @pytest.mark.parametrize("shape", BENCH_SHAPES, ids=["anonymize_shape", "evaluate_shape"])
+    def test_every_vowel_of_the_bench_corpora_matches_the_oracle(self, shape, tmp_path, monkeypatch):
+        pulse_train = synth.pulse_train
+        checked = []
+
+        def checked_pulse_train(f0_curve, fs, rng=None, shimmer=0.0):
+            rng_oracle = copy.deepcopy(rng)
+            out = pulse_train(f0_curve, fs, rng, shimmer)
+            assert np.array_equal(out, pulse_train_oracle(f0_curve, fs, rng_oracle, shimmer))
+            assert rng.bit_generator.state == rng_oracle.bit_generator.state
+            checked.append(np.count_nonzero(out))
+            return out
+
+        monkeypatch.setattr(synth, "pulse_train", checked_pulse_train)
+        synth.generate_corpus(tmp_path, seed=1234, **shape)
+        n_utterances = 2 * shape["n_per_group"] * 2 * shape["n_modal"]
+        assert len(checked) >= 6 * n_utterances  # 6 to 8 vowels each
+        assert min(checked) > 0
+
+    @given(f0_curves(), st.sampled_from([0.0, 0.03]), st.integers(0, 2**32 - 1))
+    # f0 halves after the first sample, so the first 1.5 periods hold no pulse and the phase is carried
+    @example((16000, np.r_[200.0, np.full(399, 100.0)]), 0.03, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_varying_f0_matches_the_oracle(self, fs_curve, shimmer, seed):
+        fs, curve = fs_curve
+        assert_matches_oracle(curve, fs, shimmer, seed)
+
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            ([100.0, np.nan, 100.0], "finite"),
+            ([100.0, np.inf], "finite"),
+            ([100.0, 0.0], "strictly between 0 and fs"),
+            ([-100.0], "strictly between 0 and fs"),
+            ([100.0, 16000.0], "strictly between 0 and fs"),
+            ([20000.0], "strictly between 0 and fs"),
+            (np.full((2, 3), 100.0), "1-D"),
+            (100.0, "1-D"),
+        ],
+        ids=["nan", "inf", "zero", "negative", "f0_equals_fs", "f0_above_fs", "two_dimensional", "scalar"],
+    )
+    def test_bad_curve_rejected_before_any_draw(self, curve, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            synth.pulse_train(np.asarray(curve), 16000, rng, shimmer=0.03)
+        assert rng.bit_generator.state == state
+
+    def test_empty_curve(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = synth.pulse_train(np.zeros(0), 16000, rng, shimmer=0.03)
+        assert out.shape == (0,)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("f0", [50.0, 8000.0, 15999.0])
+    def test_one_sample_curve(self, f0):
+        # the phase starts at 0 and gains less than 1, so one sample never fires
+        ref = assert_matches_oracle(np.array([f0]), 16000)
+        assert ref.tolist() == [0.0]
 
 
 class TestUtterance:
