@@ -1,17 +1,12 @@
 """Track the pitch of a synthetic utterance and work with the trajectory.
 
 Walks through the core f0 workflow: extract a trajectory, bridge unvoiced
-gaps, convert to semitones, and round-trip it through CSV.
+gaps, and view it in semitones.
 """
-
-from pathlib import Path
 
 import numpy as np
 
 from voxmask import pitch, synth
-
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
 
 # A deterministic test speaker saying one "sentence".
 speaker = synth.make_speakers(seed=7)[0]
@@ -33,13 +28,7 @@ print(f"median f0 {np.median(voiced):.1f} Hz, "
 filled = pitch.interpolate_unvoiced(traj)
 assert np.all(np.isfinite(filled.values))
 
-# Semitones relative to 100 Hz linearize pitch perception across speakers.
-st = pitch.hz_to_semitones(filled, ref=100.0)
-print(f"semitone range {st.values.min():+.1f} to {st.values.max():+.1f} st re 100 Hz")
-
-# Trajectories serialize to a plain CSV (time_s, f0_hz, voiced).
-csv_path = OUT / "trajectory.csv"
-pitch.save_trajectory_csv(csv_path, traj)
-back = pitch.load_trajectory_csv(csv_path)
-assert np.allclose(back.values[back.voiced], traj.values[traj.voiced])
-print(f"wrote {csv_path}")
+# Semitones relative to 100 Hz linearize pitch perception across speakers;
+# fda.curve_from_trajectory applies the same mapping with its curve space's reference.
+st = 12.0 * np.log2(filled.values / 100.0)
+print(f"semitone range {st.min():+.1f} to {st.max():+.1f} st re 100 Hz")

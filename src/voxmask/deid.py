@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .fda import FpcaModel, ScoreVector, curve_from_trajectory, fpca_project, reconstruct
-from .pitch import HZ, F0Trajectory
+from .pitch import F0Trajectory
 
 DISGUISE_MODEL = "disguise_model"
 CROSS_GROUP = "cross_group"
@@ -110,15 +110,13 @@ def constant_pitch_shift(t: F0Trajectory, percent: float, max_hz: Optional[float
     max_hz, when given, bounds the shifted voiced values (callers pass
     sample_rate/4 to stay resynthesis-safe).
     """
-    if t.unit != HZ:
-        raise ValueError("constant shift is defined on Hz trajectories")
     if percent <= -100:
         raise ValueError("percent must exceed -100")
     factor = 1.0 + percent / 100.0
     values = t.values * factor
     if max_hz is not None and np.any(values[t.voiced] > max_hz):
         raise ValueError(f"shifted f0 exceeds the safe bound of {max_hz:.1f} Hz")
-    return F0Trajectory(t.times, values, t.voiced, HZ)
+    return F0Trajectory(t.times, values, t.voiced)
 
 
 def anonymize_trajectory(
@@ -157,4 +155,4 @@ def anonymize_trajectory(
     if max_hz is not None and np.any(hz[t.voiced] > max_hz):
         raise ValueError(f"anonymized f0 exceeds the safe bound of {max_hz:.1f} Hz")
     values = np.where(t.voiced, hz, np.nan)
-    return F0Trajectory(t.times, values, t.voiced, HZ)
+    return F0Trajectory(t.times, values, t.voiced)

@@ -22,9 +22,12 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
-from .pitch import DEFAULT_SEMITONE_REF_HZ, F0Trajectory, hz_to_semitones, interpolate_unvoiced
+from .pitch import F0Trajectory, interpolate_unvoiced
 
 MODEL_FORMAT_VERSION = 1
+
+#: Default reference for semitone conversion (12*log2(f/ref)).
+DEFAULT_SEMITONE_REF_HZ = 100.0
 
 DEFAULT_N_BASIS = 202
 DEFAULT_ORDER = 4
@@ -261,8 +264,11 @@ def curve_from_trajectory(t: F0Trajectory, space: CurveSpace) -> FunctionalCurve
     space.ref_hz, the frame times mapped onto the space's uniform grid and the
     result smoothed with smooth_curve.
     """
-    st = hz_to_semitones(interpolate_unvoiced(t), space.ref_hz)
-    return smooth_curve(uniform_resample(st.times, st.values, space.grid_points), space)
+    filled = interpolate_unvoiced(t)
+    if np.any(filled.values <= 0):
+        raise ValueError("all f0 values must be positive")
+    st = 12.0 * np.log2(filled.values / space.ref_hz)
+    return smooth_curve(uniform_resample(filled.times, st, space.grid_points), space)
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,9 +106,9 @@ def load_manifest(path) -> Manifest:
     if len(set(ids)) != len(ids):
         dupes = sorted({u for u in ids if ids.count(u) > 1})
         raise ConfigError(f"duplicate utterance ids in manifest: {dupes[:5]}")
-    for r in rows:
-        if not r.speaker_id or not r.group:
-            raise ConfigError(f"row {r.utterance_id!r} lacks a speaker or group label")
+    for i, r in enumerate(rows, start=1):
+        if not (r.utterance_id and r.path and r.speaker_id and r.group):
+            raise ConfigError(f"manifest row {i} ({r.utterance_id!r}) lacks an utterance id, path, speaker or group")
     return Manifest(rows=tuple(rows), root=path.parent.resolve())
 
 
@@ -142,6 +142,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
     for block in ("pitch", "basis", "strategy", "formant", "evaluation"):
         if not isinstance(data.get(block, {}), dict):
             raise ConfigError(f"config block {block!r} must be a JSON object")
+    ev = data.get("evaluation", {})
+    for key in ("stoi", "eer"):
+        if not isinstance(ev.get(key, True), bool):
+            raise ConfigError(f"evaluation.{key} must be true or false, not {ev[key]!r}")
     try:
         basis = data.get("basis", {})
         strat = data["strategy"]
@@ -154,7 +158,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
             max_components=int(strat.get("max_components", 30)),
         )
         formant = data.get("formant", {})
-        ev = data.get("evaluation", {})
         cfg = PipelineConfig(
             label=data.get("label", "unnamed"),
             pitch={
@@ -167,14 +170,14 @@ def config_from_dict(data: dict) -> PipelineConfig:
                 ),
                 lam=float(basis.get("lambda", fda.DEFAULT_LAMBDA)),
                 grid_points=int(basis.get("grid_points", fda.DEFAULT_GRID_POINTS)),
-                ref_hz=float(data.get("semitone_ref_hz", pitch.DEFAULT_SEMITONE_REF_HZ)),
+                ref_hz=float(data.get("semitone_ref_hz", fda.DEFAULT_SEMITONE_REF_HZ)),
             ),
             strategy=strategy,
             formant=resynth.FormantShiftConfig(
                 factor=float(formant.get("factor", 1.0)), n_formants=int(formant.get("n_formants", 3))
             ),
-            eval_stoi=bool(ev.get("stoi", True)),
-            eval_eer=bool(ev.get("eer", True)),
+            eval_stoi=ev.get("stoi", True),
+            eval_eer=ev.get("eer", True),
             raw=data,
         )
     except (KeyError, TypeError, ValueError) as exc:

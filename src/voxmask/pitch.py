@@ -1,20 +1,13 @@
-"""Autocorrelation f0 tracking, unvoiced-gap interpolation, and semitone conversion."""
+"""Autocorrelation f0 tracking and unvoiced-gap interpolation, all in Hz."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import Waveform, frame_signal
-
-HZ = "hz"
-SEMITONE = "semitone"
-
-#: Default reference for semitone conversion (12*log2(f/ref)).
-DEFAULT_SEMITONE_REF_HZ = 100.0
 
 HOP_S = 0.010
 VOICING_THRESHOLD = 0.45
@@ -40,12 +33,11 @@ class PitchConfig:
 
 @dataclass(frozen=True)
 class F0Trajectory:
-    """Framewise f0 samples. Unvoiced frames carry NaN values."""
+    """Framewise f0 samples in Hz. Unvoiced frames carry NaN values."""
 
     times: np.ndarray
     values: np.ndarray
     voiced: np.ndarray
-    unit: str = HZ
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -57,8 +49,6 @@ class F0Trajectory:
             raise ValueError("times must be strictly increasing")
         if np.any(~np.isfinite(values[voiced])):
             raise ValueError("voiced frames must carry finite values")
-        if self.unit not in (HZ, SEMITONE):
-            raise ValueError(f"unknown unit {self.unit!r}")
         for name, arr in (("times", times), ("values", values), ("voiced", voiced)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -199,7 +189,7 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
     """
     times, freqs, adjs = _candidates(w, cfg)
     chosen = _select_path_greedy(freqs, adjs)
-    return F0Trajectory(times, np.clip(chosen, cfg.floor, cfg.ceiling), ~np.isnan(chosen), HZ)
+    return F0Trajectory(times, np.clip(chosen, cfg.floor, cfg.ceiling), ~np.isnan(chosen))
 
 
 def interpolate_unvoiced(t: F0Trajectory) -> F0Trajectory:
@@ -208,58 +198,10 @@ def interpolate_unvoiced(t: F0Trajectory) -> F0Trajectory:
     Leading/trailing gaps take the nearest voiced value. Voiced frames and
     voicing flags are untouched.
     """
-    if t.unit != HZ:
-        raise ValueError("interpolation is defined on Hz trajectories")
     if t.n_voiced == 0:
         raise ValueError("trajectory has no voiced frames; utterance unusable")
     idx = np.arange(len(t))
     vi = idx[t.voiced]
     values = np.interp(idx, vi, t.values[t.voiced])
     values[t.voiced] = t.values[t.voiced]
-    return F0Trajectory(t.times, values, t.voiced, HZ)
-
-
-def hz_to_semitones(t: F0Trajectory, ref: float = DEFAULT_SEMITONE_REF_HZ) -> F0Trajectory:
-    """Convert to semitones relative to ref: 12*log2(f/ref)."""
-    if t.unit != HZ:
-        raise ValueError("trajectory is not in Hz")
-    if ref <= 0:
-        raise ValueError("ref must be positive")
-    finite = np.isfinite(t.values)
-    if np.any(t.values[finite] <= 0):
-        raise ValueError("all finite f0 values must be positive")
-    values = 12.0 * np.log2(np.where(finite, t.values, np.nan) / ref)
-    return F0Trajectory(t.times, values, t.voiced, SEMITONE)
-
-
-def semitones_to_hz(t: F0Trajectory, ref: float = DEFAULT_SEMITONE_REF_HZ) -> F0Trajectory:
-    """Inverse of hz_to_semitones: ref * 2**(st/12)."""
-    if t.unit != SEMITONE:
-        raise ValueError("trajectory is not in semitones")
-    values = ref * np.exp2(t.values / 12.0)
-    return F0Trajectory(t.times, values, t.voiced, HZ)
-
-
-def save_trajectory_csv(path, t: F0Trajectory) -> None:
-    """Write `time_s,f0_hz,voiced` rows; NaN serialized as an empty field."""
-    if t.unit != HZ:
-        raise ValueError("CSV export expects an Hz trajectory")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "f0_hz", "voiced"])
-        for time, value, v in zip(t.times, t.values, t.voiced):
-            writer.writerow([f"{time:.6f}", "" if np.isnan(value) else f"{value:.6f}", int(v)])
-
-
-def load_trajectory_csv(path) -> F0Trajectory:
-    """Read a trajectory written by save_trajectory_csv."""
-    times, values, voiced = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["time_s", "f0_hz", "voiced"]:
-            raise ValueError(f"unexpected trajectory CSV header: {reader.fieldnames}")
-        for row in reader:
-            times.append(float(row["time_s"]))
-            values.append(float(row["f0_hz"]) if row["f0_hz"] else np.nan)
-            voiced.append(bool(int(row["voiced"])))
-    return F0Trajectory(np.array(times), np.array(values), np.array(voiced), HZ)
+    return F0Trajectory(t.times, values, t.voiced)

@@ -37,8 +37,6 @@ FORMANT_BANDWIDTHS = (90.0, 110.0, 170.0, 250.0)
 GROUP_LOW = "low"
 GROUP_HIGH = "high"
 GROUP_BASE_F0 = {GROUP_LOW: 110.0, GROUP_HIGH: 210.0}
-# pitch-tracker search ranges per group
-GROUP_PITCH_RANGE = {GROUP_LOW: (65.0, 380.0), GROUP_HIGH: (140.0, 520.0)}
 
 CONDITION_MODAL = "modal"
 CONDITION_DISGUISED = "disguised"
@@ -277,20 +275,22 @@ def generate_corpus(
     n_per_group: int = 5,
     n_modal: int = 4,
     n_disguised: int = 2,
-    sessions: int = 2,
     fs: float = SAMPLE_RATE,
 ):
     """Write WAVs, manifest.csv, and trials.csv; returns the manifest path.
 
-    Enrollment material is session-1 modal speech; trial targets are
-    session-2 modal utterances, paired genuine plus within-group impostor.
+    Every speaker records sessions 1 and 2. Enrollment material is session-1
+    modal speech; trial targets are session-2 modal utterances, paired genuine
+    plus within-group impostor.
     """
+    if n_per_group < 1 or n_modal < 1 or n_disguised < 0:
+        raise ValueError("need n_per_group >= 1, n_modal >= 1 and n_disguised >= 0")
     out = Path(out_dir)
     (out / "wav").mkdir(parents=True, exist_ok=True)
     speakers = make_speakers(seed, n_per_group)
     rows = []
     for spk in speakers:
-        for session in range(1, sessions + 1):
+        for session in (1, 2):
             cells = [(CONDITION_MODAL, k) for k in range(n_modal)]
             cells += [(CONDITION_DISGUISED, k) for k in range(n_disguised)]
             for condition, k in cells:

@@ -15,7 +15,6 @@ import numpy as np
 from voxmask.audio import Waveform, num_frames
 from voxmask.pitch import (
     HOP_S,
-    HZ,
     OCTAVE_COST,
     OCTAVE_JUMP_COST,
     SILENCE_THRESHOLD,
@@ -139,4 +138,4 @@ def extract_f0_scalar(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
         if freq is not None:
             values[k] = float(np.clip(freq, cfg.floor, cfg.ceiling))
             voiced[k] = True
-    return F0Trajectory(times, values, voiced, HZ)
+    return F0Trajectory(times, values, voiced)

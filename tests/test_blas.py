@@ -95,8 +95,8 @@ def test_import_leaves_thread_counts_unchanged(caller_counts):
     for k in saved:
         del sys.modules[k]
     try:
-        import voxmask  # noqa: F401  runs every module's top level again
-        import voxmask.pipeline  # noqa: F401
+        import voxmask  # noqa: F401
+        import voxmask.pipeline  # noqa: F401  runs every module's top level again
 
         assert thread_counts() == caller_counts
     finally:

@@ -13,15 +13,15 @@ from voxmask.deid import (
     replacement_first_score,
     select_n_components,
 )
-from voxmask.fda import CurveLabel, CurveSpace, ScoreVector, build_basis, fpca_fit, smooth_curve, uniform_resample
-from voxmask.pitch import HZ, SEMITONE, F0Trajectory, hz_to_semitones, interpolate_unvoiced
+from voxmask.fda import CurveLabel, CurveSpace, ScoreVector, build_basis, curve_from_trajectory, fpca_fit
+from voxmask.pitch import F0Trajectory
 
 
 def hz_traj(values, voiced=None, hop=0.01):
     values = np.asarray(values, dtype=np.float64)
     if voiced is None:
         voiced = np.isfinite(values)
-    return F0Trajectory(np.arange(values.size) * hop, values, np.asarray(voiced, bool), HZ)
+    return F0Trajectory(np.arange(values.size) * hop, values, np.asarray(voiced, bool))
 
 
 def contour(base: float, n: int = 150, bump: float = 0.06, phase: float = 0.0) -> np.ndarray:
@@ -41,9 +41,7 @@ def fit_two_group_model(n_per_group: int = 6):
     for gi, (group, base) in enumerate([("low", 110.0), ("high", 210.0)]):
         for k in range(n_per_group):
             f0 = contour(base * (1 + 0.04 * rng.standard_normal()), phase=rng.uniform(0, 3))
-            st = hz_to_semitones(hz_traj(f0), 100.0)
-            grid = uniform_resample(st.times, st.values, GRID)
-            curves.append(smooth_curve(grid, SPACE))
+            curves.append(curve_from_trajectory(hz_traj(f0), SPACE))
             labels.append(CurveLabel(f"{group}{k}", f"spk_{group}{k}", group, "modal"))
     return fpca_fit(curves, labels, space=SPACE)
 
@@ -188,11 +186,6 @@ class TestConstantShift:
         with pytest.raises(ValueError):
             constant_pitch_shift(hz_traj([3000.0]), 50.0, max_hz=4000.0)
 
-    def test_semitone_unit_rejected(self):
-        t = F0Trajectory(np.array([0.0]), np.array([12.0]), np.array([True]), SEMITONE)
-        with pytest.raises(ValueError):
-            constant_pitch_shift(t, 10.0)
-
 
 class TestAnonymizeTrajectory:
     def test_constant_shift_dispatch(self):
@@ -262,14 +255,12 @@ class TestAnonymizeTrajectory:
         # curve's own s1, so full reconstruction must return the input
         solo_f0 = contour(118.0, phase=1.2)
         curves, labels = [], []
-        st = hz_to_semitones(interpolate_unvoiced(hz_traj(solo_f0)), 100.0)
-        curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), SPACE))
+        curves.append(curve_from_trajectory(hz_traj(solo_f0), SPACE))
         labels.append(CurveLabel("solo0", "solo", "solo", "modal"))
         rng = np.random.default_rng(5)
         for k in range(5):
             f0 = contour(150.0 * (1 + 0.1 * rng.standard_normal()), phase=rng.uniform(0, 3))
-            st = hz_to_semitones(hz_traj(f0), 100.0)
-            curves.append(smooth_curve(uniform_resample(st.times, st.values, GRID), SPACE))
+            curves.append(curve_from_trajectory(hz_traj(f0), SPACE))
             labels.append(CurveLabel(f"r{k}", f"spk{k}", "rest", "modal"))
         model = fpca_fit(curves, labels, space=SPACE)
         strategy = DeidStrategy(

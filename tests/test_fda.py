@@ -31,7 +31,7 @@ from voxmask.fda import (
     smooth_curve,
     uniform_resample,
 )
-from voxmask.pitch import HZ, F0Trajectory
+from voxmask.pitch import F0Trajectory
 
 
 def smooth(y, basis, lam=DEFAULT_LAMBDA):
@@ -278,7 +278,7 @@ class TestSmoothing:
         times = np.arange(150) * 0.01
         for base in (110.0, 220.0):
             f0 = base * (1.0 + 0.05 * np.sin(2 * np.pi * times))
-            fda.curve_from_trajectory(F0Trajectory(times, f0, np.ones(150, bool), HZ), space)
+            fda.curve_from_trajectory(F0Trajectory(times, f0, np.ones(150, bool)), space)
         assert len(calls) == 1
 
     @given(
@@ -355,6 +355,53 @@ class TestUniformResample:
         vals = np.array([1.0, 2.0, 5.0])
         out = uniform_resample(times, vals, 5)
         assert out[0] == 1.0 and out[-1] == 5.0
+
+
+def constant_trajectory(hz: float, voiced=None) -> F0Trajectory:
+    """150 frames at 10 ms of one f0, NaN where unvoiced."""
+    voiced = np.ones(150, bool) if voiced is None else np.asarray(voiced, bool)
+    return F0Trajectory(np.arange(150) * 0.01, np.where(voiced, hz, np.nan), voiced)
+
+
+class TestCurveFromTrajectory:
+    """Hz to semitones re ref_hz (12*log2(f/ref)); CurveSpace.to_hz maps back."""
+
+    def test_octave_is_twelve(self):
+        curve = fda.curve_from_trajectory(constant_trajectory(200.0), CurveSpace(build_basis(20, 4), ref_hz=100.0))
+        np.testing.assert_allclose(curve(np.linspace(0, 1, 50)), 12.0, atol=1e-9)
+
+    def test_reference_is_zero(self):
+        curve = fda.curve_from_trajectory(constant_trajectory(100.0), CurveSpace(build_basis(20, 4), ref_hz=100.0))
+        np.testing.assert_allclose(curve(np.linspace(0, 1, 50)), 0.0, atol=1e-9)
+
+    def test_semitone_examples(self):
+        space = CurveSpace(build_basis(20, 4), ref_hz=100.0)
+        for hz, semitones in ((200.0, 12.0), (100.0, 0.0), (50.0, -12.0)):
+            t = constant_trajectory(hz)
+            curve = fda.curve_from_trajectory(t, space)
+            np.testing.assert_allclose(curve(np.linspace(0, 1, 50)), semitones, atol=1e-9)
+            np.testing.assert_allclose(space.to_hz(curve, t.times), hz, rtol=1e-9)
+
+    def test_nonpositive_value_rejected(self):
+        space = CurveSpace(build_basis(20, 4))
+        for bad in (0.0, -100.0):
+            values = np.full(150, 120.0)
+            values[70] = bad
+            with pytest.raises(ValueError, match="f0 values must be positive"):
+                fda.curve_from_trajectory(F0Trajectory(np.arange(150) * 0.01, values, np.ones(150, bool)), space)
+
+    @given(
+        st.floats(min_value=20.0, max_value=2000.0),
+        st.floats(min_value=20.0, max_value=500.0),
+        st.lists(st.booleans(), min_size=150, max_size=150).filter(any),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, hz, ref, voiced):
+        # a constant is in the spline space and the penalty's null space, so
+        # smoothing keeps it and only the semitone mapping is tested
+        t = constant_trajectory(hz, voiced)
+        space = CurveSpace(build_basis(20, 4), ref_hz=ref)
+        np.testing.assert_allclose(space.to_hz(fda.curve_from_trajectory(t, space), t.times), hz, rtol=1e-9)
 
 
 # ------------------------------------------------------------------ fpca

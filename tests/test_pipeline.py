@@ -159,10 +159,13 @@ class TestConfig:
             ({"basis": {"n_basis": 40, "order": 4, "lambda": -1.0, "grid_points": 200}}, "lambda"),
             ({"basis": {"n_basis": 40, "order": 4, "lambda": 1e-8, "grid_points": 10}}, "grid_points"),
             ({"semitone_ref_hz": 0.0}, "semitone_ref_hz"),
+            ({"evaluation": {"stoi": "false", "eer": True}}, "evaluation.stoi must be true or false, not 'false'"),
+            ({"evaluation": {"stoi": True, "eer": "no"}}, "evaluation.eer must be true or false, not 'no'"),
+            ({"evaluation": {"eer": 0}}, "evaluation.eer must be true or false, not 0"),
         ],
         ids=[
             "inverted_pitch_range", "zero_factor", "negative_factor", "zero_n_formants", "n_basis_below_order",
-            "negative_lambda", "too_few_grid_points", "zero_semitone_ref",
+            "negative_lambda", "too_few_grid_points", "zero_semitone_ref", "stoi_string", "eer_string", "eer_number",
         ],
     )
     def test_bad_values_rejected_at_load(self, over, message):
@@ -709,6 +712,33 @@ class TestCli:
             cli.main, ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), command, *extra]
         )
         assert_config_exit(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["utterance_id", "path"])
+    @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate"])
+    def test_manifest_row_without_id_or_path_exits_2(self, command, field, small_corpus, fitted_model, tmp_path):
+        with open(small_corpus, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[3][field] = ""
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "out"
+        extra = {
+            "fit": [],
+            "anonymize": ["--model", str(fitted_model)],
+            "evaluate": ["--anon-dir", str(Path(small_corpus).parent / "wav"),
+                         "--trials", str(Path(small_corpus).parent / "trials.csv")],
+        }[command]
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(write_config(tmp_path / "c.json")), "--manifest", str(manifest), "--out", str(out),
+             command, *extra],
+        )
+        assert_config_exit(result, "manifest row 4 ")
+        assert "lacks an utterance id, path, speaker or group" in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -12,31 +12,25 @@ from voxmask.audio import Waveform, read_wav
 from voxmask.pitch import (
     BLOCK_FRAMES,
     HOP_S,
-    HZ,
-    SEMITONE,
     SILENCE_THRESHOLD,
     VOICING_THRESHOLD,
     WINDOW_PERIODS,
     F0Trajectory,
     PitchConfig,
     extract_f0,
-    hz_to_semitones,
     interpolate_unvoiced,
-    load_trajectory_csv,
-    save_trajectory_csv,
-    semitones_to_hz,
 )
 
 from conftest import make_tone, make_test_vowel
 from pitch_oracle import extract_f0_scalar, frame_candidates_scalar
 
 
-def traj(values, voiced=None, unit=HZ, hop=0.01):
+def traj(values, voiced=None, hop=0.01):
     values = np.asarray(values, dtype=np.float64)
     if voiced is None:
         voiced = np.isfinite(values)
     times = np.arange(values.size) * hop
-    return F0Trajectory(times, values, np.asarray(voiced, bool), unit)
+    return F0Trajectory(times, values, np.asarray(voiced, bool))
 
 
 class TestConfig:
@@ -245,62 +239,3 @@ class TestInterpolate:
         t = traj(vals)
         out = interpolate_unvoiced(t)
         np.testing.assert_array_equal(out.values[t.voiced], t.values[t.voiced])
-
-
-class TestSemitones:
-    def test_octave_is_twelve(self):
-        out = hz_to_semitones(traj([200.0]), ref=100.0)
-        assert out.values[0] == pytest.approx(12.0)
-        assert out.unit == SEMITONE
-
-    def test_reference_is_zero(self):
-        out = hz_to_semitones(traj([100.0]), ref=100.0)
-        assert out.values[0] == pytest.approx(0.0)
-
-    def test_semitone_examples(self):
-        st_traj = traj([12.0, 0.0, -12.0], voiced=[True] * 3, unit=SEMITONE)
-        out = semitones_to_hz(st_traj, ref=100.0)
-        np.testing.assert_allclose(out.values, [200.0, 100.0, 50.0])
-        assert out.unit == HZ
-
-    def test_nonpositive_value_rejected(self):
-        with pytest.raises(ValueError):
-            hz_to_semitones(traj([0.0], voiced=[True]), ref=100.0)
-
-    def test_wrong_unit_rejected(self):
-        st_traj = traj([1.0], voiced=[True], unit=SEMITONE)
-        with pytest.raises(ValueError):
-            hz_to_semitones(st_traj)
-        with pytest.raises(ValueError):
-            semitones_to_hz(traj([100.0]))
-
-    @given(
-        st.lists(st.floats(min_value=20.0, max_value=2000.0), min_size=1, max_size=30),
-        st.floats(min_value=20.0, max_value=500.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, hz_values, ref):
-        t = traj(hz_values)
-        back = semitones_to_hz(hz_to_semitones(t, ref), ref)
-        np.testing.assert_allclose(back.values, t.values, rtol=1e-9)
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        t = traj([100.0, np.nan, 150.5])
-        p = tmp_path / "t.csv"
-        save_trajectory_csv(p, t)
-        header = p.read_text().splitlines()[0]
-        assert header == "time_s,f0_hz,voiced"
-        back = load_trajectory_csv(p)
-        np.testing.assert_allclose(back.times, t.times)
-        np.testing.assert_array_equal(back.voiced, t.voiced)
-        np.testing.assert_allclose(back.values[back.voiced], t.values[t.voiced])
-        assert np.all(np.isnan(back.values[~back.voiced]))
-
-    def test_nan_serialized_empty(self, tmp_path):
-        t = traj([100.0, np.nan])
-        p = tmp_path / "t.csv"
-        save_trajectory_csv(p, t)
-        lines = p.read_text().splitlines()
-        assert lines[2].endswith(",,0") or ",," in lines[2]

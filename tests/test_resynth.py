@@ -12,7 +12,7 @@ import psola_oracle
 from voxmask import pipeline, resynth
 from voxmask.audio import Waveform, read_wav
 from voxmask.evaluation import stoi
-from voxmask.pitch import HZ, F0Trajectory, PitchConfig, extract_f0, interpolate_unvoiced
+from voxmask.pitch import F0Trajectory, PitchConfig, extract_f0, interpolate_unvoiced
 from voxmask.resynth import (
     EpochSequence,
     FormantShiftConfig,
@@ -36,7 +36,7 @@ def extract_interp(w: Waveform) -> F0Trajectory:
 
 
 def scaled(t: F0Trajectory, factor: float) -> F0Trajectory:
-    return F0Trajectory(t.times, t.values * factor, t.voiced, HZ)
+    return F0Trajectory(t.times, t.values * factor, t.voiced)
 
 
 def median_formants(w: Waveform, order: int = 13, n: int = 3):
@@ -133,9 +133,7 @@ class TestEpochs:
 
     def test_unvoiced_anchors_at_ten_ms(self):
         w = Waveform(np.zeros(16000), 16000)
-        t = F0Trajectory(
-            np.arange(100) * 0.01, np.full(100, np.nan), np.zeros(100, bool), HZ
-        )
+        t = F0Trajectory(np.arange(100) * 0.01, np.full(100, np.nan), np.zeros(100, bool))
         ep = detect_epochs(w, t)
         assert not np.any(ep.voiced)
         np.testing.assert_array_equal(np.diff(ep.positions), 160)
@@ -205,9 +203,7 @@ class TestPsola:
         rng = np.random.default_rng(9)
         w = Waveform(0.1 * rng.standard_normal(8000), 16000)
         frames = 48
-        t = F0Trajectory(
-            np.arange(frames) * 0.01, np.full(frames, np.nan), np.zeros(frames, bool), HZ
-        )
+        t = F0Trajectory(np.arange(frames) * 0.01, np.full(frames, np.nan), np.zeros(frames, bool))
         out = psola_modify(w, t, t)
         assert out.samples.size == w.samples.size
         # unvoiced grains are copied at their source positions
@@ -414,7 +410,7 @@ def fixed_epochs(monkeypatch, positions, voiced):
 
 def flat_track(f0: float, frames: int, voiced=True) -> F0Trajectory:
     v = np.full(frames, voiced)
-    return F0Trajectory(np.arange(frames) * 0.01, np.where(v, f0, np.nan), v, HZ)
+    return F0Trajectory(np.arange(frames) * 0.01, np.where(v, f0, np.nan), v)
 
 
 class TestPsolaOracle:
@@ -488,8 +484,8 @@ class TestPsolaOracle:
         w = make_test_vowel(f0, duration=frames * 0.01 + 0.02, seed=seed)
         v = np.asarray(voicing)
         wobble = 1.0 + 0.1 * np.sin(np.arange(frames) / 3.0)
-        source = F0Trajectory(np.arange(frames) * 0.01 + 0.01, np.where(v, f0 * wobble, np.nan), v, HZ)
-        target = F0Trajectory(source.times, source.values * ratio, v, HZ)
+        source = F0Trajectory(np.arange(frames) * 0.01 + 0.01, np.where(v, f0 * wobble, np.nan), v)
+        target = F0Trajectory(source.times, source.values * ratio, v)
         assert_psola_matches_oracle(w, source, target)
         if source.n_voiced:
             src = interpolate_unvoiced(source)

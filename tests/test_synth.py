@@ -249,8 +249,19 @@ class TestCorpus:
     def test_seed_changes_audio(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        synth.generate_corpus(a, seed=31, n_per_group=1, n_modal=1, n_disguised=0, sessions=1)
-        synth.generate_corpus(b, seed=32, n_per_group=1, n_modal=1, n_disguised=0, sessions=1)
+        synth.generate_corpus(a, seed=31, n_per_group=1, n_modal=1, n_disguised=0)
+        synth.generate_corpus(b, seed=32, n_per_group=1, n_modal=1, n_disguised=0)
         ha = _tree_hashes(a)
         hb = _tree_hashes(b)
         assert any(ha[k] != hb[k] for k in ha if k.startswith("wav/"))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"n_per_group": 0}, {"n_modal": 0}, {"n_disguised": -1}],
+        ids=["no_speakers", "no_modal", "negative_disguised"],
+    )
+    def test_empty_or_negative_sizes_rejected(self, sizes, tmp_path):
+        out = tmp_path / "corp"
+        with pytest.raises(ValueError, match="n_per_group >= 1, n_modal >= 1 and n_disguised >= 0"):
+            synth.generate_corpus(out, seed=1, **sizes)
+        assert not out.exists()
