@@ -22,10 +22,10 @@ print(f"corpus at {corpus}")
 
 # One smooth curve per utterance: extract f0, then curve_from_trajectory fills
 # gaps, converts to semitones, resamples onto a normalized time grid and
-# applies penalized smoothing. The CurveSpace fixes all four choices (basis,
-# smoothing lambda, grid, semitone reference) for every curve, and factors
-# its smoothing system once, on the first curve.
-space = fda.CurveSpace(fda.build_basis(n_basis=60, order=4), lam=1e-8, grid_points=200, ref_hz=100.0)
+# applies penalized smoothing. The CurveSpace fixes all of these choices (60
+# cubic B-splines, smoothing lambda, grid, semitone reference) for every
+# curve, and factors its smoothing system once, on the first curve.
+space = fda.CurveSpace(60, 4, lam=1e-8, grid_points=200, ref_hz=100.0)
 ranges = {"low": (65.0, 380.0), "high": (140.0, 520.0)}
 curves, labels = [], []
 import csv
@@ -39,8 +39,9 @@ with open(manifest, newline="") as fh:
         labels.append(fda.CurveLabel(row["utterance_id"], row["speaker_id"],
                                      row["group"], row["condition"]))
 
-# The model keeps the space it was fit in: its scores mean something only there.
-model = fda.fpca_fit(curves, labels, space=space)
+# Every curve carries its space, and the model keeps it: its scores mean
+# something only there.
+model = fda.fpca_fit(curves, labels)
 print(f"{len(curves)} curves -> {model.n_components} components")
 print("variance fractions:", np.round(model.variance_fraction[:5], 3))
 
@@ -63,9 +64,10 @@ np.savetxt(OUT / "component_1.csv",
 print(f"wrote {OUT / 'component_1.csv'}")
 
 # Models round-trip through JSON, curve space included; projection of a
-# training curve returns its stored score vector.
+# training curve returns its stored scores, one per component.
 fda.save_model(OUT / "pitch_model.json", model)
 reloaded = fda.load_model(OUT / "pitch_model.json")
 scores = fda.fpca_project(curves[0], reloaded)
-assert np.allclose(scores.values, model.training_scores[0], atol=1e-8)
+assert reloaded.space == space
+assert np.allclose(scores, model.training_scores[0], atol=1e-8)
 print(f"wrote {OUT / 'pitch_model.json'}")

@@ -42,7 +42,7 @@ class _Group(click.Group):
 @click.option("--config", type=click.Path(), default=None, help="Pipeline config JSON.")
 @click.option("--manifest", type=click.Path(), default=None, help="Corpus manifest CSV.")
 @click.option("--out", type=click.Path(), default=None, help="Output file or directory.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Parallel workers.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers.")
 @click.option("--seed", type=int, default=1234, show_default=True, help="Corpus generation seed.")
 @click.pass_context
 def main(ctx, config, manifest, out, workers, seed):

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fda import FpcaModel, ScoreVector, curve_from_trajectory, fpca_project, reconstruct
+from .fda import FpcaModel, curve_from_trajectory, fpca_project, reconstruct
 from .pitch import F0Trajectory
 
 DISGUISE_MODEL = "disguise_model"
@@ -93,15 +93,15 @@ def replacement_first_score(strategy: DeidStrategy, model: FpcaModel, speaker: s
     raise ValueError(f"strategy {strategy.kind!r} defines no replacement score")
 
 
-def anonymize_scores(original: ScoreVector, replacement_s1: float, n: int) -> ScoreVector:
+def anonymize_scores(original: np.ndarray, replacement_s1: float, n: int) -> np.ndarray:
     """Swap index 0 for the replacement, keep indices 1..n-1, drop the rest."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > len(original):
         raise ValueError(f"n = {n} exceeds the {len(original)} available scores")
-    values = original.values[:n].copy()
+    values = original[:n].copy()
     values[0] = replacement_s1
-    return ScoreVector(values=values, curve_id=original.curve_id)
+    return values
 
 
 def constant_pitch_shift(t: F0Trajectory, percent: float, max_hz: Optional[float] = None) -> F0Trajectory:

@@ -1,11 +1,11 @@
 """B-spline curve representation and functional PCA in coefficient space.
 
 Curves live on the normalized domain [0,1]. A CurveSpace fixes how an f0
-trajectory becomes a curve (basis, smoothing lambda, resampling grid,
-semitone reference); it is checked once when built, and factors its
-penalized normal matrix and builds its basis Gram matrix once, on first use.
-An FpcaModel owns the space it was fit in, and its scores mean something
-only there. All inner products are true L2 inner products: the basis is not
+trajectory becomes a curve (B-spline basis size and order, smoothing lambda,
+resampling grid, semitone reference); it is checked once when built, and
+factors its penalized normal matrix and builds its Gram matrix on first use.
+Every curve and FpcaModel carries its space, and scores mean something only
+there. All inner products are true L2 inner products: the basis is not
 orthonormal, so the Gram matrix enters every projection. The eigenproblem is
 solved in the metric-corrected coordinates Y = (X - mean) @ L with G = L L^T,
 which makes ordinary PCA on Y equivalent to functional PCA on the curves.
@@ -35,59 +35,84 @@ DEFAULT_LAMBDA = 1e-8
 DEFAULT_GRID_POINTS = 600
 
 
-@dataclass(frozen=True, eq=False)
-class BSplineBasis:
-    """B-spline system on [0,1]: order = degree + 1, knots with order-fold endpoints."""
+@dataclass(frozen=True)
+class CurveSpace:
+    """The one f0 -> curve representation: basis, smoothing lambda, grid, semitone reference.
 
-    order: int
-    n_basis: int
-    knots: np.ndarray
+    The basis is order-`order` B-splines (degree order - 1) on [0,1] with
+    equally spaced interior knots and order-fold endpoint knots; n_basis =
+    order + number of interior knots, so (202, 4) places 198 interior knots.
+    Every curve fitted, projected or rebuilt against one model must come from
+    the same space. The constructor is the only place these values are
+    checked. The knots, the grid design matrix, the Cholesky factor of the
+    penalized normal matrix and the basis Gram matrix are built on first use
+    and then shared by every curve smoothed, fitted or projected in this space.
+    """
+
+    n_basis: int = DEFAULT_N_BASIS
+    order: int = DEFAULT_ORDER
+    lam: float = DEFAULT_LAMBDA
+    grid_points: int = DEFAULT_GRID_POINTS
+    ref_hz: float = DEFAULT_SEMITONE_REF_HZ
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
+        if not self.order >= 3:
+            raise ValueError(f"basis.order ({self.order}) must be at least 3 for the second-derivative penalty")
+        if not self.n_basis >= self.order:
+            raise ValueError(f"n_basis ({self.n_basis}) must be at least order ({self.order})")
+        if not self.lam >= 0:
+            raise ValueError("basis.lambda must be nonnegative")
+        if not self.grid_points >= self.n_basis / 3:
+            raise ValueError(
+                f"basis.grid_points ({self.grid_points}) underdetermine a "
+                f"{self.n_basis}-function basis; need at least n_basis/3"
+            )
+        if not self.ref_hz > 0:
+            raise ValueError("semitone_ref_hz must be positive")
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        breaks = np.linspace(0.0, 1.0, self.n_basis - self.order + 2)
+        knots = np.concatenate([np.zeros(self.order), breaks[1:-1], np.ones(self.order)])
         knots.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
+        return knots
 
-    @property
-    def degree(self) -> int:
-        return self.order - 1
+    @cached_property
+    def design(self) -> np.ndarray:
+        """Basis values on the uniform grid k/(grid_points-1)."""
+        return design_matrix(self, np.linspace(0.0, 1.0, self.grid_points))
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Distinct span boundaries, endpoints included."""
-        return np.unique(self.knots)
+    @cached_property
+    def factor(self) -> tuple:
+        """cho_factor of D^T D + lam * P; failure means the grid cannot support the basis."""
+        d = self.design
+        a = d.T @ d + self.lam * penalty_matrix(self)
+        try:
+            return cho_factor(a)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The basis Gram matrix: every L2 inner product of curves in this space."""
+        return gram_matrix(self)
 
-def same_basis(a: BSplineBasis, b: BSplineBasis) -> bool:
-    return a.order == b.order and a.n_basis == b.n_basis and np.array_equal(a.knots, b.knots)
-
-
-def build_basis(n_basis: int = DEFAULT_N_BASIS, order: int = DEFAULT_ORDER) -> BSplineBasis:
-    """Equally spaced interior knots on [0,1] with order-fold endpoint knots.
-
-    The count convention is n_basis = order + number of interior knots, so
-    (202, 4) places 198 interior knots.
-    """
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    if n_basis < order:
-        raise ValueError(f"n_basis ({n_basis}) must be at least order ({order})")
-    n_interior = n_basis - order
-    breaks = np.linspace(0.0, 1.0, n_interior + 2)
-    knots = np.concatenate([np.zeros(order), breaks[1:-1], np.ones(order)])
-    return BSplineBasis(order=order, n_basis=n_basis, knots=knots)
+    def to_hz(self, curve: FunctionalCurve, times: np.ndarray) -> np.ndarray:
+        """A semitone curve in Hz at frame times, mapped onto [0,1] as the fit mapped them."""
+        tn = (times - times[0]) / (times[-1] - times[0])
+        return self.ref_hz * np.exp2(curve(tn) / 12.0)
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionalCurve:
-    basis: BSplineBasis
+    space: CurveSpace
     coefficients: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.shape != (self.basis.n_basis,):
+        if c.shape != (self.space.n_basis,):
             raise ValueError(
-                f"coefficient vector of length {c.shape} does not match n_basis {self.basis.n_basis}"
+                f"coefficient vector of length {c.shape} does not match n_basis {self.space.n_basis}"
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
@@ -96,7 +121,7 @@ class FunctionalCurve:
         object.__setattr__(self, "coefficients", c)
 
     def __call__(self, t) -> np.ndarray:
-        spl = BSpline(self.basis.knots, self.coefficients, self.basis.degree, extrapolate=False)
+        spl = BSpline(self.space.knots, self.coefficients, self.space.order - 1, extrapolate=False)
         return spl(np.asarray(t, dtype=np.float64))
 
 
@@ -110,42 +135,20 @@ class CurveLabel:
     condition: str
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreVector:
-    values: np.ndarray
-    curve_id: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("scores must be a 1-D vector")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def design_matrix(basis: BSplineBasis, t: np.ndarray) -> np.ndarray:
+def design_matrix(space: CurveSpace, t: np.ndarray) -> np.ndarray:
     """Dense matrix of basis values, rows indexed by evaluation points."""
     t = np.asarray(t, dtype=np.float64)
-    return BSpline.design_matrix(t, basis.knots, basis.degree).toarray()
+    return BSpline.design_matrix(t, space.knots, space.order - 1).toarray()
 
 
-def _deriv2_design(basis: BSplineBasis, t: np.ndarray) -> np.ndarray:
-    spl = BSpline(basis.knots, np.eye(basis.n_basis), basis.degree)
-    return spl.derivative(2)(np.asarray(t, dtype=np.float64))
-
-
-def _quadrature_nodes(basis: BSplineBasis):
+def _quadrature_nodes(space: CurveSpace):
     """Gauss-Legendre nodes/weights over every knot span, (order+1) per span.
 
     Exact for polynomials up to degree 2*order+1, which covers products of
     basis functions (degree 2*(order-1)) and of their second derivatives.
     """
-    gx, gw = np.polynomial.legendre.leggauss(basis.order + 1)
-    breaks = basis.breakpoints
+    gx, gw = np.polynomial.legendre.leggauss(space.order + 1)
+    breaks = np.unique(space.knots)
     lo, hi = breaks[:-1], breaks[1:]
     half = 0.5 * (hi - lo)
     nodes = (half[:, None] * (gx[None, :] + 1.0) + lo[:, None]).ravel()
@@ -153,20 +156,18 @@ def _quadrature_nodes(basis: BSplineBasis):
     return nodes, weights
 
 
-def gram_matrix(basis: BSplineBasis) -> np.ndarray:
+def gram_matrix(space: CurveSpace) -> np.ndarray:
     """G[i,j] = integral of phi_i * phi_j over [0,1], exact by quadrature."""
-    nodes, weights = _quadrature_nodes(basis)
-    d = design_matrix(basis, nodes)
+    nodes, weights = _quadrature_nodes(space)
+    d = design_matrix(space, nodes)
     g = d.T @ (weights[:, None] * d)
     return 0.5 * (g + g.T)
 
 
-def penalty_matrix(basis: BSplineBasis) -> np.ndarray:
+def penalty_matrix(space: CurveSpace) -> np.ndarray:
     """P[i,j] = integral of phi_i'' * phi_j''; null space is the affine curves."""
-    if basis.order < 3:
-        raise ValueError("second-derivative penalty needs order >= 3")
-    nodes, weights = _quadrature_nodes(basis)
-    d2 = _deriv2_design(basis, nodes)
+    nodes, weights = _quadrature_nodes(space)
+    d2 = BSpline(space.knots, np.eye(space.n_basis), space.order - 1).derivative(2)(nodes)
     p = d2.T @ (weights[:, None] * d2)
     return 0.5 * (p + p.T)
 
@@ -184,63 +185,6 @@ def uniform_resample(times: np.ndarray, values: np.ndarray, n_points: int) -> np
     return np.interp(np.linspace(0.0, 1.0, n_points), tn, values)
 
 
-@dataclass(frozen=True, eq=False)
-class CurveSpace:
-    """The one f0 -> curve representation: basis, smoothing lambda, grid, semitone reference.
-
-    Every curve fitted, projected or rebuilt against one model must come from
-    the same space. The constructor is the only place lam, grid_points and
-    ref_hz are checked. The grid design matrix, the Cholesky factor of the
-    penalized normal matrix and the basis Gram matrix are built on first use
-    and then shared by every curve smoothed, fitted or projected in this space.
-    """
-
-    basis: BSplineBasis
-    lam: float = DEFAULT_LAMBDA
-    grid_points: int = DEFAULT_GRID_POINTS
-    ref_hz: float = DEFAULT_SEMITONE_REF_HZ
-
-    def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError("basis.lambda must be nonnegative")
-        if not self.grid_points >= self.basis.n_basis / 3:
-            raise ValueError(
-                f"basis.grid_points ({self.grid_points}) underdetermine a "
-                f"{self.basis.n_basis}-function basis; need at least n_basis/3"
-            )
-        if not self.ref_hz > 0:
-            raise ValueError("semitone_ref_hz must be positive")
-
-    @cached_property
-    def design(self) -> np.ndarray:
-        """Basis values on the uniform grid k/(grid_points-1)."""
-        return design_matrix(self.basis, np.linspace(0.0, 1.0, self.grid_points))
-
-    @cached_property
-    def factor(self) -> tuple:
-        """cho_factor of D^T D + lam * P; failure means the grid cannot support the basis."""
-        d = self.design
-        a = d.T @ d + self.lam * penalty_matrix(self.basis)
-        try:
-            return cho_factor(a)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"singular normal matrix; degenerate sampling or basis: {exc}") from exc
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The basis Gram matrix: every L2 inner product of curves in this space."""
-        return gram_matrix(self.basis)
-
-    def to_hz(self, curve: FunctionalCurve, times: np.ndarray) -> np.ndarray:
-        """A semitone curve in Hz at frame times, mapped onto [0,1] as the fit mapped them."""
-        tn = (times - times[0]) / (times[-1] - times[0])
-        return self.ref_hz * np.exp2(curve(tn) / 12.0)
-
-
-def same_space(a: CurveSpace, b: CurveSpace) -> bool:
-    return same_basis(a.basis, b.basis) and (a.lam, a.grid_points, a.ref_hz) == (b.lam, b.grid_points, b.ref_hz)
-
-
 def smooth_curve(samples: np.ndarray, space: CurveSpace) -> FunctionalCurve:
     """Penalized least-squares fit of values sampled on the space's uniform grid.
 
@@ -254,7 +198,7 @@ def smooth_curve(samples: np.ndarray, space: CurveSpace) -> FunctionalCurve:
         raise ValueError(f"{y.size} samples do not match the space's {space.grid_points}-point grid")
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
-    return FunctionalCurve(space.basis, cho_solve(space.factor, space.design.T @ y))
+    return FunctionalCurve(space, cho_solve(space.factor, space.design.T @ y))
 
 
 def curve_from_trajectory(t: F0Trajectory, space: CurveSpace) -> FunctionalCurve:
@@ -289,6 +233,18 @@ class FpcaModel:
     training_scores: np.ndarray
     labels: Optional[tuple]
 
+    def __post_init__(self):
+        k = len(self.components)
+        if k < 1:
+            raise ValueError("a model needs at least one component")
+        shape = self.training_scores.shape
+        if len(shape) != 2 or shape[1] != k:
+            raise ValueError(f"training_scores of shape {shape} need {k} columns, one per component")
+        if self.eigenvalues.shape != (k,) or self.variance_fraction.shape != (k,):
+            raise ValueError(f"eigenvalues and variance_fraction need one entry per component ({k})")
+        if self.labels is not None and len(self.labels) != shape[0]:
+            raise ValueError(f"{len(self.labels)} labels for {shape[0]} training curves")
+
     @property
     def n_components(self) -> int:
         return len(self.components)
@@ -317,13 +273,8 @@ def _fix_component_signs(b: np.ndarray, gram_ones: np.ndarray) -> np.ndarray:
     return b
 
 
-def fpca_fit(
-    curves: Sequence[FunctionalCurve],
-    labels: Optional[Sequence[CurveLabel]] = None,
-    *,
-    space: CurveSpace,
-) -> FpcaModel:
-    """Fit functional PCA over curves smoothed in one curve space, which the model keeps.
+def fpca_fit(curves: Sequence[FunctionalCurve], labels: Optional[Sequence[CurveLabel]] = None) -> FpcaModel:
+    """Fit functional PCA over curves of one curve space, which the model keeps.
 
     The coefficient covariance C is transformed to L^T C L (G = L L^T); its
     symmetric eigendecomposition gives eigenfunctions B = L^{-T} U that are
@@ -334,10 +285,10 @@ def fpca_fit(
     curves = list(curves)
     if len(curves) < 2:
         raise ValueError("functional PCA needs at least 2 curves")
-    basis = space.basis
+    space = curves[0].space
     for k, c in enumerate(curves):
-        if not same_basis(c.basis, basis):
-            raise ValueError(f"curve {k} is not on the curve space's basis")
+        if c.space != space:
+            raise ValueError(f"curve {k} is not in the curve space of curve 0")
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != len(curves):
@@ -357,9 +308,9 @@ def fpca_fit(
     w = np.maximum(w[order], 0.0)
     u = u[:, order]
 
-    n_keep = min(n_curves - 1, basis.n_basis)
+    n_keep = min(n_curves - 1, space.n_basis)
     b = solve_triangular(l, u[:, :n_keep], trans="T", lower=True)
-    b = _fix_component_signs(b, g @ np.ones(basis.n_basis))
+    b = _fix_component_signs(b, g @ np.ones(space.n_basis))
 
     total = float(np.sum(w))
     if total <= 0:
@@ -368,10 +319,10 @@ def fpca_fit(
     variance_fraction = eigenvalues / total
     scores = xc @ (g @ b)
 
-    components = tuple(FunctionalCurve(basis, b[:, j]) for j in range(n_keep))
+    components = tuple(FunctionalCurve(space, b[:, j]) for j in range(n_keep))
     return FpcaModel(
         space=space,
-        mean=FunctionalCurve(basis, mean_c),
+        mean=FunctionalCurve(space, mean_c),
         components=components,
         eigenvalues=eigenvalues,
         variance_fraction=variance_fraction,
@@ -380,16 +331,15 @@ def fpca_fit(
     )
 
 
-def fpca_project(curve: FunctionalCurve, model: FpcaModel, curve_id: str = "") -> ScoreVector:
-    """Scores s_i = <curve - mean, PC_i> under the L2 inner product."""
-    if not same_basis(curve.basis, model.space.basis):
-        raise ValueError("curve basis does not match model basis")
+def fpca_project(curve: FunctionalCurve, model: FpcaModel) -> np.ndarray:
+    """Scores s_i = <curve - mean, PC_i> under the L2 inner product, one per component."""
+    if curve.space != model.space:
+        raise ValueError("curve is not in the model's curve space")
     centered = curve.coefficients - model.mean.coefficients
-    values = (model.space.gram @ centered) @ model.component_matrix()
-    return ScoreVector(values=values, curve_id=curve_id)
+    return (model.space.gram @ centered) @ model.component_matrix()
 
 
-def reconstruct(model: FpcaModel, scores: ScoreVector, n: int) -> FunctionalCurve:
+def reconstruct(model: FpcaModel, scores: np.ndarray, n: int) -> FunctionalCurve:
     """Eq.-style synthesis: mean + sum_{i<n} s_i * PC_i, in coefficient space."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -399,20 +349,20 @@ def reconstruct(model: FpcaModel, scores: ScoreVector, n: int) -> FunctionalCurv
         raise ValueError(f"n = {n} exceeds the {len(scores)} provided scores")
     c = model.mean.coefficients.copy()
     if n:
-        c = c + model.component_matrix()[:, :n] @ scores.values[:n]
-    return FunctionalCurve(model.space.basis, c)
+        c = c + model.component_matrix()[:, :n] @ scores[:n]
+    return FunctionalCurve(model.space, c)
 
 
 def save_model(path, model: FpcaModel) -> None:
-    """Serialize to JSON, the curve space included: its basis and a curve_space block.
+    """Serialize to JSON, the curve space included: a basis block and a curve_space block.
 
-    The block (lambda, grid, semitone reference) lets a later run check that it
-    uses the same space. The Gram matrix is recomputed on load, not stored.
+    The blocks (basis size and order; lambda, grid, semitone reference) let a
+    later run check that it uses the same space. The Gram matrix is recomputed on load, not stored.
     """
     space = model.space
     payload = {
         "version": MODEL_FORMAT_VERSION,
-        "basis": {"n_basis": space.basis.n_basis, "order": space.basis.order},
+        "basis": {"n_basis": space.n_basis, "order": space.order},
         "curve_space": {"lambda": space.lam, "grid_points": space.grid_points, "semitone_ref_hz": space.ref_hz},
         "mean": model.mean.coefficients.tolist(),
         "components": [c.coefficients.tolist() for c in model.components],
@@ -439,9 +389,8 @@ def load_model(path) -> FpcaModel:
         raise ValueError(f"unsupported model file version: {version!r}")
     if "curve_space" not in payload:
         raise ValueError("model file has no curve_space block, so its scores cannot be checked; refit the model")
-    basis = build_basis(payload["basis"]["n_basis"], payload["basis"]["order"])
-    cs = payload["curve_space"]
-    space = CurveSpace(basis, cs["lambda"], cs["grid_points"], cs["semitone_ref_hz"])
+    basis, cs = payload["basis"], payload["curve_space"]
+    space = CurveSpace(basis["n_basis"], basis["order"], cs["lambda"], cs["grid_points"], cs["semitone_ref_hz"])
     labels = payload["labels"]
     if labels is not None:
         labels = tuple(
@@ -450,10 +399,10 @@ def load_model(path) -> FpcaModel:
             )
             for l in labels
         )
-    components = tuple(FunctionalCurve(basis, np.asarray(c)) for c in payload["components"])
+    components = tuple(FunctionalCurve(space, np.asarray(c)) for c in payload["components"])
     return FpcaModel(
         space=space,
-        mean=FunctionalCurve(basis, np.asarray(payload["mean"])),
+        mean=FunctionalCurve(space, np.asarray(payload["mean"])),
         components=components,
         eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
         variance_fraction=np.asarray(payload["variance_fraction"], dtype=np.float64),

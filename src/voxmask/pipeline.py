@@ -2,21 +2,22 @@
 
 All commands are plain functions so they can be driven from the CLI or from
 tests. load_config turns the config JSON into typed objects once (a
-PitchConfig per group, the fda.CurveSpace that fixes basis, smoothing lambda,
-grid and semitone reference, the FormantShiftConfig), so a bad value is a
-ConfigError before any audio is read; so is a missing or unreadable model
-file, which one reader loads. A model owns the curve space it was fit in,
-and anonymize rejects a config whose space is not that one. Per-utterance
-work is a frozen job dataclass: FitJob (a path and the group's PitchConfig)
-for f0 tracking; AnonymizeJob, which adds the manifest row, its resolved
-strategy and the FormantShiftConfig; EvalJob, one file to embed and score by
-STOI. anonymize reads its model once per run, factors its space and builds
-its Gram matrix before the pool starts, and hands the model to each worker
-once, through the pool's initializer. A command starts at most one pool and
-aggregates in utterance-id order, so the worker count never changes output
-bytes. Every command and pool worker runs OpenBLAS at one thread (see blas),
-so the core count and the BLAS thread settings do not change them either: the
-worker count is the only parallelism.
+PitchConfig per group, the fda.CurveSpace built from the basis block and the
+semitone reference, the FormantShiftConfig), so a bad value is a ConfigError
+before any audio is read; so is a missing or inconsistent model file, which
+one reader loads. A model owns the curve space it was fit in, and anonymize
+rejects a config whose space is not equal to it. fit and anonymize factor
+their space and build its Gram matrix before they read any audio, so a space
+the grid cannot support is a ConfigError too. Per-utterance work is a frozen
+job dataclass: FitJob (a path and the group's PitchConfig) for f0 tracking;
+AnonymizeJob, which adds the manifest row, its resolved strategy and the
+FormantShiftConfig; EvalJob, one file to embed and score by STOI. anonymize
+reads its model once per run and hands it, its space factored, to each
+worker once, through the pool's initializer. A command starts at most one
+pool and aggregates in utterance-id order, so the worker count never changes
+output bytes. Every command and pool worker runs OpenBLAS at one thread (see
+blas), so the core count and the BLAS thread settings do not change them
+either: the worker count is the only parallelism.
 """
 
 from __future__ import annotations
@@ -165,9 +166,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
                 for g, v in data["pitch"].items()
             },
             curve_space=fda.CurveSpace(
-                fda.build_basis(
-                    int(basis.get("n_basis", fda.DEFAULT_N_BASIS)), int(basis.get("order", fda.DEFAULT_ORDER))
-                ),
+                n_basis=int(basis.get("n_basis", fda.DEFAULT_N_BASIS)),
+                order=int(basis.get("order", fda.DEFAULT_ORDER)),
                 lam=float(basis.get("lambda", fda.DEFAULT_LAMBDA)),
                 grid_points=int(basis.get("grid_points", fda.DEFAULT_GRID_POINTS)),
                 ref_hz=float(data.get("semitone_ref_hz", fda.DEFAULT_SEMITONE_REF_HZ)),
@@ -255,16 +255,17 @@ def cmd_fit(
     if len(rows) < 2:
         raise ConfigError("functional PCA needs at least 2 matching utterances")
     rows = sorted(rows, key=lambda r: r.utterance_id)
+    _prepare_space(cfg.curve_space)
 
     jobs = [FitJob(str(manifest.resolve(r)), cfg.pitch_config(r.group)) for r in rows]
-    # smoothing stays in this process, so the space factors its normal matrix
-    # once for every curve
+    # smoothing stays in this process, so every curve uses the one factor built
+    # above
     curves = [fda.curve_from_trajectory(t, cfg.curve_space) for t in _map_jobs(_fit_job, jobs, workers)]
     labels = [
         fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
         for r in rows
     ]
-    model = fda.fpca_fit(curves, labels, space=cfg.curve_space)
+    model = fda.fpca_fit(curves, labels)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fda.save_model(out_path, model)
@@ -343,12 +344,19 @@ def _read_model(model_path) -> fda.FpcaModel:
         raise ConfigError(f"unreadable model file {model_path}: {exc}") from exc
 
 
-def _describe_basis(space: fda.CurveSpace) -> str:
-    return f"n_basis {space.basis.n_basis}, order {space.basis.order}"
-
-
 def _describe_space(space: fda.CurveSpace) -> str:
-    return f"lambda {space.lam!r}, grid_points {space.grid_points}, semitone_ref_hz {space.ref_hz!r}"
+    return (
+        f"n_basis {space.n_basis}, order {space.order}, lambda {space.lam!r}, "
+        f"grid_points {space.grid_points}, semitone_ref_hz {space.ref_hz!r}"
+    )
+
+
+def _prepare_space(space: fda.CurveSpace) -> None:
+    """Factor the space and build its Gram matrix before any audio is read; a singular one is a ConfigError."""
+    try:
+        space.factor, space.gram  # built once here; pool workers inherit or unpickle them
+    except ValueError as exc:
+        raise ConfigError(f"curve space ({_describe_space(space)}): {exc}") from exc
 
 
 def _check_donors(model: fda.FpcaModel, model_path, jobs) -> None:
@@ -393,16 +401,12 @@ def cmd_anonymize(
         if model_path is None:
             raise ConfigError(f"strategy {cfg.strategy.kind!r} requires a model file")
         model = _read_model(model_path)  # once per run; fail fast before touching any audio
-        space = model.space
-        if not fda.same_space(space, cfg.curve_space):
-            # name the basis when that is what differs, else the rest of the space
-            same_basis = fda.same_basis(space.basis, cfg.curve_space.basis)
-            what, describe = ("curve space", _describe_space) if same_basis else ("basis", _describe_basis)
-            raise ConfigError(f"config {what} ({describe(cfg.curve_space)}) is not the model's ({describe(space)})")
-        try:
-            space.factor, space.gram  # built once here; pool workers inherit or unpickle them
-        except ValueError as exc:
-            raise ConfigError(f"model curve space ({_describe_space(space)}): {exc}") from exc
+        if model.space != cfg.curve_space:
+            raise ConfigError(
+                f"config curve space ({_describe_space(cfg.curve_space)}) "
+                f"is not the model's ({_describe_space(model.space)})"
+            )
+        _prepare_space(model.space)
     rows = manifest.filter(groups=groups, conditions=(synth.CONDITION_MODAL,), sessions=sessions)
     if not rows:
         raise ConfigError("no modal utterances match the given filters")

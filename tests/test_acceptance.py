@@ -5,7 +5,6 @@ measurements alongside the pass/fail status.
 """
 
 import csv
-import dataclasses
 import hashlib
 import time
 from pathlib import Path
@@ -20,7 +19,8 @@ from voxmask.evaluation import TrialSet, compute_eer, stoi
 
 from conftest import make_test_vowel
 from test_evaluation import brute_force_eer
-from test_fda import dense_grid_pca, make_family, space_of
+from test_deid import with_fractions
+from test_fda import dense_grid_pca, make_family
 from test_resynth import median_formants
 
 PRESETS = Path(voxmask.__file__).parent / "presets"
@@ -106,8 +106,8 @@ def test_criterion_01_fpca_matches_dense_grid_pca():
     t0 = time.perf_counter()
     worst_val, worst_fun = 0.0, 0.0
     for seed, kind in ((11, "trig"), (12, "poly"), (13, "bumps")):
-        curves, labels = make_family(seed, n_curves=20, kind=kind, m=600)
-        model = fda.fpca_fit(curves, labels, space=space_of(curves))
+        curves, labels = make_family(seed, n_curves=20, kind=kind)
+        model = fda.fpca_fit(curves, labels)
         ref_vals, ref_funcs, grid = dense_grid_pca(curves)
         w = np.full(grid.size, 1.0 / (grid.size - 1))
         w[0] *= 0.5
@@ -136,8 +136,8 @@ def test_criterion_01_fpca_matches_dense_grid_pca():
 
 
 def test_criterion_02_reconstruction_completeness():
-    curves, labels = make_family(21, n_curves=20, kind="trig", m=600)
-    model = fda.fpca_fit(curves, labels, space=space_of(curves))
+    curves, labels = make_family(21, n_curves=20, kind="trig")
+    model = fda.fpca_fit(curves, labels)
     grid = np.linspace(0.0, 1.0, 600)
     worst_full = 0.0
     for curve in curves:
@@ -158,13 +158,11 @@ def test_criterion_02_reconstruction_completeness():
 
 
 def test_criterion_03_variance_accounting():
-    curves, labels = make_family(33, n_curves=12, kind="poly", m=600)
-    model = fda.fpca_fit(curves, labels, space=space_of(curves))
+    curves, labels = make_family(33, n_curves=12, kind="poly")
+    model = fda.fpca_fit(curves, labels)
     total = float(np.sum(model.variance_fraction))
     assert abs(total - 1.0) <= 1e-9
-    fake = dataclasses.replace(
-        model, variance_fraction=np.array([0.5, 0.3, 0.15, 0.05])
-    )
+    fake = with_fractions(model, [0.5, 0.3, 0.15, 0.05])
     n = deid.select_n_components(fake, threshold=0.9, cap=30)
     assert n == 3
     print(

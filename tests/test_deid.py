@@ -13,7 +13,7 @@ from voxmask.deid import (
     replacement_first_score,
     select_n_components,
 )
-from voxmask.fda import CurveLabel, CurveSpace, ScoreVector, build_basis, curve_from_trajectory, fpca_fit
+from voxmask.fda import CurveLabel, CurveSpace, curve_from_trajectory, fpca_fit
 from voxmask.pitch import F0Trajectory
 
 
@@ -30,9 +30,7 @@ def contour(base: float, n: int = 150, bump: float = 0.06, phase: float = 0.0) -
     return base * declination * (1.0 + bump * np.sin(2 * np.pi * t + phase))
 
 
-BASIS = build_basis(40, 4)
-GRID = 200
-SPACE = CurveSpace(BASIS, 1e-8, GRID, 100.0)
+SPACE = CurveSpace(40, 4, 1e-8, 200, 100.0)
 
 
 def fit_two_group_model(n_per_group: int = 6):
@@ -43,7 +41,19 @@ def fit_two_group_model(n_per_group: int = 6):
             f0 = contour(base * (1 + 0.04 * rng.standard_normal()), phase=rng.uniform(0, 3))
             curves.append(curve_from_trajectory(hz_traj(f0), SPACE))
             labels.append(CurveLabel(f"{group}{k}", f"spk_{group}{k}", group, "modal"))
-    return fpca_fit(curves, labels, space=SPACE)
+    return fpca_fit(curves, labels)
+
+
+def with_fractions(model, fractions):
+    """The model cut to its first len(fractions) components, with those variance fractions."""
+    k = len(fractions)
+    return dataclasses.replace(
+        model,
+        components=model.components[:k],
+        eigenvalues=model.eigenvalues[:k],
+        variance_fraction=np.asarray(fractions, dtype=np.float64),
+        training_scores=model.training_scores[:, :k],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +83,15 @@ class TestStrategyValidation:
 
 class TestSelectNComponents:
     def test_single_component(self, two_group_model):
-        model = dataclasses.replace(two_group_model, variance_fraction=np.array([1.0]))
+        model = with_fractions(two_group_model, [1.0])
         assert select_n_components(model, 0.9, 30) == 1
 
     def test_worked_cumulative_sum(self, two_group_model):
-        fractions = np.array([0.5, 0.3, 0.15, 0.05])
-        model = dataclasses.replace(two_group_model, variance_fraction=fractions)
+        model = with_fractions(two_group_model, [0.5, 0.3, 0.15, 0.05])
         assert select_n_components(model, 0.9, 30) == 3
 
     def test_cap_binds(self, two_group_model):
-        fractions = np.array([0.5, 0.3, 0.15, 0.05])
-        model = dataclasses.replace(two_group_model, variance_fraction=fractions)
+        model = with_fractions(two_group_model, [0.5, 0.3, 0.15, 0.05])
         assert select_n_components(model, 0.9, 2) == 2
 
     def test_threshold_validation(self, two_group_model):
@@ -93,8 +101,7 @@ class TestSelectNComponents:
             select_n_components(two_group_model, 30, 30)
 
     def test_never_zero(self, two_group_model):
-        fractions = np.array([0.99, 0.01])
-        model = dataclasses.replace(two_group_model, variance_fraction=fractions)
+        model = with_fractions(two_group_model, [0.99, 0.01])
         assert select_n_components(model, 0.5, 30) == 1
 
 
@@ -144,27 +151,28 @@ class TestReplacementScore:
 
 class TestAnonymizeScores:
     def test_worked_example(self):
-        out = anonymize_scores(ScoreVector(np.array([5.0, 1.0, 2.0])), 9.0, 3)
-        np.testing.assert_allclose(out.values, [9.0, 1.0, 2.0])
+        original = np.array([5.0, 1.0, 2.0])
+        out = anonymize_scores(original, 9.0, 3)
+        np.testing.assert_allclose(out, [9.0, 1.0, 2.0])
+        np.testing.assert_array_equal(original, [5.0, 1.0, 2.0])  # the input is left alone
 
     def test_identity_swap_truncates(self):
-        original = ScoreVector(np.array([5.0, 1.0, 2.0, 7.0]))
-        out = anonymize_scores(original, 5.0, 2)
-        np.testing.assert_allclose(out.values, [5.0, 1.0])
+        out = anonymize_scores(np.array([5.0, 1.0, 2.0, 7.0]), 5.0, 2)
+        np.testing.assert_allclose(out, [5.0, 1.0])
 
     def test_single_component(self):
-        out = anonymize_scores(ScoreVector(np.array([5.0, 1.0])), -3.5, 1)
-        np.testing.assert_allclose(out.values, [-3.5])
+        out = anonymize_scores(np.array([5.0, 1.0]), -3.5, 1)
+        np.testing.assert_allclose(out, [-3.5])
 
     def test_tail_untouched_exactly(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(10)
-        out = anonymize_scores(ScoreVector(vals), 99.0, 10)
-        np.testing.assert_array_equal(out.values[1:], vals[1:])
+        out = anonymize_scores(vals, 99.0, 10)
+        np.testing.assert_array_equal(out[1:], vals[1:])
 
     def test_excessive_n_rejected(self):
         with pytest.raises(ValueError):
-            anonymize_scores(ScoreVector(np.array([1.0])), 0.0, 2)
+            anonymize_scores(np.array([1.0]), 0.0, 2)
 
 
 class TestConstantShift:
@@ -206,7 +214,7 @@ class TestAnonymizeTrajectory:
         strategy = DeidStrategy(kind="cross_group", donor_group="high")
         with pytest.raises(TypeError, match="space"):
             anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
-        moved = dataclasses.replace(two_group_model, space=CurveSpace(BASIS, 1e-8, GRID, 200.0))
+        moved = dataclasses.replace(two_group_model, space=dataclasses.replace(SPACE, ref_hz=200.0))
         a = anonymize_trajectory(t, two_group_model, strategy)
         b = anonymize_trajectory(t, moved, strategy)
         assert not np.allclose(a.values[t.voiced], b.values[t.voiced])
@@ -262,7 +270,7 @@ class TestAnonymizeTrajectory:
             f0 = contour(150.0 * (1 + 0.1 * rng.standard_normal()), phase=rng.uniform(0, 3))
             curves.append(curve_from_trajectory(hz_traj(f0), SPACE))
             labels.append(CurveLabel(f"r{k}", f"spk{k}", "rest", "modal"))
-        model = fpca_fit(curves, labels, space=SPACE)
+        model = fpca_fit(curves, labels)
         strategy = DeidStrategy(
             kind="cross_group", donor_group="solo", variance_threshold=1.0, max_components=99
         )

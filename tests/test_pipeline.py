@@ -134,8 +134,8 @@ class TestConfig:
         del data["basis"]
         del data["formant"]
         cfg = pipeline.config_from_dict(data)
-        assert cfg.curve_space.basis.n_basis == fda.DEFAULT_N_BASIS
-        assert cfg.curve_space.basis.order == fda.DEFAULT_ORDER
+        assert cfg.curve_space == fda.CurveSpace()
+        assert (cfg.curve_space.n_basis, cfg.curve_space.order) == (fda.DEFAULT_N_BASIS, fda.DEFAULT_ORDER)
         assert cfg.formant.factor == 1.0
 
     def test_hash_ignores_key_order(self):
@@ -156,6 +156,8 @@ class TestConfig:
             ({"formant": {"factor": -1.2, "n_formants": 3}}, "factor must be positive"),
             ({"formant": {"factor": 1.2, "n_formants": 0}}, "n_formants"),
             ({"basis": {"n_basis": 3, "order": 4}}, "n_basis"),
+            ({"basis": {"n_basis": 40, "order": 2, "lambda": 1e-8, "grid_points": 200}},
+             r"basis.order \(2\) must be at least 3 for the second-derivative penalty"),
             ({"basis": {"n_basis": 40, "order": 4, "lambda": -1.0, "grid_points": 200}}, "lambda"),
             ({"basis": {"n_basis": 40, "order": 4, "lambda": 1e-8, "grid_points": 10}}, "grid_points"),
             ({"semitone_ref_hz": 0.0}, "semitone_ref_hz"),
@@ -165,7 +167,7 @@ class TestConfig:
         ],
         ids=[
             "inverted_pitch_range", "zero_factor", "negative_factor", "zero_n_formants", "n_basis_below_order",
-            "negative_lambda", "too_few_grid_points", "zero_semitone_ref", "stoi_string", "eer_string", "eer_number",
+            "order_below_three", "negative_lambda", "too_few_grid_points", "zero_semitone_ref", "stoi_string", "eer_string", "eer_number",
         ],
     )
     def test_bad_values_rejected_at_load(self, over, message):
@@ -224,7 +226,7 @@ class TestFit:
     def test_model_records_its_curve_space(self, fitted_model, config_path):
         space = fda.load_model(fitted_model).space
         assert space is not None
-        assert fda.same_space(space, pipeline.load_config(config_path).curve_space)
+        assert space == pipeline.load_config(config_path).curve_space
 
     def test_empty_filter_names_predicate(self, small_corpus, config_path, tmp_path):
         with pytest.raises(ConfigError, match="nosuch"):
@@ -377,10 +379,10 @@ class TestAnonymize:
         for name in ("penalty_matrix", "gram_matrix"):
             real = getattr(fda, name)
 
-            def counted(basis, name=name, real=real):
+            def counted(space, name=name, real=real):
                 with open(calls, "a") as fh:
                     fh.write(f"{name}\n")
-                return real(basis)
+                return real(space)
 
             monkeypatch.setattr(fda, name, counted)
         cfg = write_config(tmp_path / "c.json")
@@ -675,8 +677,9 @@ class TestCli:
              "floor < ceiling"),
             ({"formant": {"factor": 0.0, "n_formants": 3}}, "factor must be positive"),
             ({"basis": {"n_basis": 40, "order": 4, "lambda": -1.0, "grid_points": 200}}, "lambda"),
+            ({"basis": {"n_basis": 40, "order": 2, "lambda": 1e-8, "grid_points": 200}}, "must be at least 3"),
         ],
-        ids=["inverted_pitch_range", "zero_factor", "negative_lambda"],
+        ids=["inverted_pitch_range", "zero_factor", "negative_lambda", "order_below_three"],
     )
     @pytest.mark.parametrize("command", ["fit", "anonymize"])
     def test_bad_config_value_exits_2_before_any_output(self, command, over, message, small_corpus, fitted_model,
@@ -761,7 +764,11 @@ class TestCli:
             ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), "anonymize",
              "--model", str(fitted_model)],
         )
-        assert_config_exit(result, "config basis (n_basis 30, order 4) is not the model's (n_basis 40, order 4)")
+        assert_config_exit(
+            result,
+            "config curve space (n_basis 30, order 4, lambda 1e-08, grid_points 200, semitone_ref_hz 100.0) "
+            "is not the model's (n_basis 40, order 4, lambda 1e-08, grid_points 200, semitone_ref_hz 100.0)",
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -784,7 +791,7 @@ class TestCli:
              "--model", str(fitted_model)],
         )
         assert_config_exit(
-            result, "is not the model's (lambda 1e-08, grid_points 200, semitone_ref_hz 100.0)"
+            result, "is not the model's (n_basis 40, order 4, lambda 1e-08, grid_points 200, semitone_ref_hz 100.0)"
         )
         assert message in result.stderr
         assert not out.exists()
@@ -797,8 +804,9 @@ class TestCli:
             ("wrong_version", "unsupported model file version: 99"),
             ("not_an_object", "unsupported model file version: None"),
             ("no_curve_space", "has no curve_space block, so its scores cannot be checked; refit the model"),
+            ("extra_label", "25 labels for 24 training curves"),
         ],
-        ids=["missing", "truncated", "wrong_version", "not_an_object", "no_curve_space"],
+        ids=["missing", "truncated", "wrong_version", "not_an_object", "no_curve_space", "extra_label"],
     )
     @pytest.mark.parametrize("command", ["anonymize", "export-curves"])
     def test_bad_model_file_exits_2(self, command, damage, message, small_corpus, fitted_model, tmp_path):
@@ -813,6 +821,9 @@ class TestCli:
             model.write_text(json.dumps([data]))
         elif damage == "no_curve_space":
             del data["curve_space"]
+            model.write_text(json.dumps(data))
+        elif damage == "extra_label":
+            data["labels"].append(data["labels"][0])
             model.write_text(json.dumps(data))
         out = tmp_path / "out"
         args = ["--out", str(out), command, "--model", str(model)]
@@ -840,6 +851,31 @@ class TestCli:
         assert "no 'disguised'-condition training curves for speaker" in result.stderr
         assert reads == []
         assert not out.exists()
+
+    def test_fit_rejects_an_unfactorable_curve_space_before_reading_audio(self, small_corpus, tmp_path, monkeypatch):
+        # 14 grid points cannot determine 40 basis functions without a penalty
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
+        cfg = write_config(tmp_path / "c.json", basis={"n_basis": 40, "order": 4, "lambda": 0.0, "grid_points": 14})
+        model = tmp_path / "model.json"
+        result = CliRunner().invoke(
+            cli.main, ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(model), "fit"]
+        )
+        assert_config_exit(result, "grid_points 14, semitone_ref_hz 100.0): singular normal matrix")
+        assert reads == []
+        assert not model.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_a_usage_error(self, workers, small_corpus, config_path, tmp_path):
+        model = tmp_path / "model.json"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--workers", workers, "--config", str(config_path), "--manifest", str(small_corpus), "--out", str(model),
+             "fit"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--workers'" in result.stderr and "x>=1" in result.stderr
+        assert not model.exists()
 
     def test_bad_config_exits_2(self, small_corpus, tmp_path):
         bad = write_config(tmp_path / "c.json", version=99)
