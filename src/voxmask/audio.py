@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.io import wavfile
@@ -103,13 +104,19 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     g = math.gcd(w.sample_rate, target_rate)
     up, down = target_rate // g, w.sample_rate // g
-    max_rate = max(up, down)
+    y = resample_poly(w.samples, up, down, window=_resample_taps(max(up, down)))
+    return Waveform(y, target_rate)
+
+
+@lru_cache(maxsize=64)
+def _resample_taps(max_rate: int) -> np.ndarray:
+    """The anti-aliasing FIR for a rate ratio whose larger term is max_rate, designed once and read-only."""
     # 32 periods per phase keeps the kaiser transition band under ~2% of the
     # lower Nyquist, so stopband rejection holds just past the cutoff
     half_len = 32 * max_rate
     taps = firwin(2 * half_len + 1, 0.95 / max_rate, window=("kaiser", 8.0))
-    y = resample_poly(w.samples, up, down, window=taps)
-    return Waveform(y, target_rate)
+    taps.setflags(write=False)
+    return taps
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:

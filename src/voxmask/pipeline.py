@@ -134,6 +134,20 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _count(value, key: str) -> int:
+    """A JSON integer, else a ConfigError naming key: a fraction, bool or string is no count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be a whole number, not {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A JSON number as a float, else a ConfigError naming key: a bool or string is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build every typed object once; their own checks make a bad value a ConfigError."""
     if not isinstance(data, dict):
@@ -152,29 +166,32 @@ def config_from_dict(data: dict) -> PipelineConfig:
         strat = data["strategy"]
         strategy = deid.DeidStrategy(
             kind=strat["kind"],
-            shift_percent=float(strat.get("shift_percent", 0.0)),
+            shift_percent=_number(strat.get("shift_percent", 0.0), "strategy.shift_percent"),
             donor_group=strat.get("donor_group", ""),
             donor_condition=strat.get("donor_condition", "disguised"),
-            variance_threshold=float(strat.get("variance_threshold", 0.9)),
-            max_components=int(strat.get("max_components", 30)),
+            variance_threshold=_number(strat.get("variance_threshold", 0.9), "strategy.variance_threshold"),
+            max_components=_count(strat.get("max_components", 30), "strategy.max_components"),
         )
         formant = data.get("formant", {})
         cfg = PipelineConfig(
             label=data.get("label", "unnamed"),
             pitch={
-                g: pitch.PitchConfig(floor=float(v["floor"]), ceiling=float(v["ceiling"]))
+                g: pitch.PitchConfig(
+                    floor=_number(v["floor"], f"pitch.{g}.floor"), ceiling=_number(v["ceiling"], f"pitch.{g}.ceiling")
+                )
                 for g, v in data["pitch"].items()
             },
             curve_space=fda.CurveSpace(
-                n_basis=int(basis.get("n_basis", fda.DEFAULT_N_BASIS)),
-                order=int(basis.get("order", fda.DEFAULT_ORDER)),
-                lam=float(basis.get("lambda", fda.DEFAULT_LAMBDA)),
-                grid_points=int(basis.get("grid_points", fda.DEFAULT_GRID_POINTS)),
-                ref_hz=float(data.get("semitone_ref_hz", fda.DEFAULT_SEMITONE_REF_HZ)),
+                n_basis=_count(basis.get("n_basis", fda.DEFAULT_N_BASIS), "basis.n_basis"),
+                order=_count(basis.get("order", fda.DEFAULT_ORDER), "basis.order"),
+                lam=_number(basis.get("lambda", fda.DEFAULT_LAMBDA), "basis.lambda"),
+                grid_points=_count(basis.get("grid_points", fda.DEFAULT_GRID_POINTS), "basis.grid_points"),
+                ref_hz=_number(data.get("semitone_ref_hz", fda.DEFAULT_SEMITONE_REF_HZ), "semitone_ref_hz"),
             ),
             strategy=strategy,
             formant=resynth.FormantShiftConfig(
-                factor=float(formant.get("factor", 1.0)), n_formants=int(formant.get("n_formants", 3))
+                factor=_number(formant.get("factor", 1.0), "formant.factor"),
+                n_formants=_count(formant.get("n_formants", 3), "formant.n_formants"),
             ),
             eval_stoi=ev.get("stoi", True),
             eval_eer=ev.get("eer", True),

@@ -106,9 +106,8 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
     positions, flags = [], []
 
     if voiced_spans:
-        cutoff = min(1000.0, 0.45 * fs)
-        sos = butter(4, cutoff / (fs / 2), output="sos")
-        lp = sosfiltfilt(sos, x)
+        # sosfilt's compiled kernel takes writable buffers only, so it gets a copy
+        lp = sosfiltfilt(_epoch_lowpass(fs).copy(), x)
         for a, b in voiced_spans:
             seg = lp[a:b]
             ref = (1.0 if np.max(seg) >= -np.min(seg) else -1.0) * seg
@@ -150,6 +149,15 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
     v = np.concatenate(flags)[order]
     keep = np.concatenate([[True], np.diff(pos) >= 2])
     return EpochSequence(pos[keep], v[keep])
+
+
+@lru_cache(maxsize=64)
+def _epoch_lowpass(fs: int) -> np.ndarray:
+    """detect_epochs' 4th-order Butterworth low-pass at rate fs, as sos; designed once per rate, read-only."""
+    cutoff = min(1000.0, 0.45 * fs)
+    sos = butter(4, cutoff / (fs / 2), output="sos")
+    sos.setflags(write=False)
+    return sos
 
 
 @lru_cache(maxsize=1024)

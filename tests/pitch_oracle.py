@@ -83,8 +83,13 @@ def _select_path_greedy(candidates):
     return values
 
 
-def frame_candidates_scalar(w: Waveform, cfg: PitchConfig) -> list:
-    """Every frame's candidate list [(freq, adj), ...], strongest first."""
+def frame_candidates_scalar(w: Waveform, cfg: PitchConfig, nfft=None) -> list:
+    """Every frame's candidate list [(freq, adj), ...], strongest first.
+
+    nfft is the FFT size of every frame's ACF. By default it is extract_f0's: the
+    smallest power of two of at least win_n + lag_hi + 2 points, so no lag up to
+    lag_hi + 1 wraps around.
+    """
     fs = w.sample_rate
     if cfg.ceiling >= fs / 2:
         raise ValueError("ceiling must stay below the Nyquist frequency")
@@ -97,13 +102,13 @@ def frame_candidates_scalar(w: Waveform, cfg: PitchConfig) -> list:
         )
 
     n_fr = num_frames(x.size, win_n, hop_n)
-    window = np.hanning(win_n)
-    nfft = 1 << int(np.ceil(np.log2(2 * win_n)))
-    rw = _window_acf(window, nfft)
-
     search_fmax = min(2.0 * cfg.ceiling, 0.45 * fs)
     lag_lo = max(2, int(np.floor(fs / search_fmax)))
     lag_hi = int(np.ceil(fs / cfg.floor))
+    if nfft is None:
+        nfft = 1 << int(np.ceil(np.log2(win_n + lag_hi + 2)))
+    window = np.hanning(win_n)
+    rw = _window_acf(window, nfft)
     global_peak = float(np.max(np.abs(x))) if x.size else 0.0
 
     candidates = []
@@ -123,8 +128,8 @@ def frame_candidates_scalar(w: Waveform, cfg: PitchConfig) -> list:
     return candidates
 
 
-def extract_f0_scalar(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
-    candidates = frame_candidates_scalar(w, cfg)
+def extract_f0_scalar(w: Waveform, cfg: PitchConfig, nfft=None) -> F0Trajectory:
+    candidates = frame_candidates_scalar(w, cfg, nfft)
     chosen = _select_path_greedy(candidates)
 
     fs = w.sample_rate

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.signal import firwin, resample_poly
 
+from voxmask import audio
 from voxmask.audio import (
     AudioFormatError,
     UnsupportedFormatError,
@@ -105,6 +107,19 @@ class TestReadWrite:
 
 
 class TestResample:
+    @pytest.mark.parametrize("rate, target", [(44100, 16000), (16000, 44100), (22050, 16000), (48000, 16000)])
+    def test_cached_taps_give_the_freshly_designed_filters_bits(self, rate, target):
+        w = make_noise(0.3, fs=rate, seed=rate)
+        up, down = target // np.gcd(rate, target), rate // np.gcd(rate, target)
+        taps = firwin(64 * max(up, down) + 1, 0.95 / max(up, down), window=("kaiser", 8.0))
+        want = resample_poly(w.samples, up, down, window=taps)
+        for _ in range(2):  # the second call reads the cache
+            assert np.array_equal(resample(w, target).samples, want)
+        cached = audio._resample_taps(max(up, down))
+        assert cached is audio._resample_taps(max(up, down)) and np.array_equal(cached, taps)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
+
     def test_identity_at_same_rate(self):
         w = make_noise(0.2, fs=16000, seed=1)
         out = resample(w, 16000)

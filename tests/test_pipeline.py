@@ -164,10 +164,31 @@ class TestConfig:
             ({"evaluation": {"stoi": "false", "eer": True}}, "evaluation.stoi must be true or false, not 'false'"),
             ({"evaluation": {"stoi": True, "eer": "no"}}, "evaluation.eer must be true or false, not 'no'"),
             ({"evaluation": {"eer": 0}}, "evaluation.eer must be true or false, not 0"),
+            ({"basis": {"n_basis": 40.9, "order": 4}}, r"basis.n_basis must be a whole number, not 40.9"),
+            ({"basis": {"n_basis": 40.0, "order": 4}}, r"basis.n_basis must be a whole number, not 40.0"),
+            ({"basis": {"n_basis": "40", "order": 4}}, r"basis.n_basis must be a whole number, not '40'"),
+            ({"basis": {"n_basis": 40, "order": 4.7}}, r"basis.order must be a whole number, not 4.7"),
+            ({"basis": {"n_basis": 40, "order": True}}, r"basis.order must be a whole number, not True"),
+            ({"basis": {"n_basis": 40, "grid_points": 200.5}}, r"basis.grid_points must be a whole number, not 200.5"),
+            ({"strategy": {"kind": "cross_group", "max_components": 2.9}},
+             r"strategy.max_components must be a whole number, not 2.9"),
+            ({"formant": {"factor": 1.2, "n_formants": True}}, r"formant.n_formants must be a whole number, not True"),
+            ({"pitch": {"low": {"floor": True, "ceiling": 380.0}}}, r"pitch.low.floor must be a number, not True"),
+            ({"pitch": {"low": {"floor": 65.0, "ceiling": "380"}}}, r"pitch.low.ceiling must be a number, not '380'"),
+            ({"formant": {"factor": True, "n_formants": 3}}, r"formant.factor must be a number, not True"),
+            ({"basis": {"n_basis": 40, "lambda": False}}, r"basis.lambda must be a number, not False"),
+            ({"semitone_ref_hz": True}, r"semitone_ref_hz must be a number, not True"),
+            ({"strategy": {"kind": "constant_shift", "shift_percent": True}},
+             r"strategy.shift_percent must be a number, not True"),
+            ({"strategy": {"kind": "cross_group", "variance_threshold": False}},
+             r"strategy.variance_threshold must be a number, not False"),
         ],
         ids=[
             "inverted_pitch_range", "zero_factor", "negative_factor", "zero_n_formants", "n_basis_below_order",
             "order_below_three", "negative_lambda", "too_few_grid_points", "zero_semitone_ref", "stoi_string", "eer_string", "eer_number",
+            "n_basis_fraction", "n_basis_float", "n_basis_string", "order_fraction", "order_bool", "grid_points_fraction",
+            "max_components_fraction", "n_formants_bool", "floor_bool", "ceiling_string", "factor_bool", "lambda_bool",
+            "semitone_ref_bool", "shift_percent_bool", "variance_threshold_bool",
         ],
     )
     def test_bad_values_rejected_at_load(self, over, message):
@@ -678,8 +699,15 @@ class TestCli:
             ({"formant": {"factor": 0.0, "n_formants": 3}}, "factor must be positive"),
             ({"basis": {"n_basis": 40, "order": 4, "lambda": -1.0, "grid_points": 200}}, "lambda"),
             ({"basis": {"n_basis": 40, "order": 2, "lambda": 1e-8, "grid_points": 200}}, "must be at least 3"),
+            ({"basis": {"n_basis": 40.9, "order": 4}}, "basis.n_basis must be a whole number, not 40.9"),
+            ({"formant": {"factor": 1.2, "n_formants": True}}, "formant.n_formants must be a whole number, not True"),
+            ({"strategy": {"kind": "cross_group", "max_components": "30"}},
+             "strategy.max_components must be a whole number, not '30'"),
+            ({"pitch": {"low": {"floor": True, "ceiling": 380.0}, "high": {"floor": 140.0, "ceiling": 520.0}}},
+             "pitch.low.floor must be a number, not True"),
         ],
-        ids=["inverted_pitch_range", "zero_factor", "negative_lambda", "order_below_three"],
+        ids=["inverted_pitch_range", "zero_factor", "negative_lambda", "order_below_three", "n_basis_fraction",
+             "n_formants_bool", "max_components_string", "floor_bool"],
     )
     @pytest.mark.parametrize("command", ["fit", "anonymize"])
     def test_bad_config_value_exits_2_before_any_output(self, command, over, message, small_corpus, fitted_model,

@@ -206,6 +206,63 @@ class TestOracle:
             extract_f0(w, cfg)
 
 
+def twice_the_window_nfft(fs, cfg):
+    """The FFT size the tracker used before it followed the lags read: the power of two >= 2 * win_n."""
+    win_n = int(round(WINDOW_PERIODS / cfg.floor * fs))
+    return 1 << int(np.ceil(np.log2(2 * win_n)))
+
+
+class TestAcfSize:
+    """The ACF FFT is only as long as the lags read need, and wraps around at none of them."""
+
+    @pytest.mark.parametrize("fs", RATES)
+    @pytest.mark.parametrize("name", sorted(RANGES))
+    def test_no_wrap_around_at_the_lags_read(self, fs, name, monkeypatch):
+        cfg = RANGES[name]
+        lag_hi = int(np.ceil(fs / cfg.floor))
+        frame_acf, window_acf, seen = pitch._frame_acf, pitch._window_acf, []
+
+        def spy_frame_acf(frames, window, nfft):
+            r = frame_acf(frames, window, nfft)
+            seen.extend(((frame - frame.mean()) * window, acf) for frame, acf in zip(frames, r))
+            return r
+
+        def spy_window_acf(window, nfft):
+            r = window_acf(window, nfft)
+            seen.append((window, r * np.dot(window, window)))
+            return r
+
+        monkeypatch.setattr(pitch, "_frame_acf", spy_frame_acf)
+        monkeypatch.setattr(pitch, "_window_acf", spy_window_acf)
+        pitch._candidates(edge_signals(fs, cfg)[f"{BLOCK_FRAMES + 1}_frames"], cfg)
+        assert len(seen) == 1 + BLOCK_FRAMES + 1
+        for x, acf in seen:
+            linear = np.correlate(x, x, "full")[x.size - 1 : x.size + lag_hi + 1]
+            # FFT rounding scales with the whole ACF, so lags near a zero crossing
+            # are held to 1e-12 of the lag-0 value rather than of their own
+            np.testing.assert_allclose(acf[: lag_hi + 2], linear, rtol=1e-12, atol=1e-12 * linear[0])
+
+    @pytest.mark.parametrize("fs", RATES)
+    def test_edge_inputs_match_the_tracker_padded_to_twice_the_window(self, fs):
+        for cfg in RANGES.values():
+            for w in edge_signals(fs, cfg).values():
+                assert_matches_twice_the_window(w, cfg)
+
+    def test_corpus_utterances_match_the_tracker_padded_to_twice_the_window(self, corpus_1234):
+        for row, w in corpus_1234:
+            for cfg in (RANGES[row.group], RANGES["wide"]):
+                assert assert_matches_twice_the_window(w, cfg).n_voiced > 0
+
+
+def assert_matches_twice_the_window(w, cfg):
+    """Same voicing as the oracle padded to 2 * win_n, and f0 values within 1e-12 relative."""
+    got = extract_f0(w, cfg)
+    want = extract_f0_scalar(w, cfg, twice_the_window_nfft(w.sample_rate, cfg))
+    assert np.array_equal(got.voiced, want.voiced)
+    np.testing.assert_allclose(got.values[got.voiced], want.values[want.voiced], rtol=1e-12, atol=0)
+    return got
+
+
 class TestInterpolate:
     def test_interior_gap_linear(self):
         t = traj([100.0, np.nan, 200.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter, welch
+from scipy.signal import butter, lfilter, welch
 
 import psola_oracle
 from voxmask import pipeline, resynth
@@ -142,6 +142,14 @@ class TestEpochs:
         w = make_test_vowel(140.0, duration=0.6, seed=3)
         ep = detect_epochs(w, extract_interp(w))
         assert np.all(np.diff(ep.positions) > 0)
+
+    @pytest.mark.parametrize("fs", [2000, 8000, 16000, 44100])
+    def test_lowpass_is_designed_once_per_rate_and_read_only(self, fs):
+        sos = resynth._epoch_lowpass(fs)
+        assert sos is resynth._epoch_lowpass(fs)
+        assert np.array_equal(sos, butter(4, min(1000.0, 0.45 * fs) / (fs / 2), output="sos"))
+        with pytest.raises(ValueError, match="read-only"):
+            sos[0, 0] = 1.0
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
