@@ -16,10 +16,18 @@ SILENCE_THRESHOLD = 0.01  # frames below this fraction of the global peak are un
 OCTAVE_COST = 0.05  # per octave above the floor, favors the higher candidate
 OCTAVE_JUMP_COST = 0.35  # per octave of frame-to-frame f0 change
 MAX_CANDIDATES = 4  # strongest peaks per frame offered to path selection
-# frames per FFT block: extract_f0 over perfbench's 24-utterance fit corpus took
-# 117 / 95 / 114 / 114 ms at 16 / 32 / 64 / 128 (medians of 9, 2 vCPUs), and
-# larger blocks cost memory too
-BLOCK_FRAMES = 32
+# Frames per ACF FFT, and frames above the silence level per round of peak
+# picking. _candidates over perfbench's 24-utterance fit corpus (medians of 8
+# runs, 2 vCPUs):
+# - with rounds of 256, FFT blocks of 16 / 32 / 64 / 128 / 256 frames took
+#   69 / 69 / 69 / 70 / 71 ms at 16 kHz and 246 / 248 / 252 / 247 / 306 ms at
+#   44.1 kHz: a larger FFT batch gains nothing and outgrows the cache;
+# - a round costs some 35 numpy calls whatever its size: with FFT blocks of 32,
+#   rounds of 32 / 128 / 256 / 512 frames took 90 / 70 / 69 / 67 ms at 16 kHz.
+#   A round holds PEAK_BLOCK_FRAMES x (lag_hi + 2) floats of ACF, so 512 would
+#   double that for 4%.
+FFT_BLOCK_FRAMES = 32
+PEAK_BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -77,23 +85,25 @@ def _frame_acf(frames: np.ndarray, window: np.ndarray, nfft: int) -> np.ndarray:
     return np.fft.irfft((spec * np.conj(spec)).real, nfft, axis=1)
 
 
-def _block_candidates(frames, window, nfft, rw, lag_lo, level, fs, cfg):
-    """Up to MAX_CANDIDATES voiced candidates per frame for a block of frames.
+def _block_candidates(frames, rows, window, nfft, rw, lag_lo, fs, cfg):
+    """Voiced candidates of frames[rows], up to MAX_CANDIDATES per frame.
 
-    Returns (freqs, adjs), each (n_frames, MAX_CANDIDATES), strongest first,
-    with empty slots NaN / -inf. A frame gets no candidates when it is below
-    the silence level, has no energy after mean removal, or when its
-    strongest periodicity sits above the ceiling: subharmonics in range are
-    then aliases of a pitch we are not allowed to report.
+    Returns (frame, rank, freq, adj), one entry per candidate, rank 0 the
+    strongest. The ACFs are taken FFT_BLOCK_FRAMES frames at a time and
+    written into one array, which the peak picking reads in one pass.
+    A frame gets no candidates when it has no energy after mean removal, or
+    when its strongest periodicity sits above the ceiling: subharmonics in
+    range are then aliases of a pitch we are not allowed to report.
     """
-    freqs = np.full((frames.shape[0], MAX_CANDIDATES), np.nan)
-    adjs = np.full((frames.shape[0], MAX_CANDIDATES), -np.inf)
-
-    live = np.flatnonzero(np.max(np.abs(frames), axis=1) >= level)
-    r = _frame_acf(frames[live], window, nfft)
-    energy = r[:, 0] > 0  # a constant frame has none left after mean removal
-    live, r = live[energy], r[energy]
-    rn = (r[:, : rw.size] / r[:, :1]) / rw
+    rn = np.empty((rows.size, rw.size))
+    for i in range(0, rows.size, FFT_BLOCK_FRAMES):
+        rn[i : i + FFT_BLOCK_FRAMES] = _frame_acf(frames[rows[i : i + FFT_BLOCK_FRAMES]], window, nfft)[:, : rw.size]
+    energy = rn[:, 0] > 0  # a constant frame has none left after mean removal
+    if not energy.all():
+        rows, rn = rows[energy], rn[energy]
+    # normalized in place, so a round holds one ACF array
+    rn /= rn[:, :1].copy()
+    rn /= rw
 
     # local maxima at lags lag_lo .. rw.size-2, so each has both neighbours
     b = rn[:, lag_lo:-1]
@@ -121,9 +131,7 @@ def _block_candidates(frames, window, nfft, rw, lag_lo, level, fs, cfg):
     row, freq, adj = row[cand], freq[cand], adj[cand]
     rank = np.arange(row.size) - np.searchsorted(row, row)
     top = rank < MAX_CANDIDATES
-    freqs[live[row[top]], rank[top]] = freq[top]
-    adjs[live[row[top]], rank[top]] = adj[top]
-    return freqs, adjs
+    return rows[row[top]], rank[top], freq[top], adj[top]
 
 
 def _select_path_greedy(freqs: np.ndarray, adjs: np.ndarray) -> np.ndarray:
@@ -132,25 +140,31 @@ def _select_path_greedy(freqs: np.ndarray, adjs: np.ndarray) -> np.ndarray:
     VOICING_THRESHOLD. Candidates come strongest first, NaN-padded."""
     chosen = np.full(freqs.shape[0], np.nan)
     prev = None
-    for k in np.flatnonzero(np.isfinite(adjs[:, 0])).tolist():
-        best, best_score = None, VOICING_THRESHOLD
-        for freq, adj in zip(freqs[k].tolist(), adjs[k].tolist()):
-            if math.isnan(freq):
-                break
-            score = adj
-            if prev is not None:
-                score -= OCTAVE_JUMP_COST * abs(math.log2(freq / prev))
-            if score > best_score:
-                best, best_score = freq, score
-        if best is not None:
-            chosen[k] = prev = best
+    frames = np.flatnonzero(np.isfinite(adjs[:, 0]))
+    # rows become lists a round at a time: all at once, on a 120 s file, they
+    # doubled extract_f0's tracemalloc peak (5.4 MB against 2.8 MB)
+    for i in range(0, frames.size, PEAK_BLOCK_FRAMES):
+        block = frames[i : i + PEAK_BLOCK_FRAMES]
+        for k, row_f, row_a in zip(block.tolist(), freqs[block].tolist(), adjs[block].tolist()):
+            best, best_score = None, VOICING_THRESHOLD
+            for freq, adj in zip(row_f, row_a):
+                if math.isnan(freq):
+                    break
+                score = adj
+                if prev is not None:
+                    score -= OCTAVE_JUMP_COST * abs(math.log2(freq / prev))
+                if score > best_score:
+                    best, best_score = freq, score
+            if best is not None:
+                chosen[k] = prev = best
     return chosen
 
 
 def _candidates(w: Waveform, cfg: PitchConfig):
     """Frame times and every frame's candidates as (times, freqs, adjs).
 
-    freqs/adjs are (n_frames, MAX_CANDIDATES) as _block_candidates returns them.
+    freqs/adjs are (n_frames, MAX_CANDIDATES), strongest first, with empty
+    slots NaN / -inf.
     """
     fs = w.sample_rate
     if cfg.ceiling >= fs / 2:
@@ -166,9 +180,12 @@ def _candidates(w: Waveform, cfg: PitchConfig):
     frames = frame_signal(x, win_n, hop_n)
     n_fr = frames.shape[0]
     times = (np.arange(n_fr) * hop_n + win_n / 2) / fs
-    global_peak = float(np.max(np.abs(x)))
+    freqs = np.full((n_fr, MAX_CANDIDATES), np.nan)
+    adjs = np.full((n_fr, MAX_CANDIDATES), -np.inf)
+    # max(max, -min) is max |x| without a signal-sized temporary
+    global_peak = float(max(x.max(), -x.min()))
     if global_peak == 0.0:
-        return times, np.full((n_fr, MAX_CANDIDATES), np.nan), np.full((n_fr, MAX_CANDIDATES), -np.inf)
+        return times, freqs, adjs
 
     window = np.hanning(win_n)
     search_fmax = min(2.0 * cfg.ceiling, 0.45 * fs)
@@ -180,12 +197,15 @@ def _candidates(w: Waveform, cfg: PitchConfig):
     # past the end for every lag read, and the circular ACF equals the linear one.
     nfft = 1 << int(np.ceil(np.log2(win_n + lag_hi + 2)))
     rw = np.maximum(_window_acf(window, nfft)[: lag_hi + 2], 1e-12)
-    level = SILENCE_THRESHOLD * global_peak
-    blocks = [
-        _block_candidates(frames[i : i + BLOCK_FRAMES], window, nfft, rw, lag_lo, level, fs, cfg)
-        for i in range(0, n_fr, BLOCK_FRAMES)
-    ]
-    return times, np.concatenate([f for f, _ in blocks]), np.concatenate([a for _, a in blocks])
+    # frames whose peak is below the silence level get no candidates
+    live = np.flatnonzero(np.maximum(frames.max(axis=1), -frames.min(axis=1)) >= SILENCE_THRESHOLD * global_peak)
+    for i in range(0, live.size, PEAK_BLOCK_FRAMES):
+        row, rank, freq, adj = _block_candidates(
+            frames, live[i : i + PEAK_BLOCK_FRAMES], window, nfft, rw, lag_lo, fs, cfg
+        )
+        freqs[row, rank] = freq
+        adjs[row, rank] = adj
+    return times, freqs, adjs
 
 
 def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
@@ -196,9 +216,13 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
     interpolation. Both ACFs come from FFTs of the smallest power of two of
     at least win_n + lag_hi + 2 points, win_n being the window and lag_hi the
     floor's period in samples, so the circular ACF equals the linear one at
-    every lag read, 0 .. lag_hi + 1. Candidates are found BLOCK_FRAMES frames
-    at a time, with one FFT per block; only the path through them is chosen
-    frame by frame. Voiced values always lie within [floor, ceiling].
+    every lag read, 0 .. lag_hi + 1. Frames below the silence level are
+    skipped. The others are taken PEAK_BLOCK_FRAMES at a time: their ACFs
+    come from one FFT per FFT_BLOCK_FRAMES frames and fill one array, whose
+    peaks are then picked, refined and ranked in one pass. Only the path
+    through the candidates is chosen frame by frame. Neither block size
+    changes a bit of the result. Voiced values always lie within
+    [floor, ceiling].
     """
     times, freqs, adjs = _candidates(w, cfg)
     chosen = _select_path_greedy(freqs, adjs)

@@ -217,6 +217,14 @@ def synth_utterance(
     fs: float = SAMPLE_RATE,
 ) -> Waveform:
     """One multi-vowel utterance for a speaker/condition/session cell."""
+    return _utterance_and_contour(spk, condition, session, utt_index, seed, fs)[0]
+
+
+def _utterance_and_contour(spk, condition, session, utt_index, seed, fs):
+    """synth_utterance's waveform, and the f0 in Hz its pulse train followed, per sample.
+
+    The contour is NaN in the gaps between vowels, which carry no excitation.
+    """
     ci = 0 if condition == CONDITION_MODAL else 1
     rng = np.random.default_rng([seed, 202, hash_speaker(spk.speaker_id), ci, session, utt_index])
     vowel_names = sorted(VOWEL_FORMANTS)
@@ -234,6 +242,7 @@ def synth_utterance(
     contour = _sentence_contour(rng, spk.base_f0 * f0_factor, seg_lengths, gap_lengths, fs)
 
     pieces = [np.zeros(gap_lengths[0])]
+    truth = [np.full(gap_lengths[0], np.nan)]
     for i in range(n_segments):
         vi = vowel_seq[i]
         targets = np.asarray(VOWEL_FORMANTS[vowel_names[vi]])
@@ -250,15 +259,17 @@ def synth_utterance(
         )
         level = float(rng.uniform(0.8, 1.0))
         pieces.append(seg.samples * level)
+        truth.append(contour[i])
         if i + 1 < len(gap_lengths):
             pieces.append(np.zeros(gap_lengths[i + 1]))
+            truth.append(np.full(gap_lengths[i + 1], np.nan))
     x = np.concatenate(pieces)
     peak = np.max(np.abs(x))
     if peak > 0:
         x = 0.3 * x / peak
     # recording floor: real captures never contain digital silence
     x = x + NOISE_FLOOR_RMS * rng.standard_normal(x.size)
-    return Waveform(x, fs)
+    return Waveform(x, fs), np.concatenate(truth)
 
 
 def hash_speaker(speaker_id: str) -> int:

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxmask import pipeline, pitch, synth
-from voxmask.audio import Waveform, read_wav
+from voxmask.audio import Waveform, num_frames, read_wav, write_wav
 from voxmask.pitch import (
-    BLOCK_FRAMES,
+    FFT_BLOCK_FRAMES,
     HOP_S,
+    PEAK_BLOCK_FRAMES,
     SILENCE_THRESHOLD,
     VOICING_THRESHOLD,
     WINDOW_PERIODS,
@@ -113,13 +114,36 @@ def assert_matches_oracle(w, cfg):
     return got
 
 
+def frame_geometry(fs, cfg):
+    """(win_n, hop_n): the tracker's window and hop in samples."""
+    return int(round(WINDOW_PERIODS / cfg.floor * fs)), int(round(HOP_S * fs))
+
+
+# frame counts on either side of each block size, and past two peak blocks
+BLOCK_EDGE_FRAMES = (
+    FFT_BLOCK_FRAMES - 1,
+    FFT_BLOCK_FRAMES,
+    FFT_BLOCK_FRAMES + 1,
+    PEAK_BLOCK_FRAMES - 1,
+    PEAK_BLOCK_FRAMES,
+    PEAK_BLOCK_FRAMES + 1,
+    2 * PEAK_BLOCK_FRAMES + 1,
+)
+
+
 def edge_signals(fs, cfg):
-    """Named inputs that stress silence handling, energy checks, peak picking and block edges."""
-    win_n = int(round(WINDOW_PERIODS / cfg.floor * fs))
-    hop_n = int(round(HOP_S * fs))
+    """Named inputs that stress silence handling, energy checks, peak picking and block edges.
+
+    Each "<n>_frames" input is exactly n frames long: it is cut from a vowel
+    made long enough for the largest n.
+    """
+    win_n, hop_n = frame_geometry(fs, cfg)
     n = int(0.4 * fs)
     rng = np.random.default_rng(fs)
-    vowel = synth.make_vowel(1.0, 150.0, (700.0, 1200.0, 2600.0), fs=fs, seed=3).samples
+    formants = (700.0, 1200.0, 2600.0)
+    vowel = synth.make_vowel(1.0, 150.0, formants, fs=fs, seed=3).samples
+    long_n = win_n + (max(BLOCK_EDGE_FRAMES) - 1) * hop_n
+    long_vowel = synth.make_vowel(long_n / fs, 150.0, formants, fs=fs, seed=3).samples
     click = np.zeros(n)
     click[n // 2] = 0.8
     t = np.arange(n) / fs
@@ -135,8 +159,10 @@ def edge_signals(fs, cfg):
         # a quiet half whose every frame peaks exactly at the silence level
         "at_silence_level": np.concatenate([square, SILENCE_THRESHOLD * square]),
     }
-    for frames in (BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1):
-        signals[f"{frames}_frames"] = vowel[: win_n + (frames - 1) * hop_n]
+    for frames in BLOCK_EDGE_FRAMES:
+        x = long_vowel[: win_n + (frames - 1) * hop_n]
+        assert num_frames(x.size, win_n, hop_n) == frames
+        signals[f"{frames}_frames"] = x
     return {name: Waveform(x, fs) for name, x in signals.items()}
 
 
@@ -165,7 +191,8 @@ class TestOracle:
         cfg = RANGES[name]
         tracks = {label: assert_matches_oracle(w, cfg) for label, w in edge_signals(fs, cfg).items()}
         assert tracks["silence"].n_voiced == 0
-        assert tracks["tone"].n_voiced > 0 and tracks[f"{BLOCK_FRAMES + 1}_frames"].n_voiced > 0
+        assert tracks["tone"].n_voiced > 0
+        assert all(tracks[f"{frames}_frames"].n_voiced > 0 for frames in BLOCK_EDGE_FRAMES)
         assert tracks["at_silence_level"].voiced[-1]  # the level itself is not silence
 
     @settings(max_examples=30, deadline=None)
@@ -187,8 +214,9 @@ class TestOracle:
     def test_block_boundary_frame_counts(self):
         cfg = RANGES["low"]
         signals = edge_signals(16000, cfg)
-        for frames in (BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1):
-            assert len(extract_f0(signals[f"{frames}_frames"], cfg)) == frames
+        for frames in BLOCK_EDGE_FRAMES:
+            w = signals[f"{frames}_frames"]
+            assert len(extract_f0(w, cfg)) == num_frames(w.samples.size, *frame_geometry(w.sample_rate, cfg))
         assert len(extract_f0(signals["one_window"], cfg)) == 1
 
     @pytest.mark.parametrize(
@@ -208,8 +236,7 @@ class TestOracle:
 
 def twice_the_window_nfft(fs, cfg):
     """The FFT size the tracker used before it followed the lags read: the power of two >= 2 * win_n."""
-    win_n = int(round(WINDOW_PERIODS / cfg.floor * fs))
-    return 1 << int(np.ceil(np.log2(2 * win_n)))
+    return 1 << int(np.ceil(np.log2(2 * frame_geometry(fs, cfg)[0])))
 
 
 class TestAcfSize:
@@ -234,8 +261,9 @@ class TestAcfSize:
 
         monkeypatch.setattr(pitch, "_frame_acf", spy_frame_acf)
         monkeypatch.setattr(pitch, "_window_acf", spy_window_acf)
-        pitch._candidates(edge_signals(fs, cfg)[f"{BLOCK_FRAMES + 1}_frames"], cfg)
-        assert len(seen) == 1 + BLOCK_FRAMES + 1
+        w = edge_signals(fs, cfg)[f"{FFT_BLOCK_FRAMES + 1}_frames"]
+        pitch._candidates(w, cfg)
+        assert len(seen) == 1 + num_frames(w.samples.size, *frame_geometry(fs, cfg))
         for x, acf in seen:
             linear = np.correlate(x, x, "full")[x.size - 1 : x.size + lag_hi + 1]
             # FFT rounding scales with the whole ACF, so lags near a zero crossing
@@ -261,6 +289,81 @@ def assert_matches_twice_the_window(w, cfg):
     assert np.array_equal(got.voiced, want.voiced)
     np.testing.assert_allclose(got.values[got.voiced], want.values[want.voiced], rtol=1e-12, atol=0)
     return got
+
+
+# (FFT_BLOCK_FRAMES, PEAK_BLOCK_FRAMES): both at one size, 10**6 being more than
+# any input's frame count; FFT blocks that split a peak block unevenly; and FFT
+# blocks larger than the peak block
+BLOCK_SIZES = [(n, n) for n in (1, 7, 32, 256, 10**6)] + [(7, 256), (256, 7)]
+
+
+@pytest.fixture(scope="module")
+def default_block_tracks(corpus_1234):
+    """Inputs with their candidates and tracks at the default block sizes."""
+    cases = [(w, cfg) for row, w in corpus_1234 for cfg in (RANGES[row.group], RANGES["wide"])]
+    cases += [(w, cfg) for cfg in RANGES.values() for w in edge_signals(16000, cfg).values()]
+    return [(w, cfg, pitch._candidates(w, cfg), extract_f0(w, cfg)) for w, cfg in cases]
+
+
+class TestBlockSizes:
+    """FFT_BLOCK_FRAMES and PEAK_BLOCK_FRAMES set the speed only: candidates and tracks are bitwise the same."""
+
+    @pytest.mark.parametrize("fft, peak", BLOCK_SIZES)
+    def test_candidates_and_tracks_do_not_depend_on_the_block_sizes(self, default_block_tracks, fft, peak, monkeypatch):
+        monkeypatch.setattr(pitch, "FFT_BLOCK_FRAMES", fft)
+        monkeypatch.setattr(pitch, "PEAK_BLOCK_FRAMES", peak)
+        for w, cfg, (_, freqs, adjs), track in default_block_tracks:
+            _, got_freqs, got_adjs = pitch._candidates(w, cfg)
+            assert np.array_equal(got_freqs, freqs, equal_nan=True)
+            assert np.array_equal(got_adjs, adjs)
+            got = extract_f0(w, cfg)
+            assert np.array_equal(got.voiced, track.voiced)
+            assert np.array_equal(got.values, track.values, equal_nan=True)
+
+
+def acceptance_corpus_with_truth(tmp_path):
+    """(waveform as read back from PCM-16, true per-sample f0, pitch range) for the
+    120 utterances generate_corpus makes at seed 1234 and its default sizes."""
+    path = tmp_path / "utterance.wav"
+    for spk in synth.make_speakers(1234, 5):
+        for session in (1, 2):
+            cells = [(synth.CONDITION_MODAL, k) for k in range(4)]
+            cells += [(synth.CONDITION_DISGUISED, k) for k in range(2)]
+            for condition, k in cells:
+                w, truth = synth._utterance_and_contour(spk, condition, session, k, 1234, synth.SAMPLE_RATE)
+                write_wav(path, w, encoding="pcm16")
+                yield read_wav(path), truth, RANGES[spk.group]
+
+
+class TestGroundTruth:
+    """The tracker against the contour each acceptance-corpus pulse train was made from.
+
+    A frame's reference is the true f0 at its centre sample, unvoiced in the
+    gaps between vowels. The bounds are the counts the greedy path gave when
+    they were set (0.48% gross errors, 1.90% voicing errors); a better tracker
+    lowers them, and they are never raised.
+    """
+
+    MAX_GROSS_ERRORS = 144  # of 30,280 frames voiced in both
+    MAX_VOICING_ERRORS = 735  # of 38,643 frames
+
+    def test_gross_pitch_and_voicing_errors(self, tmp_path):
+        utterances = frames = both = gross = voicing = 0
+        for w, truth, cfg in acceptance_corpus_with_truth(tmp_path):
+            track = extract_f0(w, cfg)
+            win_n, hop_n = frame_geometry(w.sample_rate, cfg)
+            ref = truth[np.arange(len(track)) * hop_n + win_n // 2]
+            ref_voiced = np.isfinite(ref)
+            scored = ref_voiced & track.voiced
+            # gross pitch error: more than 20% off (Rabiner et al., IEEE TASSP 1976)
+            gross += np.count_nonzero(np.abs(track.values[scored] - ref[scored]) > 0.2 * ref[scored])
+            voicing += np.count_nonzero(ref_voiced != track.voiced)
+            both += np.count_nonzero(scored)
+            frames += len(track)
+            utterances += 1
+        assert (utterances, frames) == (120, 38643)
+        assert gross <= self.MAX_GROSS_ERRORS
+        assert voicing <= self.MAX_VOICING_ERRORS
 
 
 class TestInterpolate:

@@ -184,6 +184,25 @@ class TestUtterance:
         assert floor > 0.2 * synth.NOISE_FLOOR_RMS
         assert floor < 10.0 * synth.NOISE_FLOOR_RMS
 
+    @pytest.mark.parametrize(
+        "condition, factor", [(synth.CONDITION_MODAL, 1.0), (synth.CONDITION_DISGUISED, synth.DISGUISE_F0_FACTOR)]
+    )
+    def test_contour_is_the_f0_of_the_vowels_and_nan_between_them(self, condition, factor):
+        spk = synth.make_speakers(5)[0]
+        w, truth = synth._utterance_and_contour(spk, condition, 1, 0, 5, synth.SAMPLE_RATE)
+        assert np.array_equal(w.samples, synth.synth_utterance(spk, condition, 1, 0, 5).samples)
+        assert truth.shape == w.samples.shape
+        voiced = np.isfinite(truth)
+        edges = np.flatnonzero(np.diff(voiced.astype(int)))
+        assert not voiced[0] and not voiced[-1] and 6 <= edges.size // 2 <= 8  # one run per vowel
+        # gaps carry the recording floor only; every vowel is far above it
+        assert np.max(np.abs(w.samples[~voiced])) < 10 * synth.NOISE_FLOOR_RMS
+        for run in np.split(w.samples, edges + 1)[1::2]:
+            assert np.sqrt(np.mean(run**2)) > 30 * synth.NOISE_FLOOR_RMS
+        # declination, accent and wobble stay within these multiples of the speaker's base
+        f0 = truth[voiced] / (spk.base_f0 * factor)
+        assert np.all((0.8 < f0) & (f0 < 1.12 * 1.3 * 1.015))
+
     def test_disguise_raises_pitch(self):
         spk = synth.make_speakers(5)[2]
         cfg = pitch.PitchConfig(floor=60.0, ceiling=520.0)
