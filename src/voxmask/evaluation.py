@@ -16,7 +16,7 @@ with a framed copy of the whole file; the MFCC sliding mean is a running sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -344,11 +344,42 @@ class MethodResult:
     n_impostor: int
 
 
+def summarize(label: str, scores, genuine, groups, stoi_scores, stoi_groups, eer: bool) -> tuple:
+    """The report rows: label over every trial, then label/<group> per group in sorted order.
+
+    scores, genuine (a bool mask) and groups hold one value per trial;
+    stoi_scores and stoi_groups one per distinct test utterance, so each
+    utterance counts once however many trials test it. EER is NaN when eer is
+    false or a row lacks genuine or impostor trials; STOI is NaN over no values.
+    """
+    scores, genuine, groups = np.asarray(scores, dtype=np.float64), np.asarray(genuine, dtype=bool), np.asarray(groups)
+    stoi_scores, stoi_groups = np.asarray(stoi_scores, dtype=np.float64), np.asarray(stoi_groups)
+
+    def row(name: str, trials: np.ndarray, utterances: np.ndarray) -> MethodResult:
+        gen, imp = scores[trials & genuine], scores[trials & ~genuine]
+        if eer and gen.size and imp.size:
+            eer_percent, threshold = compute_eer(TrialSet(gen, imp))
+            # fold at the chance line: a worse-than-chance operating point
+            # means inverted polarity, which an attacker would just flip
+            eer_percent = min(eer_percent, 100.0 - eer_percent)
+        else:
+            eer_percent = threshold = float("nan")
+        s = stoi_scores[utterances]
+        mean, lo, hi = (float(s.mean()), float(s.min()), float(s.max())) if s.size else (float("nan"),) * 3
+        return MethodResult(
+            label=name, eer_percent=float(eer_percent), eer_threshold=float(threshold),
+            stoi_mean=mean, stoi_min=lo, stoi_max=hi, n_genuine=gen.size, n_impostor=imp.size,
+        )
+
+    overall = row(label, np.ones(scores.size, bool), np.ones(stoi_scores.size, bool))
+    return (overall, *(row(f"{label}/{g}", groups == g, stoi_groups == g) for g in np.unique(groups)))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     corpus_id: str
     config_hash: str
-    rows: tuple = field(default=())
+    rows: tuple
 
     def to_json_dict(self) -> dict:
         def num(v: float):

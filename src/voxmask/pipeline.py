@@ -63,7 +63,7 @@ class Manifest:
         p = Path(row.path)
         return p if p.is_absolute() else self.root / p
 
-    def filter(self, groups=None, conditions=None, sessions=None, speakers=None):
+    def filter(self, groups=None, conditions=None, sessions=None):
         out = []
         for r in self.rows:
             if groups is not None and r.group not in groups:
@@ -71,8 +71,6 @@ class Manifest:
             if conditions is not None and r.condition not in conditions:
                 continue
             if sessions is not None and r.session not in sessions:
-                continue
-            if speakers is not None and r.speaker_id not in speakers:
                 continue
             out.append(r)
         return out
@@ -84,7 +82,7 @@ class Manifest:
 
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
     rows = []
     with open(path, newline="") as fh:
@@ -204,7 +202,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         try:
@@ -353,7 +351,7 @@ def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
 
 def _read_model(model_path) -> fda.FpcaModel:
     """The one model reader: a missing or unreadable model file is a ConfigError (exit 2)."""
-    if not Path(model_path).exists():
+    if not Path(model_path).is_file():
         raise ConfigError(f"model file not found: {model_path}")
     try:
         return fda.load_model(model_path)
@@ -481,13 +479,8 @@ def _eval_job(job: EvalJob) -> tuple:
 
 
 def _find_test_audio(anon_dir: Path, utt_id: str) -> Optional[Path]:
-    anon = anon_dir / f"{utt_id}.anon.wav"
-    if anon.exists():
-        return anon
-    plain = anon_dir / f"{utt_id}.wav"
-    if plain.exists():
-        return plain
-    return None
+    """<id>.anon.wav under anon_dir, else <id>.wav, else None."""
+    return next((p for p in (anon_dir / f"{utt_id}.anon.wav", anon_dir / f"{utt_id}.wav") if p.exists()), None)
 
 
 @blas.one_thread()
@@ -504,13 +497,15 @@ def cmd_evaluate(
     Enrollment embeddings come from session-1 modal originals per speaker.
     Test audio is looked up as <id>.anon.wav under anon_dir, falling back to
     <id>.wav so a corpus directory evaluates the no-anonymization baseline.
-    Emits report.json, report.txt, and scores.csv under out_dir.
+    One pool embeds every file and scores each test file's STOI; the trial
+    scores and STOI values go to evaluation.summarize, which makes the report
+    rows. Emits report.json, report.txt, and scores.csv under out_dir.
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
     anon_dir = Path(anon_dir)
     trial_path = Path(trial_path)
-    if not trial_path.exists():
+    if not trial_path.is_file():
         raise ConfigError(f"trial file not found: {trial_path}")
     trials = []
     with open(trial_path, newline="") as fh:
@@ -531,90 +526,52 @@ def cmd_evaluate(
         raise ConfigError(f"trial file references unknown utterances: {unknown[:5]}")
 
     # enrollment: session-1 modal originals of every enroll speaker
+    enroll = {}
+    enroll_rows = manifest.filter(conditions=(synth.CONDITION_MODAL,), sessions=("1",))
+    for r in sorted(enroll_rows, key=lambda r: r.utterance_id):
+        enroll.setdefault(r.speaker_id, []).append(str(manifest.resolve(r)))
     enroll_speakers = sorted({s for s, _, _ in trials})
-    enroll_rows = {}
     for spk in enroll_speakers:
-        rows = manifest.filter(conditions=(synth.CONDITION_MODAL,), sessions=("1",), speakers=(spk,))
-        if not rows:
+        if spk not in enroll:
             raise ConfigError(f"no session-1 modal enrollment material for speaker {spk!r}")
-        enroll_rows[spk] = sorted(rows, key=lambda r: r.utterance_id)
 
     test_ids = sorted({t for _, t, _ in trials})
-    test_paths = {}
-    row_errors = []
-    for utt_id in test_ids:
-        found = _find_test_audio(anon_dir, utt_id)
-        if found is None:
-            row_errors.append(utt_id)
-        else:
-            test_paths[utt_id] = found
+    test_paths = {u: _find_test_audio(anon_dir, u) for u in test_ids}
+    row_errors = [u for u in test_ids if test_paths[u] is None]
     if row_errors:
         raise ConfigError(f"no test audio under {anon_dir} for: {row_errors[:5]}")
 
-    enroll_paths = sorted({str(manifest.resolve(r)) for rows in enroll_rows.values() for r in rows})
+    enroll_paths = sorted({p for spk in enroll_speakers for p in enroll[spk]})
     jobs = [EvalJob(p) for p in enroll_paths] + [
         EvalJob(str(test_paths[u]), str(manifest.resolve(by_id[u])) if cfg.eval_stoi else None) for u in test_ids
     ]
     results = _map_jobs(_eval_job, jobs, workers)
     embeddings = {job.path: embedding for job, (embedding, _) in zip(jobs, results)}
-
-    enroll_models = {
-        spk: [embeddings[str(manifest.resolve(r))] for r in rows] for spk, rows in enroll_rows.items()
-    }
-    scores = []
-    for spk, utt_id, label in trials:
-        s = evaluation.score_trials(enroll_models[spk], embeddings[str(test_paths[utt_id])])
-        scores.append((f"{spk}|{utt_id}", s, label, by_id[utt_id].group))
+    scores = np.array(
+        [evaluation.score_trials([embeddings[p] for p in enroll[spk]], embeddings[str(test_paths[u])])
+         for spk, u, _ in trials]
+    )
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_id", "score", "label"])
-        for trial_id, s, label, _ in scores:
-            writer.writerow([trial_id, f"{s:.8f}", label])
+        writer.writerows([f"{spk}|{u}", f"{s:.8f}", label] for (spk, u, label), s in zip(trials, scores))
 
-    stoi_by_group = {}
-    all_stoi = []
-    if cfg.eval_stoi:
-        for utt_id, (_, v) in zip(test_ids, results[len(enroll_paths):]):
-            stoi_by_group.setdefault(by_id[utt_id].group, []).append(v)
-            all_stoi.append(v)
-
-    def make_row(label: str, subset, svals) -> evaluation.MethodResult:
-        gen = np.array([s for _, s, lab, _ in subset if lab == "genuine"])
-        imp = np.array([s for _, s, lab, _ in subset if lab == "impostor"])
-        if cfg.eval_eer and gen.size and imp.size:
-            eer, thr = evaluation.compute_eer(evaluation.TrialSet(gen, imp))
-            # fold at the chance line: a worse-than-chance operating point
-            # means inverted polarity, which an attacker would just flip
-            eer = min(eer, 100.0 - eer)
-        else:
-            eer, thr = float("nan"), float("nan")
-        if svals:
-            s_mean, s_min, s_max = float(np.mean(svals)), float(np.min(svals)), float(np.max(svals))
-        else:
-            s_mean = s_min = s_max = float("nan")
-        return evaluation.MethodResult(
-            label=label,
-            eer_percent=float(eer),
-            eer_threshold=float(thr),
-            stoi_mean=s_mean,
-            stoi_min=s_min,
-            stoi_max=s_max,
-            n_genuine=int(gen.size),
-            n_impostor=int(imp.size),
-        )
-
-    rows = [make_row(cfg.label, scores, all_stoi)]
-    for group in sorted({g for _, _, _, g in scores}):
-        subset = [t for t in scores if t[3] == group]
-        rows.append(make_row(f"{cfg.label}/{group}", subset, stoi_by_group.get(group, [])))
-
+    tested = list(zip(test_ids, results[len(enroll_paths):])) if cfg.eval_stoi else []
     report = evaluation.EvalReport(
         corpus_id=Path(manifest_path).name,
         config_hash=cfg.config_hash(),
-        rows=tuple(rows),
+        rows=evaluation.summarize(
+            cfg.label,
+            scores,
+            [label == "genuine" for _, _, label in trials],
+            [by_id[u].group for _, u, _ in trials],
+            [stoi for _, (_, stoi) in tested],
+            [by_id[u].group for u, _ in tested],
+            cfg.eval_eer,
+        ),
     )
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)

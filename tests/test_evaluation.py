@@ -31,6 +31,7 @@ from voxmask.evaluation import (
     mfcc_frames,
     score_trials,
     stoi,
+    summarize,
 )
 
 import evaluation_oracle as oracle
@@ -636,3 +637,64 @@ class TestReport:
         assert "EER(%)" in lines[0] and "STOI" in lines[0]
         assert "f0_S" in lines[2]
         assert "25.00" in lines[2]
+
+
+class TestSummarize:
+    """The report rows from hand-made score and STOI arrays; no audio."""
+
+    def test_rows_are_overall_then_each_group_in_sorted_order(self):
+        rows = summarize(
+            "m", [0.9, 0.1, 0.8, 0.2, 0.7, 0.3], [True, False, True, False, True, True],
+            ["low", "low", "high", "high", "mid", "low"], [], [], True,
+        )
+        assert [r.label for r in rows] == ["m", "m/high", "m/low", "m/mid"]
+        assert [(r.n_genuine, r.n_impostor) for r in rows] == [(4, 2), (1, 1), (2, 1), (1, 0)]
+
+    def test_eer_below_chance_is_folded_at_50(self):
+        gen, imp = [0.1, 0.2, 0.3, 0.45], [0.4, 0.5, 0.25, 0.6, 0.7]
+        raw, threshold = compute_eer(TrialSet(np.array(gen), np.array(imp)))
+        assert raw > 50.0  # genuine scores sit below the impostors
+        overall, group = summarize("m", gen + imp, [True] * 4 + [False] * 5, ["g"] * 9, [], [], True)
+        assert overall.eer_percent == group.eer_percent == 100.0 - raw
+        assert overall.eer_threshold == group.eer_threshold == threshold
+
+    def test_eer_above_chance_is_not_folded(self):
+        gen, imp = [0.9, 0.8, 0.3, 0.75], [0.4, 0.5, 0.25, 0.6, 0.1]
+        raw, threshold = compute_eer(TrialSet(np.array(gen), np.array(imp)))
+        assert raw < 50.0
+        overall, group = summarize("m", gen + imp, [True] * 4 + [False] * 5, ["g"] * 9, [], [], True)
+        assert overall.eer_percent == group.eer_percent == raw
+        assert overall.eer_threshold == group.eer_threshold == threshold
+
+    def test_eer_is_nan_for_a_group_of_one_class(self):
+        rows = summarize(
+            "m", [0.9, 0.2, 0.8, 0.7, 0.1], [True, False, True, True, False], ["a", "a", "b", "b", "c"], [], [],
+            True,
+        )
+        assert [r.label for r in rows] == ["m", "m/a", "m/b", "m/c"]
+        assert np.isfinite(rows[0].eer_percent) and np.isfinite(rows[1].eer_percent)
+        for r in rows[2:]:  # b holds only genuine trials, c only impostors
+            assert np.isnan(r.eer_percent) and np.isnan(r.eer_threshold)
+        assert [(r.n_genuine, r.n_impostor) for r in rows[2:]] == [(2, 0), (0, 1)]
+
+    def test_eer_is_nan_when_off(self):
+        rows = summarize("m", [0.9, 0.2, 0.8, 0.1], [True, False, True, False], ["a", "a", "b", "b"], [], [], False)
+        assert all(np.isnan(r.eer_percent) and np.isnan(r.eer_threshold) for r in rows)
+        assert [(r.n_genuine, r.n_impostor) for r in rows] == [(2, 2), (1, 1), (1, 1)]
+
+    def test_stoi_is_nan_without_values(self):
+        rows = summarize("m", [0.9, 0.2], [True, False], ["a", "a"], [], [], True)
+        assert all(np.isnan([r.stoi_mean, r.stoi_min, r.stoi_max]).all() for r in rows)
+        assert np.isfinite(rows[0].eer_percent)
+
+    def test_stoi_statistics_are_over_utterances_not_trials(self):
+        # utterance u1 (STOI 0.2) is tested by three trials and u2 (0.8) by one, both in group a;
+        # a trial-weighted mean of group a would be 0.35
+        rows = summarize(
+            "m", [0.9, 0.1, 0.2, 0.8, 0.7], [True, False, False, True, True], ["a", "a", "a", "a", "b"],
+            [0.2, 0.8, 0.6], ["a", "a", "b"], True,
+        )
+        assert [(r.stoi_mean, r.stoi_min, r.stoi_max) for r in rows] == [
+            (np.mean([0.2, 0.8, 0.6]), 0.2, 0.8), (0.5, 0.2, 0.8), (0.6, 0.6, 0.6),
+        ]
+        assert all(type(v) is float for r in rows for v in (r.eer_percent, r.stoi_mean, r.stoi_min, r.stoi_max))

@@ -605,6 +605,41 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="no test audio"):
             pipeline.cmd_evaluate(small_corpus, config_path, empty, root / "trials.csv", tmp_path / "o")
 
+    def test_stoi_off_reads_no_clean_original(self, small_corpus, anon_dir, tmp_path, monkeypatch):
+        reads = []
+        real = pipeline.read_wav
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(str(path)) or real(path))
+        cfg = write_config(tmp_path / "c.json", evaluation={"stoi": False, "eer": True})
+        root = Path(small_corpus).parent
+        report = pipeline.cmd_evaluate(small_corpus, cfg, anon_dir, root / "trials.csv", tmp_path / "out")
+        manifest = pipeline.load_manifest(small_corpus)
+        enroll = [str(manifest.resolve(r)) for r in manifest.filter(conditions=("modal",), sessions=("1",))]
+        # each session-1 enrollment original is read once, and no session-2 original for STOI
+        assert sorted(r for r in reads if not r.startswith(str(anon_dir))) == sorted(enroll)
+        assert len([r for r in reads if r.startswith(str(anon_dir))]) == 12
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert [r["label"] for r in rows] == ["test", "test/high", "test/low"]
+        assert all(r[k] is None for r in rows for k in ("stoi_mean", "stoi_min", "stoi_max"))
+        assert all(r["eer_percent"] is not None for r in rows)
+        table = (tmp_path / "out" / "report.txt").read_text().splitlines()[2:]
+        assert [line.split()[-1] for line in table] == ["-"] * 3
+        assert [line.split()[1] for line in table] == [f"{r.eer_percent:.2f}" for r in report.rows]
+
+    def test_eer_off_reports_null_eer_and_the_same_scores(self, small_corpus, config_path, anon_dir, tmp_path):
+        cfg = write_config(tmp_path / "c.json", evaluation={"stoi": True, "eer": False})
+        trials = Path(small_corpus).parent / "trials.csv"
+        pipeline.cmd_evaluate(small_corpus, config_path, anon_dir, trials, tmp_path / "on", workers=2)
+        report = pipeline.cmd_evaluate(small_corpus, cfg, anon_dir, trials, tmp_path / "off", workers=2)
+        rows = json.loads((tmp_path / "off" / "report.json").read_text())["rows"]
+        assert [r["label"] for r in rows] == ["test", "test/high", "test/low"]
+        assert all(r["eer_percent"] is None and r["eer_threshold"] is None for r in rows)
+        assert all(r["stoi_mean"] is not None for r in rows)
+        assert [(r["n_genuine"], r["n_impostor"]) for r in rows] == [(12, 24), (6, 12), (6, 12)]
+        assert (tmp_path / "off" / "scores.csv").read_bytes() == (tmp_path / "on" / "scores.csv").read_bytes()
+        table = (tmp_path / "off" / "report.txt").read_text().splitlines()[2:]
+        assert [line.split()[1] for line in table] == ["-"] * 3
+        assert [r.stoi_mean for r in report.rows] == [r["stoi_mean"] for r in rows]
+
 
 # ---------------------------------------------------------------- exports
 
@@ -892,6 +927,22 @@ class TestCli:
         assert_config_exit(result, "grid_points 14, semitone_ref_hz 100.0): singular normal matrix")
         assert reads == []
         assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--trials", "--config", "--manifest", "--model"])
+    def test_a_directory_as_an_input_file_exits_2(self, flag, small_corpus, fitted_model, tmp_path):
+        root = Path(small_corpus).parent
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        files = {"--config": write_config(tmp_path / "c.json"), "--manifest": small_corpus,
+                 "--trials": root / "trials.csv", "--model": fitted_model, flag: directory}
+        out = tmp_path / "out"
+        args = ["--config", str(files["--config"]), "--manifest", str(files["--manifest"]), "--out", str(out)]
+        if flag == "--model":
+            args += ["anonymize", "--model", str(files["--model"])]
+        else:
+            args += ["evaluate", "--anon-dir", str(root / "wav"), "--trials", str(files["--trials"])]
+        assert_config_exit(CliRunner().invoke(cli.main, args), str(directory))
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_a_usage_error(self, workers, small_corpus, config_path, tmp_path):
