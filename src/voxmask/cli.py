@@ -135,7 +135,7 @@ def export_curves(ctx, model, component, n_points):
 def make_synth_corpus(ctx, n_per_group, n_modal, n_disguised):
     """Generate the deterministic synthetic corpus under --out."""
     manifest_path = synth.generate_corpus(
-        _need(ctx, "out", "--out"),
+        pipeline.check_output(_need(ctx, "out", "--out"), directory=True),
         seed=ctx.obj["seed"],
         n_per_group=n_per_group,
         n_modal=n_modal,

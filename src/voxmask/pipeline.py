@@ -270,6 +270,7 @@ def cmd_fit(
     if len(rows) < 2:
         raise ConfigError("functional PCA needs at least 2 matching utterances")
     rows = sorted(rows, key=lambda r: r.utterance_id)
+    out_path = check_output(out_path, directory=False)
     _prepare_space(cfg.curve_space)
 
     jobs = [FitJob(str(manifest.resolve(r)), cfg.pitch_config(r.group)) for r in rows]
@@ -281,7 +282,6 @@ def cmd_fit(
         for r in rows
     ]
     model = fda.fpca_fit(curves, labels)
-    out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fda.save_model(out_path, model)
     return out_path
@@ -349,6 +349,22 @@ def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
     return log
 
 
+def check_output(path, directory: bool) -> Path:
+    """path as a Path once it can be written as a directory (directory=True) or a file; else a ConfigError.
+
+    Each command checks --out before it reads any audio, so a bad one ends
+    the run at once: the nearest existing ancestor must be a directory, and
+    an existing path must be a directory exactly when a directory is wanted.
+    """
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path and path.is_dir() != directory:
+        raise ConfigError(f"output path {path} is {'not ' if directory else ''}a directory")
+    if existing != path and not existing.is_dir():
+        raise ConfigError(f"output path {path} lies under {existing}, which is not a directory")
+    return path
+
+
 def _read_model(model_path) -> fda.FpcaModel:
     """The one model reader: a missing or unreadable model file is a ConfigError (exit 2)."""
     if not Path(model_path).is_file():
@@ -411,6 +427,7 @@ def cmd_anonymize(
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
+    out_dir = check_output(out_dir, directory=True)
     model = None
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         if model_path is None:
@@ -426,7 +443,6 @@ def cmd_anonymize(
     if not rows:
         raise ConfigError("no modal utterances match the given filters")
     rows = sorted(rows, key=lambda r: r.utterance_id)
-    out_dir = Path(out_dir)
 
     manifest_groups = manifest.groups
     jobs = []
@@ -503,6 +519,7 @@ def cmd_evaluate(
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
+    out_dir = check_output(out_dir, directory=True)
     anon_dir = Path(anon_dir)
     trial_path = Path(trial_path)
     if not trial_path.is_file():
@@ -552,7 +569,6 @@ def cmd_evaluate(
          for spk, u, _ in trials]
     )
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -591,13 +607,13 @@ def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) 
     training scores. Scatter rows carry a combined group:condition:speaker
     label per training curve.
     """
+    out_dir = check_output(out_dir, directory=True)
     model = _read_model(model_path)
     i = component_index
     if i < 1 or i > model.n_components:
         raise ConfigError(f"component index {i} outside 1..{model.n_components}")
     if n_points < 2:
         raise ConfigError("n_points must be at least 2")
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     sd = float(np.std(model.training_scores[:, i - 1]))

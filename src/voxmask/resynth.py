@@ -6,14 +6,18 @@ at glottal epochs: detect_epochs reads the local period from one table per
 voiced span, the synthesis marks are collected in one scalar march, and all
 grains are overlap-added in blocks with bincount. The formant shifter,
 shift_formants_detailed, fits Burg LPC to all frames of an utterance in one
-batch, takes every frame's poles from one batched eigenvalue call, and
-re-filters every frame's LPC residual through its pole-modified all-pole
-filter in one recursion over the frame's samples before overlap-adding;
-_formant_band and _frame_poles are its analysis front end. Each array path
-is bitwise equal to the per-frame or per-grain loop it replaced, which the
-tests keep as oracles. Only the factor and the number of shifted formants
-are configurable; the LPC frame, hop, pre-emphasis, analysis band and order
-rule are module constants.
+batch, from each frame's autocorrelation and edge errors rather than a pass
+over its samples per order, takes every frame's poles from one batched
+eigenvalue call, inverse-filters every frame with one einsum, and re-filters
+the residuals through their pole-modified all-pole filters in one recursion
+over the frame's samples before overlap-adding; _formant_band and
+_frame_poles are its analysis front end. Each array path is bitwise equal to
+the per-frame or per-grain loop it replaced, which the tests keep as
+oracles, except Burg LPC: its fits agree with the lattice to rounding, and
+a frame with too little prediction error to keep that precision is refitted
+by the lattice. Only the factor and the number of shifted formants are
+configurable; the LPC frame, hop, pre-emphasis, analysis band and order rule
+are module constants.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter, sosfiltfilt
 
 from .audio import Waveform, frame_signal, num_frames, resample
@@ -351,24 +356,104 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     return Waveform(out, fs)
 
 
+# burg_lpc refits a row by the lattice when the share of its energy left in
+# Burg's error sums falls below this: the recursion's sums are then small
+# differences of large terms (on a pure tone, order-13 fits from the recursion
+# would move the shifted tone by 2e-6 of its peak)
+BURG_MIN_ERROR_RATIO = 1e-6
+
+
 def burg_lpc(x: np.ndarray, order: int) -> np.ndarray:
     """Burg-method AR coefficients [1, a1..a_order] for the prediction filter A(z).
 
-    Lattice recursion minimizing forward plus backward prediction error;
-    reflection coefficients stay in [-1, 1] so the model is stable. A
-    (frames, n) array gives one row of coefficients per frame. Energies are
-    einsum row reductions, not BLAS dot products, so a row's fit depends neither on the
-    other rows nor on the BLAS thread count.
+    Burg's reflection coefficients minimize the forward plus backward
+    prediction error and stay in [-1, 1], so the model is stable. They come
+    from each frame's autocorrelation (_burg_recursion), at O(n p + p^2) per
+    frame of n samples, not from one pass over the samples per order. A row
+    whose error ratio falls below BURG_MIN_ERROR_RATIO is refitted by the
+    lattice (_burg_lattice), because the recursion loses precision there;
+    the other rows agree with the lattice to rounding, not bitwise. A
+    (frames, n) array gives one row of coefficients per frame. Every
+    reduction is an einsum over one row, not a BLAS call, so a row's fit
+    depends neither on the other rows nor on the BLAS thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("expected a 1-D signal or a (frames, n) array")
-    f = b = np.atleast_2d(x)
+    rows = np.atleast_2d(x)
     if order < 1:
         raise ValueError("order must be at least 1")
-    if f.shape[1] <= order:
-        raise ValueError(f"need more than order ({order}) samples, got {f.shape[1]}")
-    a = np.zeros((f.shape[0], order + 1))
+    if rows.shape[1] <= order:
+        raise ValueError(f"need more than order ({order}) samples, got {rows.shape[1]}")
+    a, ratio = _burg_recursion(rows, order)
+    ill = ratio < BURG_MIN_ERROR_RATIO
+    if ill.any():
+        a[ill] = _burg_lattice(rows[ill], order)
+    return a[0] if x.ndim == 1 else a
+
+
+def _burg_recursion(x: np.ndarray, order: int):
+    """(Burg coefficients, error ratio) of the (frames, n) rows of x, from their autocorrelation.
+
+    Vos, "A Fast Implementation of Burg's Method" (2013). With the frame
+    zero-padded, the forward and backward errors of A(z) at order m hold
+    together 2 a.g, where g_j = sum_i a_i c_|i-j| over the autocorrelation
+    c, and their cross term is reverse(a).g[1:]. Burg sums only where both
+    errors are defined, so the terms at t <= m and t >= n are subtracted:
+    just those edge errors go through the lattice. Each order updates g as
+    g + k reverse(g) and computes one new entry from c.
+
+    The error ratio is the smallest share of 2 c_0 left in Burg's error sum
+    at any order, the last order's share counted times (1 - k**2). It is at
+    most prod(1 - k**2), and falls faster when the frame's energy sits at
+    its edges; the relative error of the coefficients grows as its inverse.
+    """
+    rows, n = x.shape
+    p = order
+    c = np.empty((rows, p + 1))
+    for j in range(p + 1):
+        c[:, j] = np.einsum("ij,ij->i", x[:, : n - j], x[:, j:])
+
+    # e[0, w, j] holds the forward error f[t] and e[1, w, j] the backward
+    # error b[t - 1] at t = j - p - 1 around the start (w = 0) and at
+    # t = n + j - p - 1 around the end (w = 1), one frame per last index.
+    # Order m leaves out columns p+1..p+1+m of both. A window's first column
+    # goes stale each order, which never reaches the columns read.
+    xp = np.zeros((rows, n + 4 * p + 4))
+    xp[:, 2 * p + 2 : n + 2 * p + 2] = x  # x[t] at column t + 2p + 2
+    at = np.array([[p + 1], [p]]) + np.arange(2 * p + 2)
+    e = np.ascontiguousarray(np.stack([xp[:, at], xp[:, at + n]], axis=2).transpose(1, 2, 3, 0))
+
+    a = np.zeros((rows, p + 1))
+    a[:, 0] = 1.0
+    g = np.zeros((rows, p + 1))
+    g[:, :2] = c[:, :2]
+    ratio = np.ones(rows)
+    for m in range(p):
+        # reductions run over contiguous rows, as every row's do in a batch of one
+        edge = np.ascontiguousarray(e[..., p + 1 : p + 2 + m, :].transpose(3, 0, 1, 2))
+        den = 2.0 * np.einsum("ij,ij->i", a[:, : m + 1], g[:, : m + 1]) - np.einsum("istj,istj->i", edge, edge)
+        cross = np.einsum("ij,ij->i", a[:, m::-1], g[:, 1 : m + 2]) - np.einsum("itj,itj->i", edge[:, 0], edge[:, 1])
+        share = np.divide(den, 2.0 * c[:, 0], out=np.ones_like(den), where=c[:, 0] > 0)
+        ratio = np.minimum(ratio, share)
+        k = np.divide(-2.0 * cross, den, out=np.zeros_like(den), where=den > 0)
+        a[:, 1 : m + 2] = a[:, 1 : m + 2] + k[:, None] * a[:, m::-1]
+        if m + 1 < p:
+            g[:, : m + 2] = g[:, : m + 2] + k[:, None] * g[:, m + 1 :: -1]
+            g[:, m + 2] = np.einsum("ij,ij->i", a[:, : m + 2], c[:, m + 2 : 0 : -1])
+            e[0], e[1, :, 1:] = e[0] + k * e[1], e[1, :, :-1] + k * e[0, :, :-1]
+    return a, np.minimum(ratio, share * (1.0 - k * k))
+
+
+def _burg_lattice(x: np.ndarray, order: int) -> np.ndarray:
+    """Burg coefficients of the (frames, n) rows of x by the lattice: one pass over the samples per order.
+
+    The forward and backward errors are updated in full at each order and
+    their energies summed directly, which keeps full precision however
+    small the prediction error gets.
+    """
+    f = b = x
+    a = np.zeros((x.shape[0], order + 1))
     a[:, 0] = 1.0
     for m in range(order):
         fm = f[:, 1:]
@@ -378,7 +463,7 @@ def burg_lpc(x: np.ndarray, order: int) -> np.ndarray:
         k = np.divide(num, den, out=np.zeros_like(den), where=den > 0)[:, None]
         a[:, 1 : m + 2] = a[:, 1 : m + 2] + k * a[:, m::-1]
         f, b = fm + k * bm, bm + k * fm
-    return a[0] if x.ndim == 1 else a
+    return a
 
 
 FORMANT_MIN_HZ = 90.0
@@ -418,8 +503,12 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     Returns (active, segs, a, roots, freqs, bws, formant): active flags the
     frames that are not all zero; the rest has one row per active frame, its
     windowed samples, A(z), the roots of A(z) with their frequencies and
-    bandwidths, and the mask of formant poles among them. The roots come from
-    one batched eigenvalue call on the companion matrices np.roots builds.
+    bandwidths, and the mask of formant poles among them. The fits come from
+    one burg_lpc call over the active frames (looked up as a module global
+    at call time), so they agree with the lattice to rounding, and a frame
+    left with under BURG_MIN_ERROR_RATIO of its energy in Burg's error sums
+    is fitted by the lattice itself. The roots come from one batched
+    eigenvalue call on the companion matrices np.roots builds.
     """
     frames = frame_signal(y, fl, hp) * np.hanning(fl)
     active = np.any(frames, axis=1)
@@ -434,6 +523,22 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     formant = (roots.imag > 1e-9) & (bws < FORMANT_MAX_BW)
     formant &= (freqs >= FORMANT_MIN_HZ) & (freqs <= fs / 2 - FORMANT_EDGE_HZ)
     return active, segs, a, roots, freqs, bws, formant
+
+
+def _fir(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of x through A_i(z), a[i] = [1, a1..ap]: lfilter(a[i], [1], x[i]) for all rows at once.
+
+    One einsum over a sliding window of the zero-padded rows sums each
+    output as a0 x[t] + a1 x[t-1] + ... in that order, as adding one
+    shifted copy of x per tap does, so the values are that loop's bit for
+    bit. Only the sign of an exact zero can differ: the loop starts from x
+    and keeps its -0.0, the einsum starts from +0.0. _all_pole adds its
+    input to a +0.0 state, so the filtered frames cannot tell them apart.
+    """
+    order = a.shape[1] - 1
+    padded = np.concatenate([np.zeros((x.shape[0], order)), x], axis=1)
+    taps = sliding_window_view(padded, order + 1, axis=1)[..., ::-1]  # taps[i, t, j] = x[i, t - j]
+    return np.einsum("itj,ij->it", taps, a)
 
 
 def _all_pole(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -559,9 +664,7 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
         step[:, 1:] += c2[:, j, None] * a_mod[:, :-2]
         a_mod[:, 1:] += step
 
-    resid = seg.copy()  # FIR A(z) on each frame; a0 is 1
-    for j in range(1, order + 1):
-        resid[:, j:] += a[:, j, None] * seg[:, :-j]
+    resid = _fir(a, seg)
     rms_in = np.sqrt(np.sum(seg * seg, axis=1))
     out, den = _resynthesize_frames(active, a_mod, resid, rms_in, hp)
 

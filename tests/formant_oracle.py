@@ -5,7 +5,9 @@ shift_formants_oracle makes one Burg fit, one ``np.roots`` call and one
 all frames of an utterance, and the tests compare the two within a bound.
 resynthesize_frames_oracle is the shifter's resynthesis as it was before it
 became array code, one lfilter call and one overlap-add per frame; the
-shipped _resynthesize_frames must be bitwise equal to it. track_formants
+shipped _resynthesize_frames must be bitwise equal to it. residual_oracle is
+the shifter's inverse filter as the shifted-add loop it was before it became
+one einsum, which must give the same values. track_formants
 reads each frame's formants through the shifter's own analysis front end;
 criterion 5 and the resynthesis tests measure formant shifts with it.
 """
@@ -174,3 +176,11 @@ def resynthesize_frames_oracle(active, a_mod, resid, rms_in, hp):
         out[k * hp : k * hp + fl] += resyn * win
         den[k * hp : k * hp + fl] += win**2
     return out, den
+
+
+def residual_oracle(a, seg):
+    """resynth._fir as one shifted add per tap: row i of seg through A_i(z); a0 is 1."""
+    resid = seg.copy()
+    for j in range(1, a.shape[1]):
+        resid[:, j:] += a[:, j, None] * seg[:, :-j]
+    return resid

@@ -944,6 +944,41 @@ class TestCli:
         assert_config_exit(CliRunner().invoke(cli.main, args), str(directory))
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate", "export-curves", "make-synth-corpus"])
+    def test_out_under_a_regular_file_exits_2_before_reading_audio(
+        self, command, small_corpus, fitted_model, tmp_path, monkeypatch
+    ):
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
+        root = Path(small_corpus).parent
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "model.json" if command == "fit" else afile
+        args = {
+            "fit": [],
+            "anonymize": ["--model", str(fitted_model)],
+            "evaluate": ["--anon-dir", str(root / "wav"), "--trials", str(root / "trials.csv")],
+            "export-curves": ["--model", str(fitted_model)],
+            "make-synth-corpus": ["--n-per-group", "1", "--n-modal", "1", "--n-disguised", "0"],
+        }[command]
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(write_config(tmp_path / "c.json")), "--manifest", str(small_corpus), "--out", str(out),
+             command, *args],
+        )
+        assert_config_exit(result, f"output path {out} ")
+        assert reads == []
+        assert afile.read_text() == ""
+
+    def test_fit_out_on_a_directory_exits_2_before_reading_audio(self, small_corpus, config_path, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
+        result = CliRunner().invoke(
+            cli.main, ["--config", str(config_path), "--manifest", str(small_corpus), "--out", str(tmp_path), "fit"]
+        )
+        assert_config_exit(result, f"output path {tmp_path} is a directory")
+        assert reads == []
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_a_usage_error(self, workers, small_corpus, config_path, tmp_path):
         model = tmp_path / "model.json"

@@ -4,18 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, lfilter, welch
 
 import psola_oracle
 from voxmask import pipeline, resynth
-from voxmask.audio import Waveform, read_wav
+from voxmask.audio import Waveform, frame_signal, read_wav
 from voxmask.evaluation import stoi
 from voxmask.pitch import F0Trajectory, PitchConfig, extract_f0, interpolate_unvoiced
 from voxmask.resynth import (
+    BURG_MIN_ERROR_RATIO,
     EpochSequence,
     FormantShiftConfig,
+    _formant_band,
+    _frame_poles,
     _lpc_order,
     burg_lpc,
     detect_epochs,
@@ -25,7 +28,13 @@ from voxmask.resynth import (
 from voxmask import synth
 
 from conftest import make_noise, make_test_vowel, make_tone
-from formant_oracle import resynthesize_frames_oracle, shift_formants_oracle, track_formants
+from formant_oracle import (
+    burg_lpc_oracle,
+    residual_oracle,
+    resynthesize_frames_oracle,
+    shift_formants_oracle,
+    track_formants,
+)
 from psola_oracle import detect_epochs_oracle, psola_modify_oracle
 
 PITCH_CFG = PitchConfig(floor=65, ceiling=380)
@@ -114,6 +123,63 @@ class TestBurg:
             burg_lpc(np.ones((3, 5)), 5)
         with pytest.raises(ValueError):
             burg_lpc(np.ones((2, 3, 40)), 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 16),
+        extra=st.integers(0, 299),
+        seed=st.integers(0, 2**32 - 1),
+        spike_at=st.floats(0.0, 1.0),
+    )
+    # frames of order + 1 or + 2 samples whose error sum collapses at an edge
+    # while prod(1 - k**2) stays large, as a ratio from k alone would miss
+    @example(order=8, extra=1, seed=15700, spike_at=0.5)
+    @example(order=16, extra=0, seed=56765, spike_at=0.5)
+    def test_matches_the_lattice_oracle(self, order, extra, seed, spike_at):
+        n = min(order + 1 + extra, 300)
+        edge = order + 1
+        rng = np.random.default_rng(seed)
+        spread = lambda size: rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+        frames = np.zeros((6, n))
+        frames[0] = rng.standard_normal(n)
+        frames[1] = spread(n)
+        frames[2, :edge] = spread(edge)  # energy only where Burg's sums leave samples out
+        frames[3, -edge:] = spread(edge)
+        frames[4, :edge] = spread(edge)
+        frames[4, -edge:] += spread(edge)
+        # a tone in faint noise: from order 2 on its fit mostly leaves too little
+        # error for the recursion, and the lattice refits it
+        t = np.arange(n)
+        tone = np.sin(2 * np.pi * rng.uniform(0.02, 0.45) * t + rng.uniform(0, 6)) + 1e-9 * rng.standard_normal(n)
+        spike = np.zeros(n)
+        spike[round(spike_at * (n - 1))] = rng.standard_normal()
+        frames = np.vstack([frames, tone, spike])
+
+        got = burg_lpc(frames, order)
+        fast, ratio = resynth._burg_recursion(frames, order)
+        for i, x in enumerate(frames):
+            roots = np.roots(got[i])
+            assert roots.size == 0 or np.max(np.abs(roots)) <= 1.0 + 1e-8
+            if ratio[i] < BURG_MIN_ERROR_RATIO:
+                np.testing.assert_array_equal(got[i], resynth._burg_lattice(x[None], order)[0])
+            else:
+                # the recursion's relative error grows as the inverse of the error ratio
+                np.testing.assert_array_equal(got[i], fast[i])
+                want = burg_lpc_oracle(x, order)
+                assert np.max(np.abs(got[i] - want)) <= 1e-9 * max(1.0, np.max(np.abs(want))) / ratio[i]
+        # a single spike has no correlation at any lag, so every k is exactly 0
+        np.testing.assert_array_equal(got[-1], np.eye(1, order + 1)[0])
+
+    def test_lattice_refits_tone_and_dc_frames_and_no_benchmark_frame(self, bench_utterances):
+        def ratios(w):
+            y, fs, _, fl, hp = _formant_band(w)
+            frames = frame_signal(y, fl, hp) * np.hanning(fl)
+            return resynth._burg_recursion(frames[np.any(frames, axis=1)], _lpc_order(fs))[1]
+
+        for name in ("pure_tone", "dc"):
+            assert np.any(ratios(ORACLE_INPUTS[name]()) < BURG_MIN_ERROR_RATIO), name
+        for uid, w, _ in bench_utterances:
+            assert np.min(ratios(w)) >= BURG_MIN_ERROR_RATIO, uid
 
 
 # ------------------------------------------------------------------ epochs
@@ -566,3 +632,39 @@ def test_frame_resynthesis_of_benchmark_utterances(monkeypatch, bench_utterances
         got, want = shift_formants_detailed(shifted, cfg), oracle_frames_shift(monkeypatch, shifted, cfg)
         assert_bitwise(got.waveform.samples, want.waveform.samples)
         assert (got.clamped_poles, got.skipped_poles) == (want.clamped_poles, want.skipped_poles)
+
+
+def analysis_frames(w: Waveform):
+    """(the active Hann-windowed frames of w's formant band, their Burg fits), from the shifter's front end."""
+    y, fs, _, fl, hp = _formant_band(w)
+    _, segs, a, *_ = _frame_poles(y, fs, fl, hp, _lpc_order(fs))
+    return segs, a
+
+
+def assert_residual_matches_shifted_adds(segs, a):
+    got, want = resynth._fir(a, segs), residual_oracle(a, segs)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # the loop keeps a frame's -0.0; the einsum sums from +0.0
+    flipped = np.signbit(got) != np.signbit(want)
+    assert not np.any(got[flipped]) and np.all(np.signbit(want[flipped]))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_residual_matches_shifted_adds(monkeypatch, name):
+    w = ORACLE_INPUTS[name]()
+    assert_residual_matches_shifted_adds(*analysis_frames(w))
+    cfg = FormantShiftConfig(factor=1.2)
+    got = shift_formants_detailed(w, cfg)
+    monkeypatch.setattr(resynth, "_fir", residual_oracle)
+    assert_bitwise(got.waveform.samples, shift_formants_detailed(w, cfg).waveform.samples)
+
+
+def test_residual_of_benchmark_utterances(monkeypatch, bench_utterances):
+    cfg = FormantShiftConfig(factor=1.2)
+    shifted = []
+    for _, w, _ in bench_utterances:
+        assert_residual_matches_shifted_adds(*analysis_frames(w))
+        shifted.append(shift_formants_detailed(w, cfg).waveform.samples)
+    monkeypatch.setattr(resynth, "_fir", residual_oracle)
+    for (_, w, _), got in zip(bench_utterances, shifted):
+        assert_bitwise(got, shift_formants_detailed(w, cfg).waveform.samples)
