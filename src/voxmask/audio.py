@@ -1,4 +1,4 @@
-"""Mono audio I/O, resampling, and framing utilities."""
+"""Mono audio I/O, resampling, framing and overlap-add."""
 
 from __future__ import annotations
 
@@ -132,6 +132,23 @@ def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     view = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
     view.setflags(write=False)
     return view
+
+
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Row k of frames added at k * hop into zeros, the rows at each sample in order.
+
+    One strided add per hop-long piece of a frame, the last piece first:
+    each sample then takes the rows that cover it oldest first, as adding one
+    row at a time does, so the sum is bitwise that loop's. The result runs
+    past the last frame's end to a whole number of hops.
+    """
+    rows, fl = frames.shape
+    pieces = -(-fl // hop)
+    out = np.zeros((rows + pieces - 1, hop))
+    for j in reversed(range(pieces)):
+        part = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + rows, : part.shape[1]] += part
+    return out.ravel()
 
 
 def num_frames(n_samples: int, frame_len: int, hop: int) -> int:

@@ -16,6 +16,7 @@ with a framed copy of the whole file; the MFCC sliding mean is a running sum.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
-from .audio import Waveform, frame_signal, num_frames, resample
+from .audio import Waveform, frame_signal, num_frames, overlap_add, resample
 
 STOI_RATE = 10000
 STOI_FRAME = 256
@@ -146,19 +147,9 @@ def _rebuild(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """
     out = np.zeros((kept.size + 1) * STOI_HOP)
     for block in _frame_blocks(kept.size):
-        part = _overlap_add(frames[kept[block]] * STOI_WINDOW)
+        part = overlap_add(frames[kept[block]] * STOI_WINDOW, STOI_HOP)
         out[block.start * STOI_HOP : block.start * STOI_HOP + part.size] += part
     return out
-
-
-def _overlap_add(frames: np.ndarray) -> np.ndarray:
-    """Frames summed at hop spacing: at 50% overlap each hop-long block is one frame's
-    second half plus the next frame's first half."""
-    n = frames.shape[0]
-    out = np.zeros((n + 1, STOI_HOP))
-    out[:n] = frames[:, :STOI_HOP]
-    out[1:] += frames[:, STOI_HOP:]
-    return out.ravel()
 
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
@@ -382,25 +373,13 @@ class EvalReport:
     rows: tuple
 
     def to_json_dict(self) -> dict:
-        def num(v: float):
-            return float(v) if np.isfinite(v) else None  # NaN is not valid JSON
+        def num(v):
+            return None if isinstance(v, float) and not np.isfinite(v) else v  # NaN is not valid JSON
 
         return {
             "corpus_id": self.corpus_id,
             "config_hash": self.config_hash,
-            "rows": [
-                {
-                    "label": r.label,
-                    "eer_percent": num(r.eer_percent),
-                    "eer_threshold": num(r.eer_threshold),
-                    "stoi_mean": num(r.stoi_mean),
-                    "stoi_min": num(r.stoi_min),
-                    "stoi_max": num(r.stoi_max),
-                    "n_genuine": r.n_genuine,
-                    "n_impostor": r.n_impostor,
-                }
-                for r in self.rows
-            ],
+            "rows": [{k: num(v) for k, v in dataclasses.asdict(r).items()} for r in self.rows],
         }
 
     def format_table(self) -> str:

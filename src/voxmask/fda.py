@@ -13,6 +13,7 @@ which makes ordinary PCA on Y equivalent to functional PCA on the curves.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -369,12 +370,7 @@ def save_model(path, model: FpcaModel) -> None:
         "eigenvalues": model.eigenvalues.tolist(),
         "variance_fraction": model.variance_fraction.tolist(),
         "training_scores": model.training_scores.tolist(),
-        "labels": None
-        if model.labels is None
-        else [
-            {"curve_id": l.curve_id, "speaker": l.speaker, "group": l.group, "condition": l.condition}
-            for l in model.labels
-        ],
+        "labels": None if model.labels is None else [dataclasses.asdict(l) for l in model.labels],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -393,12 +389,7 @@ def load_model(path) -> FpcaModel:
     space = CurveSpace(basis["n_basis"], basis["order"], cs["lambda"], cs["grid_points"], cs["semitone_ref_hz"])
     labels = payload["labels"]
     if labels is not None:
-        labels = tuple(
-            CurveLabel(
-                curve_id=l["curve_id"], speaker=l["speaker"], group=l["group"], condition=l["condition"]
-            )
-            for l in labels
-        )
+        labels = tuple(CurveLabel(**l) for l in labels)
     components = tuple(FunctionalCurve(space, np.asarray(c)) for c in payload["components"])
     return FpcaModel(
         space=space,

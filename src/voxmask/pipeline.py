@@ -1,23 +1,27 @@
 """Batch orchestration: manifests, model fitting, anonymization runs, evaluation.
 
 All commands are plain functions so they can be driven from the CLI or from
-tests. load_config turns the config JSON into typed objects once (a
-PitchConfig per group, the fda.CurveSpace built from the basis block and the
-semitone reference, the FormantShiftConfig), so a bad value is a ConfigError
-before any audio is read; so is a missing or inconsistent model file, which
-one reader loads. A model owns the curve space it was fit in, and anonymize
+tests. Every file a command reads from outside passes one check, that it is a
+regular file; the manifest and the trial file then go through one CSV reader,
+which wants UTF-8 and every column. load_config turns the config JSON into
+typed objects once: each block holds the keyword arguments of one dataclass
+(a PitchConfig per pitch group, the fda.CurveSpace from the basis block and
+semitone_ref_hz, the DeidStrategy, the FormantShiftConfig), which keeps every
+default and check. So a key that names no field, a bad value, or a missing or
+inconsistent model file, which one reader loads, is a ConfigError before any
+audio is read. A model owns the curve space it was fit in, and anonymize
 rejects a config whose space is not equal to it. fit and anonymize factor
 their space and build its Gram matrix before they read any audio, so a space
 the grid cannot support is a ConfigError too. Per-utterance work is a frozen
 job dataclass: FitJob (a path and the group's PitchConfig) for f0 tracking;
 AnonymizeJob, which adds the manifest row, its resolved strategy and the
 FormantShiftConfig; EvalJob, one file to embed and score by STOI. anonymize
-reads its model once per run and hands it, its space factored, to each
-worker once, through the pool's initializer. A command starts at most one
-pool and aggregates in utterance-id order, so the worker count never changes
-output bytes. Every command and pool worker runs OpenBLAS at one thread (see
-blas), so the core count and the BLAS thread settings do not change them
-either: the worker count is the only parallelism.
+reads its model once per run and hands it, its space factored, to each worker
+once, through the pool's initializer. A command starts at most one pool and
+aggregates in utterance-id order, so the worker count never changes output
+bytes. Every command and pool worker runs OpenBLAS at one thread (see blas),
+so the core count and the BLAS thread settings do not change them either: the
+worker count is the only parallelism.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -38,6 +43,7 @@ from . import blas, deid, evaluation, fda, pitch, resynth, synth
 from .audio import read_wav, write_wav
 
 CONFIG_FORMAT_VERSION = 1
+CONFIG_KEYS = ("version", "label", "pitch", "basis", "semitone_ref_hz", "strategy", "formant", "evaluation")
 
 
 class ConfigError(Exception):
@@ -80,27 +86,30 @@ class Manifest:
         return sorted({r.group for r in self.rows})
 
 
-def load_manifest(path) -> Manifest:
+def _input_file(path, what: str) -> Path:
+    """path as a Path when it is a regular file; else a ConfigError: the one check of every file a command reads."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(synth.MANIFEST_FIELDS) - set(reader.fieldnames or [])
-        if missing:
-            raise ConfigError(f"manifest is missing columns: {sorted(missing)}")
-        for raw in reader:
-            rows.append(
-                ManifestRow(
-                    utterance_id=raw["utterance_id"],
-                    path=raw["path"],
-                    speaker_id=raw["speaker_id"],
-                    group=raw["group"],
-                    condition=raw["condition"],
-                    session=raw["session"],
-                )
-            )
+        raise ConfigError(f"{what} not found: {path}")
+    return path
+
+
+def _read_table(path, what: str, fields) -> list:
+    """The rows of a CSV file, one dict each, once its header names every one of fields; else a ConfigError."""
+    with open(_input_file(path, what), newline="") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            missing = set(fields) - set(reader.fieldnames or [])
+            if missing:
+                raise ConfigError(f"{what} is missing columns: {sorted(missing)}")
+            return list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{what} {path} is not a UTF-8 CSV table: {exc}") from exc
+
+
+def load_manifest(path) -> Manifest:
+    fields = synth.MANIFEST_FIELDS
+    rows = [ManifestRow(**{f: raw[f] for f in fields}) for raw in _read_table(path, "manifest", fields)]
     ids = [r.utterance_id for r in rows]
     if len(set(ids)) != len(ids):
         dupes = sorted({u for u in ids if ids.count(u) > 1})
@@ -108,7 +117,21 @@ def load_manifest(path) -> Manifest:
     for i, r in enumerate(rows, start=1):
         if not (r.utterance_id and r.path and r.speaker_id and r.group):
             raise ConfigError(f"manifest row {i} ({r.utterance_id!r}) lacks an utterance id, path, speaker or group")
-    return Manifest(rows=tuple(rows), root=path.parent.resolve())
+    return Manifest(rows=tuple(rows), root=Path(path).parent.resolve())
+
+
+def load_trials(path) -> list:
+    """One (enroll_speaker, test_utterance, label) per trial file row; a bad label or no trials is a ConfigError."""
+    trials = [
+        (raw["enroll_speaker"], raw["test_utterance"], raw["label"])
+        for raw in _read_table(path, "trial file", synth.TRIAL_FIELDS)
+    ]
+    for _, _, label in trials:
+        if label not in ("genuine", "impostor"):
+            raise ConfigError(f"bad trial label {label!r}")
+    if not trials:
+        raise ConfigError("trial file contains no trials")
+    return trials
 
 
 @dataclass(frozen=True)
@@ -146,68 +169,69 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+_CHECKS = {int: _count, float: _number}  # by field type: what a config value must be
+
+
+def _block(value, path: str, keys=None) -> dict:
+    """The config block at path ("" at the top) once it is a JSON object whose every key is in keys, if given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config block {path!r} must be a JSON object")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {path}{'.' if path else ''}{unknown[0]}")
+    return value
+
+
+def _fill(cls, block, path: str, keys: Optional[dict] = None, **given):
+    """Dataclass cls from the config block at path: each key fills its field, a count or number type-checked.
+
+    keys maps a field to its config key where the two differ, or to None when
+    the block cannot set the field; given holds fields set from outside the
+    block. The dataclass holds every default and makes its own checks.
+    """
+    keys = keys or {}
+    types = typing.get_type_hints(cls)
+    fields = {keys.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    fields.pop(None, None)
+    kwargs = dict(given)
+    for key, value in _block(block, path, fields).items():
+        check = _CHECKS.get(types[fields[key]])
+        kwargs[fields[key]] = value if check is None else check(value, f"{path}.{key}")
+    return cls(**kwargs)
+
+
 def config_from_dict(data: dict) -> PipelineConfig:
-    """Build every typed object once; their own checks make a bad value a ConfigError."""
+    """Every typed object built once: each block fills its dataclass, whose checks make a bad value a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
     if data.get("version") != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config version: {data.get('version')!r}")
-    for block in ("pitch", "basis", "strategy", "formant", "evaluation"):
-        if not isinstance(data.get(block, {}), dict):
-            raise ConfigError(f"config block {block!r} must be a JSON object")
-    ev = data.get("evaluation", {})
-    for key in ("stoi", "eer"):
-        if not isinstance(ev.get(key, True), bool):
-            raise ConfigError(f"evaluation.{key} must be true or false, not {ev[key]!r}")
+    _block(data, "", CONFIG_KEYS)
+    ev = _block(data.get("evaluation", {}), "evaluation", ("stoi", "eer"))
+    for key, value in ev.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"evaluation.{key} must be true or false, not {value!r}")
     try:
-        basis = data.get("basis", {})
-        strat = data["strategy"]
-        strategy = deid.DeidStrategy(
-            kind=strat["kind"],
-            shift_percent=_number(strat.get("shift_percent", 0.0), "strategy.shift_percent"),
-            donor_group=strat.get("donor_group", ""),
-            donor_condition=strat.get("donor_condition", "disguised"),
-            variance_threshold=_number(strat.get("variance_threshold", 0.9), "strategy.variance_threshold"),
-            max_components=_count(strat.get("max_components", 30), "strategy.max_components"),
-        )
-        formant = data.get("formant", {})
-        cfg = PipelineConfig(
+        ref = {"ref_hz": _number(data["semitone_ref_hz"], "semitone_ref_hz")} if "semitone_ref_hz" in data else {}
+        return PipelineConfig(
             label=data.get("label", "unnamed"),
-            pitch={
-                g: pitch.PitchConfig(
-                    floor=_number(v["floor"], f"pitch.{g}.floor"), ceiling=_number(v["ceiling"], f"pitch.{g}.ceiling")
-                )
-                for g, v in data["pitch"].items()
-            },
-            curve_space=fda.CurveSpace(
-                n_basis=_count(basis.get("n_basis", fda.DEFAULT_N_BASIS), "basis.n_basis"),
-                order=_count(basis.get("order", fda.DEFAULT_ORDER), "basis.order"),
-                lam=_number(basis.get("lambda", fda.DEFAULT_LAMBDA), "basis.lambda"),
-                grid_points=_count(basis.get("grid_points", fda.DEFAULT_GRID_POINTS), "basis.grid_points"),
-                ref_hz=_number(data.get("semitone_ref_hz", fda.DEFAULT_SEMITONE_REF_HZ), "semitone_ref_hz"),
-            ),
-            strategy=strategy,
-            formant=resynth.FormantShiftConfig(
-                factor=_number(formant.get("factor", 1.0), "formant.factor"),
-                n_formants=_count(formant.get("n_formants", 3), "formant.n_formants"),
-            ),
+            pitch={g: _fill(pitch.PitchConfig, v, f"pitch.{g}") for g, v in _block(data["pitch"], "pitch").items()},
+            curve_space=_fill(fda.CurveSpace, data.get("basis", {}), "basis", {"lam": "lambda", "ref_hz": None}, **ref),
+            strategy=_fill(deid.DeidStrategy, data["strategy"], "strategy"),
+            formant=_fill(resynth.FormantShiftConfig, data.get("formant", {}), "formant"),
             eval_stoi=ev.get("stoi", True),
             eval_eer=ev.get("eer", True),
             raw=data,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return cfg
 
 
 def load_config(path) -> PipelineConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(_input_file(path, "config file")) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or not UTF-8
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
@@ -367,11 +391,9 @@ def check_output(path, directory: bool) -> Path:
 
 def _read_model(model_path) -> fda.FpcaModel:
     """The one model reader: a missing or unreadable model file is a ConfigError (exit 2)."""
-    if not Path(model_path).is_file():
-        raise ConfigError(f"model file not found: {model_path}")
     try:
-        return fda.load_model(model_path)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        return fda.load_model(_input_file(model_path, "model file"))
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"unreadable model file {model_path}: {exc}") from exc
 
 
@@ -469,8 +491,7 @@ def cmd_anonymize(
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         _check_donors(model, model_path, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_anonymize_job, jobs, workers, model)
-    results = sorted(results, key=lambda d: d["utterance_id"])
+    results = _map_jobs(_anonymize_job, jobs, workers, model)  # in job order, which is utterance-id order
     with open(out_dir / "anon_log.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
         writer.writeheader()
@@ -521,21 +542,7 @@ def cmd_evaluate(
     cfg = load_config(config_path)
     out_dir = check_output(out_dir, directory=True)
     anon_dir = Path(anon_dir)
-    trial_path = Path(trial_path)
-    if not trial_path.is_file():
-        raise ConfigError(f"trial file not found: {trial_path}")
-    trials = []
-    with open(trial_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(synth.TRIAL_FIELDS) - set(reader.fieldnames or [])
-        if missing:
-            raise ConfigError(f"trial file is missing columns: {sorted(missing)}")
-        for raw in reader:
-            if raw["label"] not in ("genuine", "impostor"):
-                raise ConfigError(f"bad trial label {raw['label']!r}")
-            trials.append((raw["enroll_speaker"], raw["test_utterance"], raw["label"]))
-    if not trials:
-        raise ConfigError("trial file contains no trials")
+    trials = load_trials(trial_path)
 
     by_id = {r.utterance_id: r for r in manifest.rows}
     unknown = sorted({t for _, t, _ in trials if t not in by_id})

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter, sosfiltfilt
 
-from .audio import Waveform, frame_signal, num_frames, resample
+from .audio import Waveform, frame_signal, num_frames, overlap_add, resample
 from .pitch import F0Trajectory, interpolate_unvoiced
 
 UNVOICED_ANCHOR_S = 0.010
@@ -66,9 +66,9 @@ class EpochSequence:
 
 @dataclass(frozen=True)
 class FormantShiftConfig:
-    """factor scales the angles of the n_formants lowest formant pole pairs."""
+    """factor scales the angles of the n_formants lowest formant pole pairs; 1.0 leaves the waveform as it is."""
 
-    factor: float
+    factor: float = 1.0
     n_formants: int = 3
 
     def __post_init__(self):
@@ -569,23 +569,6 @@ def _all_pole(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.T)
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Row k of frames added at k * hop into zeros, the rows at each sample in order.
-
-    One strided add per hop-long piece of a frame, the last piece first:
-    each sample then takes the rows that cover it oldest first, as adding one
-    row at a time does, so the sum is bitwise that loop's. The result runs
-    past the last frame's end to a whole number of hops.
-    """
-    rows, fl = frames.shape
-    pieces = -(-fl // hop)
-    out = np.zeros((rows + pieces - 1, hop))
-    for j in reversed(range(pieces)):
-        part = frames[:, j * hop : (j + 1) * hop]
-        out[j : j + rows, : part.shape[1]] += part
-    return out.ravel()
-
-
 def _resynthesize_frames(active, a_mod, resid, rms_in, hp):
     """(windowed overlap-add of the re-filtered frames, overlap-add of the squared windows).
 
@@ -602,7 +585,7 @@ def _resynthesize_frames(active, a_mod, resid, rms_in, hp):
     win = np.hanning(fl)
     frames = np.zeros((active.size, fl))
     frames[active] = resyn * win
-    return _overlap_add(frames, hp), _overlap_add(np.where(active[:, None], win**2, 0.0), hp)
+    return overlap_add(frames, hp), overlap_add(np.where(active[:, None], win**2, 0.0), hp)
 
 
 @dataclass(frozen=True)

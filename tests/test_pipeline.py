@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from voxmask import cli, fda, pipeline, synth
+from voxmask import cli, deid, fda, pipeline, resynth, synth
 from voxmask.audio import read_wav
 from voxmask.evaluation import stoi
 from voxmask.pipeline import ConfigError
@@ -212,6 +212,28 @@ class TestConfig:
         p.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=message):
             pipeline.load_config(p)
+
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"lable": "x"}, "lable"),
+            ({"pitch": {"low": {"flor": 65.0, "ceiling": 380.0}}}, "pitch.low.flor"),
+            ({"basis": {"n_basis": 40, "lam": 1e-8}}, "basis.lam"),
+            ({"basis": {"n_basis": 40, "ref_hz": 100.0}}, "basis.ref_hz"),
+            ({"strategy": {"kind": "cross_group", "varaince_threshold": 0.8}}, "strategy.varaince_threshold"),
+            ({"formant": {"facter": 1.2}}, "formant.facter"),
+            ({"evaluation": {"stio": False}}, "evaluation.stio"),
+        ],
+        ids=["top_level", "pitch_group", "basis_field_name", "basis_ref_hz", "strategy", "formant", "evaluation"],
+    )
+    def test_unknown_key_rejected_with_its_path(self, over, key):
+        with pytest.raises(ConfigError, match=rf"^unknown config key {key}$"):
+            pipeline.config_from_dict(base_config(**over))
+
+    def test_blocks_take_their_defaults_from_the_dataclasses(self):
+        cfg = pipeline.config_from_dict(base_config(strategy={"kind": "cross_group"}, formant={}))
+        assert cfg.strategy == deid.DeidStrategy(kind="cross_group")
+        assert cfg.formant == resynth.FormantShiftConfig()
 
     def test_curve_space_not_factored_at_load(self, small_corpus):
         # evaluate never smooths, and anonymize jobs are pickled to workers
@@ -818,6 +840,18 @@ class TestCli:
         assert f"Invalid value for '{option}'" in result.stderr and message in result.stderr
         assert not out.exists()
 
+    def test_anonymize_with_a_misspelt_formant_key_exits_2(self, small_corpus, fitted_model, tmp_path):
+        cfg = write_config(tmp_path / "c.json", formant={"facter": 1.2})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), "anonymize",
+             "--model", str(fitted_model)],
+        )
+        assert_config_exit(result, "unknown config key formant.facter")
+        assert result.stderr == "error: unknown config key formant.facter\n"
+        assert not out.exists()
+
     def test_anonymize_rejects_a_basis_other_than_the_models(self, small_corpus, fitted_model, tmp_path):
         # fitted_model was fit with n_basis 40
         cfg = write_config(tmp_path / "c.json", basis={"n_basis": 30, "order": 4, "lambda": 1e-8, "grid_points": 200})
@@ -868,8 +902,11 @@ class TestCli:
             ("not_an_object", "unsupported model file version: None"),
             ("no_curve_space", "has no curve_space block, so its scores cannot be checked; refit the model"),
             ("extra_label", "25 labels for 24 training curves"),
+            ("label_with_an_extra_key", "unexpected keyword argument 'accent'"),
+            ("label_without_a_key", "missing 1 required positional argument: 'condition'"),
         ],
-        ids=["missing", "truncated", "wrong_version", "not_an_object", "no_curve_space", "extra_label"],
+        ids=["missing", "truncated", "wrong_version", "not_an_object", "no_curve_space", "extra_label",
+             "label_with_an_extra_key", "label_without_a_key"],
     )
     @pytest.mark.parametrize("command", ["anonymize", "export-curves"])
     def test_bad_model_file_exits_2(self, command, damage, message, small_corpus, fitted_model, tmp_path):
@@ -887,6 +924,12 @@ class TestCli:
             model.write_text(json.dumps(data))
         elif damage == "extra_label":
             data["labels"].append(data["labels"][0])
+            model.write_text(json.dumps(data))
+        elif damage == "label_with_an_extra_key":
+            data["labels"][3]["accent"] = "none"
+            model.write_text(json.dumps(data))
+        elif damage == "label_without_a_key":
+            del data["labels"][3]["condition"]
             model.write_text(json.dumps(data))
         out = tmp_path / "out"
         args = ["--out", str(out), command, "--model", str(model)]
@@ -942,6 +985,26 @@ class TestCli:
         else:
             args += ["evaluate", "--anon-dir", str(root / "wav"), "--trials", str(files["--trials"])]
         assert_config_exit(CliRunner().invoke(cli.main, args), str(directory))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--config", "config is not valid JSON"), ("--manifest", "is not a UTF-8 CSV table"),
+         ("--trials", "is not a UTF-8 CSV table"), ("--model", "unreadable model file")],
+    )
+    def test_an_input_file_that_is_not_utf8_exits_2(self, flag, message, small_corpus, fitted_model, tmp_path):
+        root = Path(small_corpus).parent
+        latin1 = tmp_path / "latin1"
+        latin1.write_bytes("utterance_id,café\n".encode("latin-1"))
+        files = {"--config": write_config(tmp_path / "c.json"), "--manifest": small_corpus,
+                 "--trials": root / "trials.csv", "--model": fitted_model, flag: latin1}
+        out = tmp_path / "out"
+        args = ["--config", str(files["--config"]), "--manifest", str(files["--manifest"]), "--out", str(out)]
+        if flag == "--model":
+            args += ["anonymize", "--model", str(files["--model"])]
+        else:
+            args += ["evaluate", "--anon-dir", str(root / "wav"), "--trials", str(files["--trials"])]
+        assert_config_exit(CliRunner().invoke(cli.main, args), message)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate", "export-curves", "make-synth-corpus"])

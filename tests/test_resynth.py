@@ -10,7 +10,7 @@ from scipy.signal import butter, lfilter, welch
 
 import psola_oracle
 from voxmask import pipeline, resynth
-from voxmask.audio import Waveform, frame_signal, read_wav
+from voxmask.audio import Waveform, frame_signal, overlap_add, read_wav
 from voxmask.evaluation import stoi
 from voxmask.pitch import F0Trajectory, PitchConfig, extract_f0, interpolate_unvoiced
 from voxmask.resynth import (
@@ -602,7 +602,7 @@ def test_overlap_add_matches_frame_loop(fl, hp):
     want = np.zeros((13 - 1) * hp + fl)
     for k, row in enumerate(frames):
         want[k * hp : k * hp + fl] += row
-    got = resynth._overlap_add(frames, hp)
+    got = overlap_add(frames, hp)
     assert_bitwise(got[: want.size], want)
     assert not np.any(got[want.size :])
 
