@@ -47,16 +47,17 @@ strategies = {
 # disguise_model draws on disguised-condition curves, so it needs a model
 # that has seen them. Each model carries the curve space it was fit in
 # (basis, smoothing, grid, semitone reference), and anonymize_trajectory
-# projects the utterance in that space.
+# projects the utterance in that space. It takes the group's PitchConfig,
+# the tracker's search range, and clamps a rebuilt contour to
+# [floor/2, 2*ceiling]; psola_modify refuses a target outside
+# [20 Hz, sample_rate/4].
 all_model_path = OUT / "anon_model_all.json"
 pipeline.cmd_fit(manifest, preset, all_model_path)
 all_model = fda.load_model(all_model_path)
 
 for name, strategy in strategies.items():
     m = all_model if name == "disguise_model" else model
-    target = deid.anonymize_trajectory(
-        traj, m, strategy, speaker=row.speaker_id, pitch_floor=65.0, pitch_ceiling=380.0,
-    )
+    target = deid.anonymize_trajectory(traj, m, strategy, speaker=row.speaker_id, pitch=cfg)
     out = resynth.psola_modify(w, traj, target)
     got = pitch.extract_f0(out, pitch.PitchConfig(floor=65.0, ceiling=520.0))
     med = np.median(got.values[got.voiced])

@@ -3,8 +3,11 @@
 Strategies operate on a fitted functional PCA model: swap the first score
 with a donor statistic and rebuild the curve. The utterance is projected in
 the model's own fda.CurveSpace, the one it was fit in, which also maps the
-rebuilt curve back to Hz. The constant-shift strategy bypasses the model
-entirely and just scales the trajectory.
+rebuilt curve back to Hz, clamped to the utterance group's PitchConfig range.
+The constant-shift strategy bypasses the model entirely and just scales the
+trajectory. An utterance with no voiced frame has no f0 to edit, under any
+strategy. Whether a target f0 can be resynthesized at all is resynth's call:
+psola_modify rejects one outside [20 Hz, sample_rate/4].
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .fda import FpcaModel, curve_from_trajectory, fpca_project, reconstruct
-from .pitch import F0Trajectory
+from .pitch import F0Trajectory, PitchConfig
 
 DISGUISE_MODEL = "disguise_model"
 CROSS_GROUP = "cross_group"
@@ -69,8 +72,6 @@ def replacement_first_score(strategy: DeidStrategy, model: FpcaModel, speaker: s
     curves, so the replacement is always a positive weighting. cross_group:
     plain mean of s1 over every curve labeled with the donor group.
     """
-    if model.labels is None:
-        raise ValueError("model carries no training labels; cannot locate donor curves")
     s1 = model.training_scores[:, 0]
     if strategy.kind == DISGUISE_MODEL:
         rows = [
@@ -104,19 +105,11 @@ def anonymize_scores(original: np.ndarray, replacement_s1: float, n: int) -> np.
     return values
 
 
-def constant_pitch_shift(t: F0Trajectory, percent: float, max_hz: Optional[float] = None) -> F0Trajectory:
-    """Multiply every f0 value by (1 + percent/100); flags and times unchanged.
-
-    max_hz, when given, bounds the shifted voiced values (callers pass
-    sample_rate/4 to stay resynthesis-safe).
-    """
+def constant_pitch_shift(t: F0Trajectory, percent: float) -> F0Trajectory:
+    """Multiply every f0 value by (1 + percent/100); flags and times unchanged."""
     if percent <= -100:
         raise ValueError("percent must exceed -100")
-    factor = 1.0 + percent / 100.0
-    values = t.values * factor
-    if max_hz is not None and np.any(values[t.voiced] > max_hz):
-        raise ValueError(f"shifted f0 exceeds the safe bound of {max_hz:.1f} Hz")
-    return F0Trajectory(t.times, values, t.voiced)
+    return F0Trajectory(t.times, t.values * (1.0 + percent / 100.0), t.voiced)
 
 
 def anonymize_trajectory(
@@ -125,9 +118,7 @@ def anonymize_trajectory(
     strategy: DeidStrategy,
     speaker: str = "",
     *,
-    pitch_floor: Optional[float] = None,
-    pitch_ceiling: Optional[float] = None,
-    max_hz: Optional[float] = None,
+    pitch: PitchConfig,
 ) -> F0Trajectory:
     """Full score-replacement pipeline for one trajectory.
 
@@ -135,12 +126,14 @@ def anonymize_trajectory(
     model.space, the curve space the model was fit in, which then maps the
     curve back to Hz on the input frame times. Frame count, times, and
     voicing flags pass through untouched; unvoiced frames stay NaN.
-    Reconstructed values are clamped to [pitch_floor/2, 2*pitch_ceiling] when
-    those bounds are given, guarding resynthesis against spline overshoot near
-    the curve edges.
+    Reconstructed values are clamped to [pitch.floor/2, 2*pitch.ceiling], the
+    group's search range widened by an octave each way, guarding resynthesis
+    against spline overshoot near the curve edges.
     """
+    if t.n_voiced == 0:
+        raise ValueError("no voiced frames found")
     if strategy.kind == CONSTANT_SHIFT:
-        return constant_pitch_shift(t, strategy.shift_percent, max_hz)
+        return constant_pitch_shift(t, strategy.shift_percent)
     if model is None:
         raise ValueError(f"strategy {strategy.kind!r} requires a fitted model")
 
@@ -148,11 +141,6 @@ def anonymize_trajectory(
     n = select_n_components(model, strategy.variance_threshold, strategy.max_components)
     swapped = anonymize_scores(scores, replacement_first_score(strategy, model, speaker), n)
     hz = model.space.to_hz(reconstruct(model, swapped, n), t.times)
-    if pitch_floor is not None:
-        hz = np.maximum(hz, pitch_floor / 2.0)
-    if pitch_ceiling is not None:
-        hz = np.minimum(hz, 2.0 * pitch_ceiling)
-    if max_hz is not None and np.any(hz[t.voiced] > max_hz):
-        raise ValueError(f"anonymized f0 exceeds the safe bound of {max_hz:.1f} Hz")
+    hz = np.minimum(np.maximum(hz, pitch.floor / 2.0), 2.0 * pitch.ceiling)
     values = np.where(t.voiced, hz, np.nan)
     return F0Trajectory(t.times, values, t.voiced)

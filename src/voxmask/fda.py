@@ -17,7 +17,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -232,7 +232,7 @@ class FpcaModel:
     eigenvalues: np.ndarray
     variance_fraction: np.ndarray
     training_scores: np.ndarray
-    labels: Optional[tuple]
+    labels: tuple  # one CurveLabel per training curve
 
     def __post_init__(self):
         k = len(self.components)
@@ -243,7 +243,7 @@ class FpcaModel:
             raise ValueError(f"training_scores of shape {shape} need {k} columns, one per component")
         if self.eigenvalues.shape != (k,) or self.variance_fraction.shape != (k,):
             raise ValueError(f"eigenvalues and variance_fraction need one entry per component ({k})")
-        if self.labels is not None and len(self.labels) != shape[0]:
+        if len(self.labels) != shape[0]:
             raise ValueError(f"{len(self.labels)} labels for {shape[0]} training curves")
 
     @property
@@ -274,7 +274,7 @@ def _fix_component_signs(b: np.ndarray, gram_ones: np.ndarray) -> np.ndarray:
     return b
 
 
-def fpca_fit(curves: Sequence[FunctionalCurve], labels: Optional[Sequence[CurveLabel]] = None) -> FpcaModel:
+def fpca_fit(curves: Sequence[FunctionalCurve], labels: Sequence[CurveLabel]) -> FpcaModel:
     """Fit functional PCA over curves of one curve space, which the model keeps.
 
     The coefficient covariance C is transformed to L^T C L (G = L L^T); its
@@ -290,10 +290,9 @@ def fpca_fit(curves: Sequence[FunctionalCurve], labels: Optional[Sequence[CurveL
     for k, c in enumerate(curves):
         if c.space != space:
             raise ValueError(f"curve {k} is not in the curve space of curve 0")
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != len(curves):
-            raise ValueError("one label per curve required")
+    labels = tuple(labels)
+    if len(labels) != len(curves):
+        raise ValueError("one label per curve required")
 
     x = np.stack([c.coefficients for c in curves])
     n_curves = x.shape[0]
@@ -370,7 +369,7 @@ def save_model(path, model: FpcaModel) -> None:
         "eigenvalues": model.eigenvalues.tolist(),
         "variance_fraction": model.variance_fraction.tolist(),
         "training_scores": model.training_scores.tolist(),
-        "labels": None if model.labels is None else [dataclasses.asdict(l) for l in model.labels],
+        "labels": [dataclasses.asdict(l) for l in model.labels],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -387,9 +386,6 @@ def load_model(path) -> FpcaModel:
         raise ValueError("model file has no curve_space block, so its scores cannot be checked; refit the model")
     basis, cs = payload["basis"], payload["curve_space"]
     space = CurveSpace(basis["n_basis"], basis["order"], cs["lambda"], cs["grid_points"], cs["semitone_ref_hz"])
-    labels = payload["labels"]
-    if labels is not None:
-        labels = tuple(CurveLabel(**l) for l in labels)
     components = tuple(FunctionalCurve(space, np.asarray(c)) for c in payload["components"])
     return FpcaModel(
         space=space,
@@ -398,5 +394,5 @@ def load_model(path) -> FpcaModel:
         eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
         variance_fraction=np.asarray(payload["variance_fraction"], dtype=np.float64),
         training_scores=np.asarray(payload["training_scores"], dtype=np.float64),
-        labels=labels,
+        labels=tuple(CurveLabel(**l) for l in payload["labels"]),
     )

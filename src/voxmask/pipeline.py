@@ -4,24 +4,24 @@ All commands are plain functions so they can be driven from the CLI or from
 tests. Every file a command reads from outside passes one check, that it is a
 regular file; the manifest and the trial file then go through one CSV reader,
 which wants UTF-8 and every column. load_config turns the config JSON into
-typed objects once: each block holds the keyword arguments of one dataclass
-(a PitchConfig per pitch group, the fda.CurveSpace from the basis block and
+typed objects once: each block holds the keyword arguments of one dataclass (a
+PitchConfig per pitch group, the fda.CurveSpace from the basis block and
 semitone_ref_hz, the DeidStrategy, the FormantShiftConfig), which keeps every
-default and check. So a key that names no field, a bad value, or a missing or
-inconsistent model file, which one reader loads, is a ConfigError before any
-audio is read. A model owns the curve space it was fit in, and anonymize
-rejects a config whose space is not equal to it. fit and anonymize factor
-their space and build its Gram matrix before they read any audio, so a space
-the grid cannot support is a ConfigError too. Per-utterance work is a frozen
-job dataclass: FitJob (a path and the group's PitchConfig) for f0 tracking;
-AnonymizeJob, which adds the manifest row, its resolved strategy and the
-FormantShiftConfig; EvalJob, one file to embed and score by STOI. anonymize
-reads its model once per run and hands it, its space factored, to each worker
-once, through the pool's initializer. A command starts at most one pool and
-aggregates in utterance-id order, so the worker count never changes output
-bytes. Every command and pool worker runs OpenBLAS at one thread (see blas),
-so the core count and the BLAS thread settings do not change them either: the
-worker count is the only parallelism.
+default and check. So a key that names no field, a required key left out, a
+bad value, or a missing or inconsistent model file, which one reader loads, is
+a ConfigError before any audio is read. A model owns the curve space it was
+fit in, and anonymize rejects a config whose space is not equal to it. fit and
+anonymize factor their space and build its Gram matrix before they read any
+audio, so a space the grid cannot support is a ConfigError too. Per-utterance
+work is a frozen job dataclass: FitJob (a path and the group's PitchConfig)
+for f0 tracking; AnonymizeJob, which adds the manifest row, its resolved
+strategy and the FormantShiftConfig; EvalJob, one file to embed and score by
+STOI. anonymize reads its model once per run and hands it, its space factored,
+to each worker once, through the pool's initializer. A command starts at most
+one pool and aggregates in utterance-id order, so the worker count never
+changes output bytes. Every command and pool worker runs OpenBLAS at one
+thread (see blas), so the core count and the BLAS thread settings do not
+change them either: the worker count is the only parallelism.
 """
 
 from __future__ import annotations
@@ -169,7 +169,14 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-_CHECKS = {int: _count, float: _number}  # by field type: what a config value must be
+def _text(value, key: str) -> str:
+    """A JSON string, else a ConfigError naming key."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+_CHECKS = {int: _count, float: _number, str: _text}  # by field type: what a config value must be
 
 
 def _block(value, path: str, keys=None) -> dict:
@@ -183,20 +190,24 @@ def _block(value, path: str, keys=None) -> dict:
 
 
 def _fill(cls, block, path: str, keys: Optional[dict] = None, **given):
-    """Dataclass cls from the config block at path: each key fills its field, a count or number type-checked.
+    """Dataclass cls from the config block at path: each key fills its field, a count, number or string type-checked.
 
     keys maps a field to its config key where the two differ, or to None when
     the block cannot set the field; given holds fields set from outside the
-    block. The dataclass holds every default and makes its own checks.
+    block. The dataclass holds every default and makes its own checks; a field
+    without a default that the block leaves unset is a ConfigError naming its key.
     """
     keys = keys or {}
     types = typing.get_type_hints(cls)
-    fields = {keys.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    fields = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     fields.pop(None, None)
     kwargs = dict(given)
     for key, value in _block(block, path, fields).items():
-        check = _CHECKS.get(types[fields[key]])
-        kwargs[fields[key]] = value if check is None else check(value, f"{path}.{key}")
+        check = _CHECKS.get(types[fields[key].name])
+        kwargs[fields[key].name] = value if check is None else check(value, f"{path}.{key}")
+    for key, f in fields.items():
+        if f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing config key {path}.{key}")
     return cls(**kwargs)
 
 
@@ -214,7 +225,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
     try:
         ref = {"ref_hz": _number(data["semitone_ref_hz"], "semitone_ref_hz")} if "semitone_ref_hz" in data else {}
         return PipelineConfig(
-            label=data.get("label", "unnamed"),
+            label=_text(data.get("label", "unnamed"), "label"),
             pitch={g: _fill(pitch.PitchConfig, v, f"pitch.{g}") for g, v in _block(data["pitch"], "pitch").items()},
             curve_space=_fill(fda.CurveSpace, data.get("basis", {}), "basis", {"lam": "lambda", "ref_hz": None}, **ref),
             strategy=_fill(deid.DeidStrategy, data["strategy"], "strategy"),
@@ -339,23 +350,12 @@ class AnonymizeJob:
 
 
 def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
-    pcfg = job.pitch
     log = dict.fromkeys(LOG_FIELDS, "")
     log.update(utterance_id=job.row.utterance_id, formant_factor=f"{job.formant.factor:.3f}")
     try:
         w = read_wav(job.wav_path)
-        traj = pitch.extract_f0(w, pcfg)
-        if traj.n_voiced == 0:
-            raise ValueError("no voiced frames found")
-        target = deid.anonymize_trajectory(
-            traj,
-            model,
-            job.strategy,
-            job.row.speaker_id,
-            pitch_floor=pcfg.floor,
-            pitch_ceiling=pcfg.ceiling,
-            max_hz=w.sample_rate / 4,
-        )
+        traj = pitch.extract_f0(w, job.pitch)
+        target = deid.anonymize_trajectory(traj, model, job.strategy, job.row.speaker_id, pitch=job.pitch)
         shifted = resynth.psola_modify(w, traj, target)
         result = resynth.shift_formants_detailed(shifted, job.formant)
         write_wav(job.out_path, result.waveform, encoding="float32")
@@ -645,14 +645,7 @@ def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) 
     with open(scatter_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s1", "s2", "label"])
-        n_scores = model.training_scores.shape[1]
-        for k in range(model.training_scores.shape[0]):
-            s1 = model.training_scores[k, 0]
-            s2 = model.training_scores[k, 1] if n_scores > 1 else 0.0
-            if model.labels is not None:
-                lab = model.labels[k]
-                label = f"{lab.group}:{lab.condition}:{lab.speaker}"
-            else:
-                label = str(k)
-            writer.writerow([f"{s1:.8f}", f"{s2:.8f}", label])
+        for s, lab in zip(model.training_scores, model.labels):
+            s2 = s[1] if s.size > 1 else 0.0
+            writer.writerow([f"{s[0]:.8f}", f"{s2:.8f}", f"{lab.group}:{lab.condition}:{lab.speaker}"])
     return curves_path, scatter_path

@@ -14,7 +14,7 @@ from voxmask.deid import (
     select_n_components,
 )
 from voxmask.fda import CurveLabel, CurveSpace, curve_from_trajectory, fpca_fit
-from voxmask.pitch import F0Trajectory
+from voxmask.pitch import F0Trajectory, PitchConfig
 
 
 def hz_traj(values, voiced=None, hop=0.01):
@@ -31,6 +31,7 @@ def contour(base: float, n: int = 150, bump: float = 0.06, phase: float = 0.0) -
 
 
 SPACE = CurveSpace(40, 4, 1e-8, 200, 100.0)
+PITCH = PitchConfig(65.0, 380.0)  # the low group's search range in the presets
 
 
 def fit_two_group_model(n_per_group: int = 6):
@@ -143,11 +144,6 @@ class TestReplacementScore:
                 DeidStrategy(kind="cross_group", donor_group="martian"), two_group_model, "x"
             )
 
-    def test_unlabeled_model_errors(self, two_group_model):
-        model = dataclasses.replace(two_group_model, labels=None)
-        with pytest.raises(ValueError):
-            replacement_first_score(DeidStrategy(kind="cross_group", donor_group="high"), model, "x")
-
 
 class TestAnonymizeScores:
     def test_worked_example(self):
@@ -190,33 +186,29 @@ class TestConstantShift:
         out = constant_pitch_shift(hz_traj([200.0]), -50.0)
         assert out.values[0] == pytest.approx(100.0)
 
-    def test_nyquist_guard(self):
-        with pytest.raises(ValueError):
-            constant_pitch_shift(hz_traj([3000.0]), 50.0, max_hz=4000.0)
-
 
 class TestAnonymizeTrajectory:
     def test_constant_shift_dispatch(self):
         t = hz_traj(contour(120.0))
         strategy = DeidStrategy(kind="constant_shift", shift_percent=15.0)
-        out = anonymize_trajectory(t, None, strategy)
+        out = anonymize_trajectory(t, None, strategy, pitch=PITCH)
         ref = constant_pitch_shift(t, 15.0)
         np.testing.assert_array_equal(out.values, ref.values)
 
     def test_model_required_for_score_swap(self):
         t = hz_traj(contour(120.0))
         with pytest.raises(ValueError):
-            anonymize_trajectory(t, None, DeidStrategy(kind="cross_group", donor_group="high"))
+            anonymize_trajectory(t, None, DeidStrategy(kind="cross_group", donor_group="high"), pitch=PITCH)
 
     def test_score_swap_takes_its_space_from_the_model(self, two_group_model):
         # a second space argument could only disagree with the model's; there is none
         t = hz_traj(contour(120.0))
         strategy = DeidStrategy(kind="cross_group", donor_group="high")
         with pytest.raises(TypeError, match="space"):
-            anonymize_trajectory(t, two_group_model, strategy, space=SPACE)
+            anonymize_trajectory(t, two_group_model, strategy, space=SPACE, pitch=PITCH)
         moved = dataclasses.replace(two_group_model, space=dataclasses.replace(SPACE, ref_hz=200.0))
-        a = anonymize_trajectory(t, two_group_model, strategy)
-        b = anonymize_trajectory(t, moved, strategy)
+        a = anonymize_trajectory(t, two_group_model, strategy, pitch=PITCH)
+        b = anonymize_trajectory(t, moved, strategy, pitch=PITCH)
         assert not np.allclose(a.values[t.voiced], b.values[t.voiced])
 
     def test_frame_geometry_preserved(self, two_group_model):
@@ -227,6 +219,7 @@ class TestAnonymizeTrajectory:
             t,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
+            pitch=PITCH,
         )
         assert len(out) == len(t)
         np.testing.assert_array_equal(out.times, t.times)
@@ -240,6 +233,7 @@ class TestAnonymizeTrajectory:
             low,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
+            pitch=PITCH,
         )
         assert np.median(up.values[up.voiced]) > np.median(low.values[low.voiced])
 
@@ -248,14 +242,15 @@ class TestAnonymizeTrajectory:
             high,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="low"),
+            pitch=PitchConfig(140.0, 520.0),
         )
         assert np.median(down.values[down.voiced]) < np.median(high.values[high.voiced])
 
     def test_deterministic(self, two_group_model):
         t = hz_traj(contour(118.0))
         strategy = DeidStrategy(kind="cross_group", donor_group="high")
-        a = anonymize_trajectory(t, two_group_model, strategy)
-        b = anonymize_trajectory(t, two_group_model, strategy)
+        a = anonymize_trajectory(t, two_group_model, strategy, pitch=PITCH)
+        b = anonymize_trajectory(t, two_group_model, strategy, pitch=PITCH)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_own_score_replacement_is_near_identity(self):
@@ -275,7 +270,7 @@ class TestAnonymizeTrajectory:
             kind="cross_group", donor_group="solo", variance_threshold=1.0, max_components=99
         )
         t = hz_traj(solo_f0)
-        out = anonymize_trajectory(t, model, strategy)
+        out = anonymize_trajectory(t, model, strategy, pitch=PITCH)
         rel = np.abs(out.values[t.voiced] - t.values[t.voiced]) / t.values[t.voiced]
         assert np.max(rel) < 0.02
 
@@ -285,8 +280,43 @@ class TestAnonymizeTrajectory:
             t,
             two_group_model,
             DeidStrategy(kind="cross_group", donor_group="high"),
-            pitch_floor=65.0,
-            pitch_ceiling=380.0,
+            pitch=PITCH,
         )
         v = out.values[out.voiced]
         assert np.all(v >= 65.0 / 2) and np.all(v <= 2 * 380.0)
+
+    def test_clamp_takes_the_groups_range(self, two_group_model):
+        # the low-to-high swap lands near 200 Hz; a range whose doubled ceiling
+        # is 120 Hz pins every voiced frame to exactly that
+        t = hz_traj(contour(112.0))
+        strategy = DeidStrategy(kind="cross_group", donor_group="high")
+        free = anonymize_trajectory(t, two_group_model, strategy, pitch=PITCH)
+        assert np.min(free.values[t.voiced]) > 120.0
+        out = anonymize_trajectory(t, two_group_model, strategy, pitch=PitchConfig(50.0, 60.0))
+        np.testing.assert_array_equal(out.values[t.voiced], 120.0)
+
+    def test_range_is_one_required_keyword(self, two_group_model):
+        t = hz_traj(contour(112.0))
+        strategy = DeidStrategy(kind="cross_group", donor_group="high")
+        with pytest.raises(TypeError, match="pitch"):
+            anonymize_trajectory(t, two_group_model, strategy)
+        for old in ({"pitch_floor": 65.0}, {"pitch_ceiling": 380.0}, {"max_hz": 4000.0}):
+            with pytest.raises(TypeError, match=next(iter(old))):
+                anonymize_trajectory(t, two_group_model, strategy, pitch=PITCH, **old)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [DeidStrategy(kind="constant_shift", shift_percent=15.0), DeidStrategy(kind="cross_group", donor_group="high")],
+        ids=["constant_shift", "cross_group"],
+    )
+    def test_unvoiced_trajectory_rejected(self, strategy, two_group_model):
+        t = hz_traj(np.full(150, np.nan))
+        with pytest.raises(ValueError, match="^no voiced frames found$"):
+            anonymize_trajectory(t, two_group_model, strategy, pitch=PITCH)
+
+    def test_constant_shift_leaves_the_resynthesis_bound_to_psola(self):
+        # 3000 Hz at +50% is beyond 16 kHz / 4; psola_modify, not deid, refuses it
+        out = anonymize_trajectory(
+            hz_traj([3000.0]), None, DeidStrategy(kind="constant_shift", shift_percent=50.0), pitch=PITCH
+        )
+        assert out.values[0] == pytest.approx(4500.0)

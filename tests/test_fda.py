@@ -416,6 +416,11 @@ def make_family(seed: int, n_curves: int = 20, kind: str = "trig", space: CurveS
     return curves, labels
 
 
+def labels_for(curves) -> list:
+    """One placeholder CurveLabel per curve, for fits whose labels no assertion reads."""
+    return [CurveLabel(f"c{k:02d}", "spk", "g", "modal") for k in range(len(curves))]
+
+
 def dense_grid_pca(curves, m: int = 2000):
     """Ordinary PCA of the curves sampled on a dense grid, trapezoid-weighted.
 
@@ -450,7 +455,7 @@ class TestFpcaBasics:
         delta = np.sin(2 * np.pi * t)
         c1 = smooth(mu + delta, 40, 1e-9)
         c2 = smooth(mu - delta, 40, 1e-9)
-        model = fpca_fit([c1, c2])
+        model = fpca_fit([c1, c2], labels_for([c1, c2]))
         assert model.n_components == 1
         np.testing.assert_allclose(model.variance_fraction, [1.0], atol=1e-12)
         # PC1 is the normalized offset; sign fixed by the integral convention
@@ -476,29 +481,39 @@ class TestFpcaBasics:
         a = a / a.std(ddof=1) * 2.0
         b = b / b.std(ddof=1) * 1.0
         curves = [smooth(2.0 + a[k] * g1 + b[k] * g2, 60, 1e-9) for k in range(n)]
-        model = fpca_fit(curves)
+        model = fpca_fit(curves, labels_for(curves))
         np.testing.assert_allclose(model.variance_fraction[:2], [0.8, 0.2], atol=1e-3)
 
     def test_requires_two_curves(self):
         c = smooth(np.ones(40), 10)
         with pytest.raises(ValueError):
-            fpca_fit([c])
+            fpca_fit([c], labels_for([c]))
 
     def test_mismatched_bases_rejected(self):
         c1 = smooth(np.ones(60), 10)
         c2 = smooth(np.ones(60), 12)
         with pytest.raises(ValueError, match="curve 1 is not in the curve space of curve 0"):
-            fpca_fit([c1, c2])
+            fpca_fit([c1, c2], labels_for([c1, c2]))
 
     def test_identical_curves_rejected(self):
         c = smooth(np.ones(60), 10)
         with pytest.raises(ValueError):
-            fpca_fit([c, c])
+            fpca_fit([c, c], labels_for([c, c]))
 
     def test_label_count_mismatch_rejected(self):
         curves, labels = make_family(3, n_curves=4, space=CurveSpace(20))
         with pytest.raises(ValueError):
             fpca_fit(curves, labels[:-1])
+
+    def test_labels_required(self):
+        # every model names its training curves, so donor lookups and exports never guess
+        curves, labels = make_family(3, n_curves=4, space=CurveSpace(20))
+        with pytest.raises(TypeError, match="labels"):
+            fpca_fit(curves)
+        model = fpca_fit(curves, labels)
+        assert model.labels == tuple(labels)
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, labels=None)
 
 
 @pytest.fixture(scope="module")
@@ -607,8 +622,8 @@ class TestReconstruction:
 
 class TestDenseGridOracle:
     def test_eigenvalues_and_functions_match_grid_pca(self):
-        curves, _ = make_family(17, n_curves=20, kind="trig")
-        model = fpca_fit(curves)
+        curves, labels = make_family(17, n_curves=20, kind="trig")
+        model = fpca_fit(curves, labels)
         lam, funcs, t = dense_grid_pca(curves)
         # compare the components that carry real variance
         keep = model.eigenvalues > 1e-10 * model.eigenvalues[0]
@@ -679,11 +694,11 @@ class TestModelSerialization:
 
     def test_space_must_share_the_curves_basis(self):
         # a basis shared is not enough: every curve must come from one space
-        curves, _ = make_family(31, n_curves=8, space=CurveSpace(30))
+        curves, labels = make_family(31, n_curves=8, space=CurveSpace(30))
         for other in (CurveSpace(20), CurveSpace(30, lam=1e-6), CurveSpace(30, ref_hz=120.0)):
-            stray, _ = make_family(32, n_curves=1, space=other)
+            stray, stray_labels = make_family(32, n_curves=1, space=other)
             with pytest.raises(ValueError, match="curve 8 is not in the curve space of curve 0"):
-                fpca_fit(curves + stray)
+                fpca_fit(curves + stray, labels + stray_labels)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -707,8 +722,8 @@ class TestModelSerialization:
     def test_version_field_enforced(self, tmp_path):
         import json
 
-        curves, _ = make_family(5, n_curves=4, space=CurveSpace(20))
-        model = fpca_fit(curves)
+        curves, labels = make_family(5, n_curves=4, space=CurveSpace(20))
+        model = fpca_fit(curves, labels)
         p = tmp_path / "model.json"
         save_model(p, model)
         payload = json.loads(p.read_text())

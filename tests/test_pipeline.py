@@ -1,11 +1,13 @@
 """End-to-end tests for the manifest pipeline and its command line."""
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
 import multiprocessing
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from voxmask import cli, deid, fda, pipeline, resynth, synth
-from voxmask.audio import read_wav
+from voxmask.audio import Waveform, read_wav, write_wav
 from voxmask.evaluation import stoi
 from voxmask.pipeline import ConfigError
 
@@ -228,6 +230,37 @@ class TestConfig:
     )
     def test_unknown_key_rejected_with_its_path(self, over, key):
         with pytest.raises(ConfigError, match=rf"^unknown config key {key}$"):
+            pipeline.config_from_dict(base_config(**over))
+
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            ({"pitch": {"low": {"ceiling": 380.0}}}, "pitch.low.floor"),
+            ({"pitch": {"low": {"floor": 65.0, "ceiling": 380.0}, "high": {"floor": 140.0}}}, "pitch.high.ceiling"),
+            ({"strategy": {}}, "strategy.kind"),
+            ({"strategy": {"shift_percent": 15.0}}, "strategy.kind"),
+        ],
+        ids=["pitch_floor", "pitch_ceiling", "empty_strategy", "strategy_without_kind"],
+    )
+    def test_missing_key_rejected_with_its_path(self, over, key):
+        with pytest.raises(ConfigError, match=rf"^missing config key {key}$"):
+            pipeline.config_from_dict(base_config(**over))
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"label": {}}, "label must be a string, not {}"),
+            ({"label": None}, "label must be a string, not None"),
+            ({"label": 3}, "label must be a string, not 3"),
+            ({"strategy": {"kind": 5}}, "strategy.kind must be a string, not 5"),
+            ({"strategy": {"kind": "cross_group", "donor_group": 5}}, "strategy.donor_group must be a string, not 5"),
+            ({"strategy": {"kind": "disguise_model", "donor_condition": ["disguised"]}},
+             "strategy.donor_condition must be a string, not ['disguised']"),
+        ],
+        ids=["label_object", "label_null", "label_number", "kind_number", "donor_group_number", "donor_condition_list"],
+    )
+    def test_string_settings_must_be_strings(self, over, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             pipeline.config_from_dict(base_config(**over))
 
     def test_blocks_take_their_defaults_from_the_dataclasses(self):
@@ -852,6 +885,88 @@ class TestCli:
         assert result.stderr == "error: unknown config key formant.facter\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"pitch": {"low": {"ceiling": 380.0}, "high": {"floor": 140.0, "ceiling": 520.0}}},
+             "missing config key pitch.low.floor"),
+            ({"strategy": {}}, "missing config key strategy.kind"),
+            ({"label": {}}, "label must be a string, not {}"),
+            ({"strategy": {"kind": "cross_group", "donor_group": 5}}, "strategy.donor_group must be a string, not 5"),
+        ],
+        ids=["pitch_floor_missing", "strategy_kind_missing", "label_object", "donor_group_number"],
+    )
+    @pytest.mark.parametrize("command", ["anonymize", "evaluate"])
+    def test_missing_or_mistyped_setting_exits_2_before_reading_audio(
+        self, command, over, message, small_corpus, fitted_model, tmp_path, monkeypatch
+    ):
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
+        root = Path(small_corpus).parent
+        out = tmp_path / "out"
+        extra = {
+            "anonymize": ["--model", str(fitted_model)],
+            "evaluate": ["--anon-dir", str(root / "wav"), "--trials", str(root / "trials.csv")],
+        }[command]
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(write_config(tmp_path / "c.json", **over)), "--manifest", str(small_corpus),
+             "--out", str(out), command, *extra],
+        )
+        assert_config_exit(result, message)
+        assert result.stderr == f"error: {message}\n"
+        assert reads == []
+        assert not out.exists()
+
+    def test_a_target_beyond_a_quarter_of_the_rate_fails_its_rows_with_psolas_message(self, small_corpus, tmp_path):
+        # x20 puts every high-group target above 16 kHz / 4; psola_modify is the one check of that bound
+        cfg = write_config(tmp_path / "c.json", strategy={"kind": "constant_shift", "shift_percent": 1900.0})
+        out = tmp_path / "anon"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(cfg), "--manifest", str(small_corpus), "--out", str(out), "anonymize",
+             "--groups", "high", "--sessions", "2"],
+        )
+        assert result.exit_code == 1, result.output
+        with open(out / "anon_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6
+        for r in rows:
+            assert r["status"] == "failed"
+            assert r["message"] == "ValueError: target f0 must lie within [20 Hz, sample_rate/4]"
+        assert not list(out.glob("*.anon.wav"))
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [{"kind": "constant_shift", "shift_percent": 15.0}, {"kind": "cross_group"}],
+        ids=["constant_shift", "cross_group"],
+    )
+    def test_an_unvoiced_utterance_fails_its_row(self, strategy, small_corpus, fitted_model, tmp_path):
+        src = pipeline.load_manifest(small_corpus)
+        rows = [src.filter(groups=(g,), conditions=("modal",), sessions=("2",))[0] for g in ("high", "low")]
+        silent = tmp_path / "silent.wav"
+        voiced = read_wav(src.resolve(rows[0]))
+        write_wav(silent, Waveform(np.zeros_like(voiced.samples), voiced.sample_rate))
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
+            writer.writeheader()
+            writer.writerow({**dataclasses.asdict(rows[0]), "path": str(silent)})
+            writer.writerow({**dataclasses.asdict(rows[1]), "path": str(src.resolve(rows[1]))})
+        out = tmp_path / "anon"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(write_config(tmp_path / "c.json", strategy=strategy)), "--manifest", str(manifest),
+             "--out", str(out), "anonymize", "--model", str(fitted_model)],
+        )
+        assert result.exit_code == 1, result.output
+        with open(out / "anon_log.csv", newline="") as fh:
+            log = {r["utterance_id"]: r for r in csv.DictReader(fh)}
+        assert len(log) == 2
+        assert log[rows[0].utterance_id]["status"] == "failed"
+        assert log[rows[0].utterance_id]["message"] == "ValueError: no voiced frames found"
+        assert log[rows[1].utterance_id]["status"] == "ok"
+
     def test_anonymize_rejects_a_basis_other_than_the_models(self, small_corpus, fitted_model, tmp_path):
         # fitted_model was fit with n_basis 40
         cfg = write_config(tmp_path / "c.json", basis={"n_basis": 30, "order": 4, "lambda": 1e-8, "grid_points": 200})
@@ -904,9 +1019,10 @@ class TestCli:
             ("extra_label", "25 labels for 24 training curves"),
             ("label_with_an_extra_key", "unexpected keyword argument 'accent'"),
             ("label_without_a_key", "missing 1 required positional argument: 'condition'"),
+            ("labels_null", "unreadable model file"),
         ],
         ids=["missing", "truncated", "wrong_version", "not_an_object", "no_curve_space", "extra_label",
-             "label_with_an_extra_key", "label_without_a_key"],
+             "label_with_an_extra_key", "label_without_a_key", "labels_null"],
     )
     @pytest.mark.parametrize("command", ["anonymize", "export-curves"])
     def test_bad_model_file_exits_2(self, command, damage, message, small_corpus, fitted_model, tmp_path):
@@ -931,6 +1047,8 @@ class TestCli:
         elif damage == "label_without_a_key":
             del data["labels"][3]["condition"]
             model.write_text(json.dumps(data))
+        elif damage == "labels_null":
+            model.write_text(json.dumps({**data, "labels": None}))
         out = tmp_path / "out"
         args = ["--out", str(out), command, "--model", str(model)]
         if command == "anonymize":

@@ -284,6 +284,24 @@ class TestPsola:
         mid = slice(400, 7600)
         assert np.corrcoef(out.samples[mid], w.samples[mid])[0, 1] > 0.95
 
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_target_must_lie_within_twenty_hz_and_a_quarter_of_the_rate(self, fs):
+        # the one check of the f0 bound on the anonymize path: one voiced frame outside it fails the call
+        w = make_test_vowel(130.0, duration=0.4, fs=fs, seed=4)
+        t = extract_interp(w)
+        k = np.flatnonzero(t.voiced)[t.n_voiced // 2]
+
+        def one_frame_at(hz):
+            values = t.values.copy()
+            values[k] = hz
+            return F0Trajectory(t.times, values, t.voiced)
+
+        for hz in (fs / 4 + 0.5, 19.9):
+            with pytest.raises(ValueError, match=r"^target f0 must lie within \[20 Hz, sample_rate/4\]$"):
+                psola_modify(w, t, one_frame_at(hz))
+        for hz in (fs / 4, resynth.PSOLA_F0_MIN):  # both bounds are inclusive
+            assert psola_modify(w, t, one_frame_at(hz)).samples.size == w.samples.size
+
 
 # ------------------------------------------------------------------ formants
 
