@@ -16,7 +16,7 @@ class AudioFormatError(ValueError):
 
 
 class UnsupportedFormatError(AudioFormatError):
-    """Raised for WAV encodings other than PCM-16 and IEEE float-32."""
+    """Raised for WAV encodings other than PCM-16, PCM-24, PCM-32 and IEEE float-32."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ class Waveform:
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
-    PCM-16 samples are scaled by 1/32768; float-32 is taken as-is.
+    PCM-16 samples are scaled by 2^-15, and PCM-24 and PCM-32, which scipy
+    reads as left-justified int32, by 2^-31; float-32 is taken as-is.
     Multi-channel input is mixed down by averaging.
     """
     try:
@@ -61,14 +62,14 @@ def read_wav(path) -> Waveform:
     except Exception as exc:  # scipy raises bare ValueError on bad headers
         raise AudioFormatError(f"cannot parse WAV file {path}: {exc}") from exc
 
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
+    if data.dtype in (np.int16, np.int32):
+        samples = data.astype(np.float64) / -float(np.iinfo(data.dtype).min)  # 2^15 or 2^31
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
     else:
         raise UnsupportedFormatError(
             f"unsupported WAV encoding {data.dtype} in {path}; "
-            "expected PCM-16 or IEEE float-32"
+            "expected PCM-16, PCM-24, PCM-32 or IEEE float-32"
         )
     if samples.ndim == 2:
         samples = samples.mean(axis=1)

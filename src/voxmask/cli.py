@@ -1,12 +1,14 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 when individual utterances failed during a
-batch, 2 on configuration or usage errors.
+Exit codes: 0 on success, 1 when a row of the log that fit, anonymize or
+evaluate writes failed, 2 on configuration or usage errors.
 """
 
 from __future__ import annotations
 
+import csv
 import sys
+from pathlib import Path
 
 import click
 
@@ -25,6 +27,14 @@ def _need(ctx, key, flag):
     if value is None:
         raise pipeline.ConfigError(f"{flag} is required for this command")
     return value
+
+
+def _exit_1_on_failed_rows(log) -> None:
+    """Exit 1 when a row of the per-utterance log a command wrote has a status other than ok."""
+    with open(log, newline="") as fh:
+        failed = sum(row["status"] != "ok" for row in csv.DictReader(fh))
+    if failed:
+        sys.exit(f"{failed} utterance(s) failed; see {log}")  # to stderr, with exit code 1
 
 
 class _Group(click.Group):
@@ -73,6 +83,7 @@ def fit(ctx, groups, conditions, sessions):
         workers=ctx.obj["workers"],
     )
     click.echo(f"model written to {path}")
+    _exit_1_on_failed_rows(pipeline.model_log(path))
 
 
 @main.command()
@@ -82,7 +93,7 @@ def fit(ctx, groups, conditions, sessions):
 @click.pass_context
 def anonymize(ctx, model, groups, sessions):
     """Anonymize modal utterances into --out (WAVs plus anon_log.csv)."""
-    failures = pipeline.cmd_anonymize(
+    pipeline.cmd_anonymize(
         _need(ctx, "manifest", "--manifest"),
         _need(ctx, "config", "--config"),
         model,
@@ -91,9 +102,7 @@ def anonymize(ctx, model, groups, sessions):
         sessions=_split(sessions),
         workers=ctx.obj["workers"],
     )
-    if failures:
-        click.echo(f"{failures} utterance(s) failed; see anon_log.csv", err=True)
-        sys.exit(1)
+    _exit_1_on_failed_rows(Path(ctx.obj["out"]) / "anon_log.csv")
     click.echo("all utterances anonymized")
 
 
@@ -102,7 +111,7 @@ def anonymize(ctx, model, groups, sessions):
 @click.option("--trials", type=click.Path(), required=True, help="Trial list CSV.")
 @click.pass_context
 def evaluate(ctx, anon_dir, trials):
-    """Score trials and STOI; writes report.json/report.txt/scores.csv to --out."""
+    """Score trials and STOI; writes report.json/report.txt/scores.csv/eval_log.csv to --out."""
     report = pipeline.cmd_evaluate(
         _need(ctx, "manifest", "--manifest"),
         _need(ctx, "config", "--config"),
@@ -112,6 +121,7 @@ def evaluate(ctx, anon_dir, trials):
         workers=ctx.obj["workers"],
     )
     click.echo(report.format_table())
+    _exit_1_on_failed_rows(Path(ctx.obj["out"]) / "eval_log.csv")
 
 
 @main.command("export-curves")

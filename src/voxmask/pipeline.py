@@ -14,14 +14,16 @@ fit in, and anonymize rejects a config whose space is not equal to it. fit and
 anonymize factor their space and build its Gram matrix before they read any
 audio, so a space the grid cannot support is a ConfigError too. Per-utterance
 work is a frozen job dataclass: FitJob (a path and the group's PitchConfig)
-for f0 tracking; AnonymizeJob, which adds the manifest row, its resolved
-strategy and the FormantShiftConfig; EvalJob, one file to embed and score by
-STOI. anonymize reads its model once per run and hands it, its space factored,
-to each worker once, through the pool's initializer. A command starts at most
-one pool and aggregates in utterance-id order, so the worker count never
-changes output bytes. Every command and pool worker runs OpenBLAS at one
-thread (see blas), so the core count and the BLAS thread settings do not
-change them either: the worker count is the only parallelism.
+for f0 tracking and smoothing; AnonymizeJob, which adds the manifest row, its
+resolved strategy and the FormantShiftConfig; EvalJob, one file to embed and
+score by STOI. fit hands its factored space, and anonymize its model (read
+once per run, its space factored), to each worker once, through the pool's
+initializer. _map_jobs is the one place a job's exception is caught: each
+command logs an ok or failed row per utterance and goes on with the rest. A
+command starts at most one pool and aggregates in utterance-id order, so the
+worker count never changes output bytes. Every command and pool worker runs
+OpenBLAS at one thread (see blas), so the core count and the BLAS thread
+settings do not change them either: the worker count is the only parallelism.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import json
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -247,16 +248,26 @@ def load_config(path) -> PipelineConfig:
     return config_from_dict(data)
 
 
-def _map_jobs(fn, jobs, workers: int, *shared):
-    """Order-preserving map of fn(job, *shared), optionally through a process pool of one-BLAS-thread workers.
+def _map_jobs(fn, jobs, workers: int, *shared) -> list:
+    """One (value, error) per job, in job order: fn(job, *shared), optionally in a pool of one-BLAS-thread workers.
 
     A pool of at most one worker per job (under fork all start at once) hands
     shared to each worker once, through its initializer, not with every job.
+    Each job is its own future, so a worker that dies fails only the jobs not yet done.
     """
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(j, *shared) for j in jobs]
+        return [_outcome(fn, j, *shared) for j in jobs]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_init_worker, initargs=shared) as pool:
-        return list(pool.map(partial(_call_with_shared, fn), jobs))
+        futures = [pool.submit(_call_with_shared, fn, j) for j in jobs]
+        return [pair if error is None else (None, error) for pair, error in (_outcome(f.result) for f in futures)]
+
+
+def _outcome(fn, *args) -> tuple:
+    """(fn(*args), None), or (None, "<Type>: <message>") when it raises: the one place a job's failure is caught."""
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 _worker_shared: tuple = ()  # what this pool worker's initializer was given
@@ -268,8 +279,30 @@ def _init_worker(*shared) -> None:
     _worker_shared = shared
 
 
-def _call_with_shared(fn, job):
-    return fn(job, *_worker_shared)
+def _call_with_shared(fn, job) -> tuple:
+    return _outcome(fn, job, *_worker_shared)
+
+
+LOG_FIELDS = [
+    "utterance_id",
+    "status",
+    "message",
+    "original_median_f0",
+    "target_median_f0",
+    "formant_factor",
+    "clamped_poles",
+    "skipped_poles",
+    "output",
+]  # anon_log.csv; the fit and evaluate logs hold the first three
+
+
+def _write_log(path, ids, outcomes, extras=None, fields=LOG_FIELDS[:3]) -> None:
+    """One CSV row per job, in job order: its utterance id, ok or failed with the error, and its extra fields."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+        writer.writeheader()
+        for u, (_, error), extra in zip(ids, outcomes, extras or [{}] * len(ids)):
+            writer.writerow({"utterance_id": u, "status": "failed" if error else "ok", "message": error or "", **extra})
 
 
 # ---------------------------------------------------------------- fit
@@ -280,8 +313,14 @@ class FitJob:
     pitch: pitch.PitchConfig
 
 
-def _fit_job(job: FitJob) -> pitch.F0Trajectory:
-    return pitch.extract_f0(read_wav(job.wav_path), job.pitch)
+def _fit_job(job: FitJob, space: fda.CurveSpace) -> np.ndarray:
+    """The smoothed f0 curve's coefficients: a pickled curve would carry its space's cached matrices too."""
+    return fda.curve_from_trajectory(pitch.extract_f0(read_wav(job.wav_path), job.pitch), space).coefficients
+
+
+def model_log(model_path) -> Path:
+    """fit's per-utterance log, beside the model: <model>.log.csv."""
+    return Path(model_path).with_suffix(".log.csv")
 
 
 @blas.one_thread()
@@ -294,7 +333,7 @@ def cmd_fit(
     sessions: Optional[Sequence[str]] = None,
     workers: int = 1,
 ) -> Path:
-    """Fit one functional PCA model over the filtered manifest rows."""
+    """Fit one functional PCA model over the filtered rows' curves; each row is logged in model_log(out_path)."""
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
     rows = manifest.filter(groups=groups, conditions=conditions, sessions=sessions)
@@ -309,33 +348,23 @@ def cmd_fit(
     _prepare_space(cfg.curve_space)
 
     jobs = [FitJob(str(manifest.resolve(r)), cfg.pitch_config(r.group)) for r in rows]
-    # smoothing stays in this process, so every curve uses the one factor built
-    # above
-    curves = [fda.curve_from_trajectory(t, cfg.curve_space) for t in _map_jobs(_fit_job, jobs, workers)]
+    # each worker smooths in the one space factored above, handed over once
+    outcomes = _map_jobs(_fit_job, jobs, workers, cfg.curve_space)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_log(model_log(out_path), [r.utterance_id for r in rows], outcomes)
+    fitted = [(r, c) for r, (c, error) in zip(rows, outcomes) if error is None]
+    if len(fitted) < 2:
+        raise ConfigError(f"functional PCA needs at least 2 curves; {len(fitted)} made, see {model_log(out_path)}")
     labels = [
         fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
-        for r in rows
+        for r, _ in fitted
     ]
-    model = fda.fpca_fit(curves, labels)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    model = fda.fpca_fit([fda.FunctionalCurve(cfg.curve_space, c) for _, c in fitted], labels)
     fda.save_model(out_path, model)
     return out_path
 
 
 # ---------------------------------------------------------------- anonymize
-
-LOG_FIELDS = [
-    "utterance_id",
-    "status",
-    "message",
-    "original_median_f0",
-    "target_median_f0",
-    "formant_factor",
-    "clamped_poles",
-    "skipped_poles",
-    "output",
-]
-
 
 @dataclass(frozen=True)
 class AnonymizeJob:
@@ -350,27 +379,21 @@ class AnonymizeJob:
 
 
 def _anonymize_job(job: AnonymizeJob, model: Optional[fda.FpcaModel]) -> dict:
-    log = dict.fromkeys(LOG_FIELDS, "")
-    log.update(utterance_id=job.row.utterance_id, formant_factor=f"{job.formant.factor:.3f}")
-    try:
-        w = read_wav(job.wav_path)
-        traj = pitch.extract_f0(w, job.pitch)
-        target = deid.anonymize_trajectory(traj, model, job.strategy, job.row.speaker_id, pitch=job.pitch)
-        shifted = resynth.psola_modify(w, traj, target)
-        result = resynth.shift_formants_detailed(shifted, job.formant)
-        write_wav(job.out_path, result.waveform, encoding="float32")
-        log.update(
-            status="ok",
-            original_median_f0=f"{float(np.median(traj.values[traj.voiced])):.3f}",
-            target_median_f0=f"{float(np.median(target.values[target.voiced])):.3f}",
-            clamped_poles=str(result.clamped_poles),
-            skipped_poles=str(result.skipped_poles),
-            # relative to the log's own directory, so runs rehash identically
-            output=Path(job.out_path).name,
-        )
-    except Exception as exc:  # per-utterance isolation: log and continue
-        log.update(status="failed", message=f"{type(exc).__name__}: {exc}")
-    return log
+    """Anonymize one utterance and write it; the log fields of its ok row."""
+    w = read_wav(job.wav_path)
+    traj = pitch.extract_f0(w, job.pitch)
+    target = deid.anonymize_trajectory(traj, model, job.strategy, job.row.speaker_id, pitch=job.pitch)
+    shifted = resynth.psola_modify(w, traj, target)
+    result = resynth.shift_formants_detailed(shifted, job.formant)
+    write_wav(job.out_path, result.waveform, encoding="float32")
+    return dict(
+        original_median_f0=f"{float(np.median(traj.values[traj.voiced])):.3f}",
+        target_median_f0=f"{float(np.median(target.values[target.voiced])):.3f}",
+        clamped_poles=str(result.clamped_poles),
+        skipped_poles=str(result.skipped_poles),
+        # relative to the log's own directory, so runs rehash identically
+        output=Path(job.out_path).name,
+    )
 
 
 def check_output(path, directory: bool) -> Path:
@@ -491,12 +514,10 @@ def cmd_anonymize(
     if cfg.strategy.kind != deid.CONSTANT_SHIFT:
         _check_donors(model, model_path, jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_anonymize_job, jobs, workers, model)  # in job order, which is utterance-id order
-    with open(out_dir / "anon_log.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
-        writer.writeheader()
-        writer.writerows(results)
-    return sum(1 for d in results if d["status"] != "ok")
+    outcomes = _map_jobs(_anonymize_job, jobs, workers, model)  # in job order, which is utterance-id order
+    extras = [{"formant_factor": f"{j.formant.factor:.3f}", **(fields or {})} for j, (fields, _) in zip(jobs, outcomes)]
+    _write_log(out_dir / "anon_log.csv", [j.row.utterance_id for j in jobs], outcomes, extras, LOG_FIELDS)
+    return sum(error is not None for _, error in outcomes)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -515,9 +536,10 @@ def _eval_job(job: EvalJob) -> tuple:
     return evaluation.mfcc_embed(w), score
 
 
-def _find_test_audio(anon_dir: Path, utt_id: str) -> Optional[Path]:
-    """<id>.anon.wav under anon_dir, else <id>.wav, else None."""
-    return next((p for p in (anon_dir / f"{utt_id}.anon.wav", anon_dir / f"{utt_id}.wav") if p.exists()), None)
+def _find_test_audio(anon_dir: Path, utt_id: str) -> Path:
+    """<id>.anon.wav under anon_dir, or <id>.wav when only that exists."""
+    anon, plain = anon_dir / f"{utt_id}.anon.wav", anon_dir / f"{utt_id}.wav"
+    return plain if plain.exists() and not anon.exists() else anon
 
 
 @blas.one_thread()
@@ -534,9 +556,11 @@ def cmd_evaluate(
     Enrollment embeddings come from session-1 modal originals per speaker.
     Test audio is looked up as <id>.anon.wav under anon_dir, falling back to
     <id>.wav so a corpus directory evaluates the no-anonymization baseline.
-    One pool embeds every file and scores each test file's STOI; the trial
-    scores and STOI values go to evaluation.summarize, which makes the report
-    rows. Emits report.json, report.txt, and scores.csv under out_dir.
+    One pool embeds every file and scores each test file's STOI. A file that
+    failed, a missing test file too, drops the trials it enters; no test file
+    at all is a ConfigError. The kept trial scores and STOI values go to
+    evaluation.summarize, which makes the report rows. Emits report.json,
+    report.txt, scores.csv and eval_log.csv (one row per file) under out_dir.
     """
     manifest = load_manifest(manifest_path)
     cfg = load_config(config_path)
@@ -553,36 +577,37 @@ def cmd_evaluate(
     enroll = {}
     enroll_rows = manifest.filter(conditions=(synth.CONDITION_MODAL,), sessions=("1",))
     for r in sorted(enroll_rows, key=lambda r: r.utterance_id):
-        enroll.setdefault(r.speaker_id, []).append(str(manifest.resolve(r)))
+        enroll.setdefault(r.speaker_id, []).append(r.utterance_id)
     enroll_speakers = sorted({s for s, _, _ in trials})
     for spk in enroll_speakers:
         if spk not in enroll:
             raise ConfigError(f"no session-1 modal enrollment material for speaker {spk!r}")
 
     test_ids = sorted({t for _, t, _ in trials})
-    test_paths = {u: _find_test_audio(anon_dir, u) for u in test_ids}
-    row_errors = [u for u in test_ids if test_paths[u] is None]
-    if row_errors:
-        raise ConfigError(f"no test audio under {anon_dir} for: {row_errors[:5]}")
+    test_paths = [_find_test_audio(anon_dir, u) for u in test_ids]
+    if not any(p.exists() for p in test_paths):
+        raise ConfigError(f"no test audio under {anon_dir} for: {test_ids[:5]}")
 
-    enroll_paths = sorted({p for spk in enroll_speakers for p in enroll[spk]})
-    jobs = [EvalJob(p) for p in enroll_paths] + [
-        EvalJob(str(test_paths[u]), str(manifest.resolve(by_id[u])) if cfg.eval_stoi else None) for u in test_ids
+    enroll_ids = sorted(u for spk in enroll_speakers for u in enroll[spk])
+    jobs = [EvalJob(str(manifest.resolve(by_id[u]))) for u in enroll_ids] + [
+        EvalJob(str(p), str(manifest.resolve(by_id[u])) if cfg.eval_stoi else None)
+        for u, p in zip(test_ids, test_paths)
     ]
-    results = _map_jobs(_eval_job, jobs, workers)
-    embeddings = {job.path: embedding for job, (embedding, _) in zip(jobs, results)}
-    scores = np.array(
-        [evaluation.score_trials([embeddings[p] for p in enroll[spk]], embeddings[str(test_paths[u])])
-         for spk, u, _ in trials]
-    )
-
+    outcomes = _map_jobs(_eval_job, jobs, workers)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_log(out_dir / "eval_log.csv", enroll_ids + test_ids, outcomes)
+    enrolled = {u: value for u, (value, error) in zip(enroll_ids, outcomes) if error is None}
+    tested = {u: value for u, (value, error) in zip(test_ids, outcomes[len(enroll_ids):]) if error is None}
+    trials = [(spk, u, label) for spk, u, label in trials if u in tested and all(e in enrolled for e in enroll[spk])]
+    scores = np.array(
+        [evaluation.score_trials([enrolled[e][0] for e in enroll[spk]], tested[u][0]) for spk, u, _ in trials]
+    )
     with open(out_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_id", "score", "label"])
         writer.writerows([f"{spk}|{u}", f"{s:.8f}", label] for (spk, u, label), s in zip(trials, scores))
 
-    tested = list(zip(test_ids, results[len(enroll_paths):])) if cfg.eval_stoi else []
+    stoi_ids = sorted(tested) if cfg.eval_stoi else []
     report = evaluation.EvalReport(
         corpus_id=Path(manifest_path).name,
         config_hash=cfg.config_hash(),
@@ -591,8 +616,8 @@ def cmd_evaluate(
             scores,
             [label == "genuine" for _, _, label in trials],
             [by_id[u].group for _, u, _ in trials],
-            [stoi for _, (_, stoi) in tested],
-            [by_id[u].group for u, _ in tested],
+            [tested[u][1] for u in stoi_ids],
+            [by_id[u].group for u in stoi_ids],
             cfg.eval_eer,
         ),
     )

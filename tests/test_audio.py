@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
 from voxmask import audio
@@ -16,7 +17,7 @@ from voxmask.audio import (
     write_wav,
 )
 
-from conftest import make_tone, make_noise
+from conftest import make_tone, make_noise, write_wide_pcm
 
 
 class TestWaveform:
@@ -94,6 +95,23 @@ class TestReadWrite:
         p = tmp_path / "bad.wav"
         p.write_bytes(b"this is not RIFF data at all....")
         with pytest.raises(AudioFormatError):
+            read_wav(p)
+
+    @pytest.mark.parametrize("width", [3, 4], ids=["pcm24", "pcm32"])
+    def test_pcm24_and_pcm32_read_as_the_pcm16_they_hold(self, width, tmp_path):
+        rng = np.random.default_rng(5)
+        pcm16 = np.concatenate([[-32768, -1, 0, 1, 32767], rng.integers(-32768, 32768, 995)]).astype(np.int16)
+        narrow, wide = tmp_path / "16.wav", tmp_path / f"{8 * width}.wav"
+        wavfile.write(narrow, 22050, pcm16)
+        write_wide_pcm(wide, pcm16, 22050, width)
+        back = read_wav(wide)
+        assert back.sample_rate == 22050
+        assert np.array_equal(back.samples, read_wav(narrow).samples)
+
+    def test_pcm8_is_unsupported_and_the_error_names_what_reads(self, tmp_path):
+        p = tmp_path / "u8.wav"
+        wavfile.write(p, 16000, np.full(10, 128, dtype=np.uint8))
+        with pytest.raises(UnsupportedFormatError, match="expected PCM-16, PCM-24, PCM-32 or IEEE float-32"):
             read_wav(p)
 
     def test_unsupported_encoding_raises(self, tmp_path):

@@ -128,7 +128,7 @@ def test_config_error_restores_the_callers_counts(caller_counts, small_corpus, t
 def test_pool_workers_run_one_thread(method, caller_counts, monkeypatch):
     context = multiprocessing.get_context(method)
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
-    for counts in pipeline._map_jobs(_worker_counts, list(range(4)), workers=2):
+    for counts, _ in pipeline._map_jobs(_worker_counts, list(range(4)), workers=2):
         assert counts and set(counts) == {1}
     assert thread_counts() == caller_counts
 
@@ -144,7 +144,7 @@ def test_forked_workers_start_no_blas_threads(monkeypatch):
     context = multiprocessing.get_context("fork")
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
     with blas.one_thread():
-        results = pipeline._map_jobs(_worker_threads, list(range(4)), workers=2)
+        results = [value for value, _ in pipeline._map_jobs(_worker_threads, list(range(4)), workers=2)]
     assert results == [(1, {1})] * 4
 
 

@@ -6,19 +6,24 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 import pickle
 import re
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.io import wavfile
 
 from voxmask import cli, deid, fda, pipeline, resynth, synth
-from voxmask.audio import Waveform, read_wav, write_wav
+from voxmask.audio import Waveform, read_wav, resample, write_wav
 from voxmask.evaluation import stoi
 from voxmask.pipeline import ConfigError
+
+from conftest import write_wide_pcm
 
 
 def base_config(**over) -> dict:
@@ -466,6 +471,11 @@ class TestAnonymize:
         assert failures == 0
         # the command's own factor and Gram matrix, inherited by both workers
         assert sorted(calls.read_text().split()) == ["gram_matrix", "penalty_matrix"]
+        calls.unlink()
+        # fit's workers smooth every curve in the space the command factored
+        model = pipeline.cmd_fit(small_corpus, cfg, tmp_path / "model.json", sessions=("2",), workers=2)
+        assert sorted(calls.read_text().split()) == ["gram_matrix", "penalty_matrix"]
+        assert len(fda.load_model(model).labels) == 18
 
     def test_unfactorable_model_space_exits_2(self, small_corpus, fitted_model, tmp_path):
         # 14 grid points cannot determine 40 basis functions without a penalty
@@ -571,8 +581,33 @@ def record_pool_sizes(monkeypatch) -> list:
 def test_pool_starts_no_more_workers_than_jobs(workers, n_jobs, started, monkeypatch):
     # under fork a pool starts all of its workers at once, whether or not they get a job
     sizes = record_pool_sizes(monkeypatch)
-    assert pipeline._map_jobs(abs, [-j for j in range(n_jobs)], workers) == list(range(n_jobs))
+    assert [value for value, _ in pipeline._map_jobs(abs, [-j for j in range(n_jobs)], workers)] == list(range(n_jobs))
     assert sizes == [started]
+
+
+def half_of_an_even(job):
+    if job % 2:
+        raise ValueError(f"{job} is odd")
+    return job // 2
+
+
+def exit_on_one(job):
+    if job == 1:
+        os._exit(3)  # the worker dies, as it would on a crash in native code
+    return job
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_job_is_an_outcome_not_an_exception(workers):
+    outcomes = pipeline._map_jobs(half_of_an_even, [0, 1, 2, 3, 4], workers)
+    assert outcomes == [(0, None), (None, "ValueError: 1 is odd"), (1, None), (None, "ValueError: 3 is odd"), (2, None)]
+
+
+def test_a_worker_that_dies_fails_the_unfinished_jobs():
+    outcomes = pipeline._map_jobs(exit_on_one, [0, 1], workers=2)
+    broken = "BrokenProcessPool: "
+    assert outcomes[1][0] is None and outcomes[1][1].startswith(broken)
+    assert outcomes[0] == (0, None) or (outcomes[0][0] is None and outcomes[0][1].startswith(broken))
 
 
 # ---------------------------------------------------------------- evaluate
@@ -1233,3 +1268,118 @@ class TestCli:
             ["--config", str(cfg), "--manifest", str(p), "--out", str(tmp_path / "anon"), "anonymize"],
         )
         assert result.exit_code == 1
+
+
+# ---------------------------------------------------------------- damaged and mixed input
+
+DAMAGED = "low00_modal_s2_u00"  # a session-2 modal file: fit, anonymize and evaluate all read it
+
+
+def damage(path: Path, kind: str) -> None:
+    """Rewrite the PCM-16 file at path with one of the defects real corpora hold."""
+    rate, pcm = wavfile.read(path)
+    x = pcm / 32768.0
+    if kind == "zeroed":
+        write_wav(path, Waveform(np.zeros_like(x), rate))
+    elif kind == "160_samples":
+        write_wav(path, Waveform(x[:160], rate))
+    elif kind == "float32_nan":
+        wavfile.write(path, rate, np.where(np.arange(x.size) == x.size // 2, np.nan, x).astype(np.float32))
+    elif kind == "pcm24":
+        write_wide_pcm(path, pcm, rate, 3)
+    elif kind == "clipped_x20":
+        write_wav(path, Waveform(np.clip(20.0 * x, -1.0, 1.0), rate))
+    elif kind == "22050_hz":
+        write_wav(path, resample(Waveform(x, rate), 22050))
+
+
+def low_group_run(corpus: Path, tmp_path: Path) -> dict:
+    """CLI arguments of fit, anonymize and evaluate over the low group's session-2 modal files, and each one's log."""
+    with open(corpus / "trials.csv", newline="") as fh:
+        trials = [t for t in csv.DictReader(fh) if t["test_utterance"].startswith("low")]
+    with open(tmp_path / "low_trials.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=synth.TRIAL_FIELDS)
+        writer.writeheader()
+        writer.writerows(trials)
+    cfg = write_config(tmp_path / "c.json", strategy={"kind": "constant_shift", "shift_percent": 10.0})
+    common = ["--config", str(cfg), "--manifest", str(corpus / "manifest.csv")]
+    out = tmp_path / "out"
+    return {
+        "fit": ([*common, "--out", str(out / "model.json"), "fit", "--groups", "low", "--sessions", "2"],
+                out / "model.log.csv"),
+        "anonymize": ([*common, "--out", str(out / "anon"), "anonymize", "--groups", "low", "--sessions", "2"],
+                      out / "anon" / "anon_log.csv"),
+        "evaluate": ([*common, "--out", str(out / "eval"), "evaluate", "--anon-dir", str(corpus / "wav"),
+                      "--trials", str(tmp_path / "low_trials.csv")], out / "eval" / "eval_log.csv"),
+    }
+
+
+def read_log(path: Path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_clean_exit(result, code: int) -> None:
+    """The exit code the CLI chose, with no exception escaping the command and no traceback."""
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+
+
+class TestDamagedInput:
+    @pytest.fixture
+    def corpus(self, small_corpus, tmp_path):
+        return Path(shutil.copytree(Path(small_corpus).parent, tmp_path / "corpus"))
+
+    @pytest.mark.parametrize(
+        "kind, failed",
+        [("zeroed", 1), ("160_samples", 1), ("float32_nan", 1), ("pcm24", 0), ("clipped_x20", 0)],
+    )
+    @pytest.mark.parametrize("command", ["fit", "anonymize", "evaluate"])
+    def test_a_damaged_file_fails_its_row_alone(self, command, kind, failed, corpus, tmp_path):
+        damage(corpus / "wav" / f"{DAMAGED}.wav", kind)
+        args, log = low_group_run(corpus, tmp_path)[command]
+        result = CliRunner().invoke(cli.main, args)
+        assert_clean_exit(result, failed)
+        rows = read_log(log)
+        assert len(rows) == {"fit": 9, "anonymize": 6, "evaluate": 12}[command]
+        assert [r["utterance_id"] for r in rows if r["status"] != "ok"] == [DAMAGED] * failed
+        assert all(r["status"] in ("ok", "failed") for r in rows)
+
+    def test_evaluate_scores_an_anonymize_run_with_a_failed_row(self, corpus, tmp_path):
+        damage(corpus / "wav" / f"{DAMAGED}.wav", "zeroed")
+        run = low_group_run(corpus, tmp_path)
+        assert_clean_exit(CliRunner().invoke(cli.main, run["anonymize"][0]), 1)
+        anon = tmp_path / "out" / "anon"
+        args = [a if a != str(corpus / "wav") else str(anon) for a in run["evaluate"][0]]
+        assert_clean_exit(CliRunner().invoke(cli.main, args), 1)
+        rows = read_log(run["evaluate"][1])
+        failed = [r for r in rows if r["status"] != "ok"]
+        assert [r["utterance_id"] for r in failed] == [DAMAGED]
+        assert failed[0]["message"].startswith("FileNotFoundError: ")
+        with open(tmp_path / "out" / "eval" / "scores.csv", newline="") as fh:
+            scores = list(csv.DictReader(fh))
+        assert len(scores) == 15 and not any(s["trial_id"].endswith(f"|{DAMAGED}") for s in scores)
+        report = json.loads((tmp_path / "out" / "eval" / "report.json").read_text())
+        assert (report["rows"][0]["n_genuine"], report["rows"][0]["n_impostor"]) == (5, 10)
+
+    def test_fit_with_fewer_than_two_curves_exits_2_after_its_log(self, corpus, tmp_path):
+        rows = pipeline.load_manifest(corpus / "manifest.csv").filter(groups=("low",), sessions=("2",))
+        for r in sorted(rows, key=lambda r: r.utterance_id)[1:]:
+            damage(corpus / r.path, "zeroed")
+        args, log = low_group_run(corpus, tmp_path)["fit"]
+        assert_config_exit(CliRunner().invoke(cli.main, args), "functional PCA needs at least 2 curves; 1 made")
+        assert [r["status"] for r in read_log(log)] == ["ok"] + ["failed"] * 8
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_a_file_at_another_rate_runs_end_to_end(self, corpus, tmp_path):
+        damage(corpus / "wav" / f"{DAMAGED}.wav", "22050_hz")
+        assert read_wav(corpus / "wav" / f"{DAMAGED}.wav").sample_rate == 22050
+        run = low_group_run(corpus, tmp_path)
+        anon = str(tmp_path / "out" / "anon")
+        run["evaluate"] = ([a if a != str(corpus / "wav") else anon for a in run["evaluate"][0]], run["evaluate"][1])
+        for command in ("fit", "anonymize", "evaluate"):  # evaluate scores the anonymized files
+            args, log = run[command]
+            assert_clean_exit(CliRunner().invoke(cli.main, args), 0)
+            assert {r["status"] for r in read_log(log)} == {"ok"}
+        assert read_wav(Path(anon) / f"{DAMAGED}.anon.wav").sample_rate == 22050
