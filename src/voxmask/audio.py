@@ -19,6 +19,13 @@ class UnsupportedFormatError(AudioFormatError):
     """Raised for WAV encodings other than PCM-16, PCM-24, PCM-32 and IEEE float-32."""
 
 
+def frozen(a, dtype=None) -> np.ndarray:
+    """A read-only copy of a: what every dataclass field and cached table holds, shared across threads."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Mono audio signal. Samples are float64 in nominal range [-1, 1]."""
@@ -27,15 +34,13 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = frozen(self.samples, np.float64)
         if samples.ndim != 1:
             raise ValueError("Waveform requires a 1-D sample array")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("Waveform samples must be finite")
         if int(self.sample_rate) <= 0:
             raise ValueError("sample_rate must be positive")
-        samples = samples.copy()
-        samples.setflags(write=False)  # shared across threads, keep immutable
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
@@ -115,9 +120,7 @@ def _resample_taps(max_rate: int) -> np.ndarray:
     # 32 periods per phase keeps the kaiser transition band under ~2% of the
     # lower Nyquist, so stopband rejection holds just past the cutoff
     half_len = 32 * max_rate
-    taps = firwin(2 * half_len + 1, 0.95 / max_rate, window=("kaiser", 8.0))
-    taps.setflags(write=False)
-    return taps
+    return frozen(firwin(2 * half_len + 1, 0.95 / max_rate, window=("kaiser", 8.0)))
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:

@@ -6,7 +6,6 @@ evaluate writes failed, 2 on configuration or usage errors.
 
 from __future__ import annotations
 
-import csv
 import sys
 from pathlib import Path
 
@@ -29,23 +28,19 @@ def _need(ctx, key, flag):
     return value
 
 
-def _exit_1_on_failed_rows(log) -> None:
-    """Exit 1 when a row of the per-utterance log a command wrote has a status other than ok."""
-    with open(log, newline="") as fh:
-        failed = sum(row["status"] != "ok" for row in csv.DictReader(fh))
-    if failed:
-        sys.exit(f"{failed} utterance(s) failed; see {log}")  # to stderr, with exit code 1
-
-
 class _Group(click.Group):
-    """The one place a ConfigError from any command becomes exit code 2."""
+    """The one place a command's outcome becomes an exit code: 2 on a ConfigError, 1 on a failed row of its log."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            log = super().invoke(ctx)
+            failed = log and pipeline.failed_rows(log)
         except pipeline.ConfigError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        if failed:
+            sys.exit(f"{failed} utterance(s) failed; see {log}")  # to stderr, with exit code 1
+        return log
 
 
 @click.group(cls=_Group)
@@ -83,7 +78,7 @@ def fit(ctx, groups, conditions, sessions):
         workers=ctx.obj["workers"],
     )
     click.echo(f"model written to {path}")
-    _exit_1_on_failed_rows(pipeline.model_log(path))
+    return pipeline.model_log(path)
 
 
 @main.command()
@@ -93,7 +88,7 @@ def fit(ctx, groups, conditions, sessions):
 @click.pass_context
 def anonymize(ctx, model, groups, sessions):
     """Anonymize modal utterances into --out (WAVs plus anon_log.csv)."""
-    pipeline.cmd_anonymize(
+    failed = pipeline.cmd_anonymize(
         _need(ctx, "manifest", "--manifest"),
         _need(ctx, "config", "--config"),
         model,
@@ -102,8 +97,9 @@ def anonymize(ctx, model, groups, sessions):
         sessions=_split(sessions),
         workers=ctx.obj["workers"],
     )
-    _exit_1_on_failed_rows(Path(ctx.obj["out"]) / "anon_log.csv")
-    click.echo("all utterances anonymized")
+    if not failed:
+        click.echo("all utterances anonymized")
+    return Path(ctx.obj["out"]) / pipeline.ANON_LOG
 
 
 @main.command()
@@ -121,7 +117,7 @@ def evaluate(ctx, anon_dir, trials):
         workers=ctx.obj["workers"],
     )
     click.echo(report.format_table())
-    _exit_1_on_failed_rows(Path(ctx.obj["out"]) / "eval_log.csv")
+    return Path(ctx.obj["out"]) / pipeline.EVAL_LOG
 
 
 @main.command("export-curves")

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
-from .audio import Waveform, frame_signal, num_frames, overlap_add, resample
+from .audio import Waveform, frame_signal, frozen, num_frames, overlap_add, resample
 
 STOI_RATE = 10000
 STOI_FRAME = 256
@@ -58,19 +58,12 @@ class TrialSet:
 
     def __post_init__(self):
         for name in ("genuine", "impostor"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = frozen(getattr(self, name), np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{name} scores must be a 1-D list")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} scores must be finite")
-            arr = arr.copy()
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _third_octave_bands(nfft: int, fs: float) -> np.ndarray:
@@ -93,15 +86,15 @@ def _mel_filterbank(n_filters: int, nfft: int, fs: float) -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-STOI_WINDOW = _read_only(np.hanning(STOI_FRAME + 2)[1:-1])
+STOI_WINDOW = frozen(np.hanning(STOI_FRAME + 2)[1:-1])
 # boolean, not 0/1 floats. Both go through BLAS: numpy multiplies by a C-ordered
 # float copy of the boolean STOI_BANDS.T, but by a float matrix's transposed view.
 # OpenBLAS rounds the two layouts differently in products of up to about 80 rows
 # (frames) and alike in larger ones; STOI amplifies that in near-empty bands, and
 # the test oracle multiplies by the boolean matrix
-STOI_BANDS = _read_only(_third_octave_bands(STOI_NFFT, STOI_RATE))  # (bands, bins)
-MFCC_WINDOW = _read_only(np.hamming(MFCC_FRAME))
-MFCC_FILTERBANK = _read_only(_mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE))  # (filters, bins)
+STOI_BANDS = frozen(_third_octave_bands(STOI_NFFT, STOI_RATE))  # (bands, bins)
+MFCC_WINDOW = frozen(np.hamming(MFCC_FRAME))
+MFCC_FILTERBANK = frozen(_mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE))  # (filters, bins)
 
 
 def _frame_blocks(n: int) -> list:
@@ -309,11 +302,11 @@ def compute_eer(trials: TrialSet):
     frr = np.searchsorted(np.sort(gen), thresholds, "left") / gen.size
     diff = far - frr
 
-    idx = int(np.argmax(diff <= 0))  # first nonpositive; diff is nonincreasing
+    # diff falls from +1 at the lowest score (FAR 1, FRR 0) to -1 past the
+    # highest, so its first nonpositive entry always has one before it
+    idx = int(np.argmax(diff <= 0))
     if diff[idx] == 0.0:
         return 100.0 * far[idx], float(thresholds[idx])
-    if idx == 0:
-        return 100.0 * max(far[0], frr[0]), float(thresholds[0])
     d0, d1 = diff[idx - 1], diff[idx]
     t = d0 / (d0 - d1)
     eer = far[idx - 1] + t * (far[idx] - far[idx - 1])

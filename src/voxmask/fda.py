@@ -23,6 +23,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
+from .audio import frozen
 from .pitch import F0Trajectory, interpolate_unvoiced
 
 MODEL_FORMAT_VERSION = 1
@@ -74,9 +75,7 @@ class CurveSpace:
     @cached_property
     def knots(self) -> np.ndarray:
         breaks = np.linspace(0.0, 1.0, self.n_basis - self.order + 2)
-        knots = np.concatenate([np.zeros(self.order), breaks[1:-1], np.ones(self.order)])
-        knots.setflags(write=False)
-        return knots
+        return frozen(np.concatenate([np.zeros(self.order), breaks[1:-1], np.ones(self.order)]))
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -100,8 +99,7 @@ class CurveSpace:
 
     def to_hz(self, curve: FunctionalCurve, times: np.ndarray) -> np.ndarray:
         """A semitone curve in Hz at frame times, mapped onto [0,1] as the fit mapped them."""
-        tn = (times - times[0]) / (times[-1] - times[0])
-        return self.ref_hz * np.exp2(curve(tn) / 12.0)
+        return self.ref_hz * np.exp2(curve(unit_times(times)) / 12.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +108,13 @@ class FunctionalCurve:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
+        c = frozen(self.coefficients, np.float64)
         if c.shape != (self.space.n_basis,):
             raise ValueError(
                 f"coefficient vector of length {c.shape} does not match n_basis {self.space.n_basis}"
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
     def __call__(self, t) -> np.ndarray:
@@ -173,17 +169,20 @@ def penalty_matrix(space: CurveSpace) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def uniform_resample(times: np.ndarray, values: np.ndarray, n_points: int) -> np.ndarray:
-    """Map an irregular time axis onto n_points equal steps of [0,1] by linear interpolation."""
+def unit_times(times: np.ndarray) -> np.ndarray:
+    """Frame times mapped linearly onto [0,1], the first to 0 and the last to 1: the one time axis of every curve."""
     times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
     if times.size < 2:
         raise ValueError("need at least two samples to define a time span")
     span = times[-1] - times[0]
     if span <= 0:
         raise ValueError("times must span a positive interval")
-    tn = (times - times[0]) / span
-    return np.interp(np.linspace(0.0, 1.0, n_points), tn, values)
+    return (times - times[0]) / span
+
+
+def uniform_resample(times: np.ndarray, values: np.ndarray, n_points: int) -> np.ndarray:
+    """Map an irregular time axis onto n_points equal steps of [0,1] by linear interpolation."""
+    return np.interp(np.linspace(0.0, 1.0, n_points), unit_times(times), np.asarray(values, dtype=np.float64))
 
 
 def smooth_curve(samples: np.ndarray, space: CurveSpace) -> FunctionalCurve:

@@ -33,6 +33,7 @@ import dataclasses
 import hashlib
 import json
 import typing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,13 +109,25 @@ def _read_table(path, what: str, fields) -> list:
             raise ConfigError(f"{what} {path} is not a UTF-8 CSV table: {exc}") from exc
 
 
+def _write_table(path, header, rows) -> None:
+    """header, then rows, as CSV in the csv module's default dialect: the one writer of every table a command makes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _no_repeats(keys, what: str) -> None:
+    """A ConfigError naming up to 5 of the keys that occur more than once, after what."""
+    repeated = sorted(k for k, count in Counter(keys).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"{what}: {repeated[:5]}")
+
+
 def load_manifest(path) -> Manifest:
     fields = synth.MANIFEST_FIELDS
     rows = [ManifestRow(**{f: raw[f] for f in fields}) for raw in _read_table(path, "manifest", fields)]
-    ids = [r.utterance_id for r in rows]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({u for u in ids if ids.count(u) > 1})
-        raise ConfigError(f"duplicate utterance ids in manifest: {dupes[:5]}")
+    _no_repeats([r.utterance_id for r in rows], "duplicate utterance ids in manifest")
     for i, r in enumerate(rows, start=1):
         if not (r.utterance_id and r.path and r.speaker_id and r.group):
             raise ConfigError(f"manifest row {i} ({r.utterance_id!r}) lacks an utterance id, path, speaker or group")
@@ -122,7 +135,7 @@ def load_manifest(path) -> Manifest:
 
 
 def load_trials(path) -> list:
-    """One (enroll_speaker, test_utterance, label) per trial file row; a bad label or no trials is a ConfigError."""
+    """One (enroll_speaker, test_utterance, label) per row; a bad label, repeated pair or no trials is a ConfigError."""
     trials = [
         (raw["enroll_speaker"], raw["test_utterance"], raw["label"])
         for raw in _read_table(path, "trial file", synth.TRIAL_FIELDS)
@@ -130,6 +143,7 @@ def load_trials(path) -> list:
     for _, _, label in trials:
         if label not in ("genuine", "impostor"):
             raise ConfigError(f"bad trial label {label!r}")
+    _no_repeats([(spk, u) for spk, u, _ in trials], "repeated (enroll_speaker, test_utterance) pairs in trial file")
     if not trials:
         raise ConfigError("trial file contains no trials")
     return trials
@@ -296,13 +310,22 @@ LOG_FIELDS = [
 ]  # anon_log.csv; the fit and evaluate logs hold the first three
 
 
+ANON_LOG = "anon_log.csv"  # under anonymize's output directory
+EVAL_LOG = "eval_log.csv"  # under evaluate's output directory
+
+
 def _write_log(path, ids, outcomes, extras=None, fields=LOG_FIELDS[:3]) -> None:
     """One CSV row per job, in job order: its utterance id, ok or failed with the error, and its extra fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        for u, (_, error), extra in zip(ids, outcomes, extras or [{}] * len(ids)):
-            writer.writerow({"utterance_id": u, "status": "failed" if error else "ok", "message": error or "", **extra})
+    rows = (
+        {"utterance_id": u, "status": "failed" if error else "ok", "message": error or "", **extra}
+        for u, (_, error), extra in zip(ids, outcomes, extras or [{}] * len(ids))
+    )
+    _write_table(path, fields, ([row.get(f, "") for f in fields] for row in rows))
+
+
+def failed_rows(log) -> int:
+    """How many rows of a per-utterance log that fit, anonymize or evaluate wrote did not end ok."""
+    return sum(row["status"] != "ok" for row in _read_table(log, "log", ("status",)))
 
 
 # ---------------------------------------------------------------- fit
@@ -359,7 +382,10 @@ def cmd_fit(
         fda.CurveLabel(curve_id=r.utterance_id, speaker=r.speaker_id, group=r.group, condition=r.condition)
         for r, _ in fitted
     ]
-    model = fda.fpca_fit([fda.FunctionalCurve(cfg.curve_space, c) for _, c in fitted], labels)
+    try:
+        model = fda.fpca_fit([fda.FunctionalCurve(cfg.curve_space, c) for _, c in fitted], labels)
+    except ValueError as exc:  # curves with no variance: nothing to model, as with fewer than 2
+        raise ConfigError(f"functional PCA over {len(fitted)} curves: {exc}") from exc
     fda.save_model(out_path, model)
     return out_path
 
@@ -516,7 +542,7 @@ def cmd_anonymize(
     out_dir.mkdir(parents=True, exist_ok=True)
     outcomes = _map_jobs(_anonymize_job, jobs, workers, model)  # in job order, which is utterance-id order
     extras = [{"formant_factor": f"{j.formant.factor:.3f}", **(fields or {})} for j, (fields, _) in zip(jobs, outcomes)]
-    _write_log(out_dir / "anon_log.csv", [j.row.utterance_id for j in jobs], outcomes, extras, LOG_FIELDS)
+    _write_log(out_dir / ANON_LOG, [j.row.utterance_id for j in jobs], outcomes, extras, LOG_FIELDS)
     return sum(error is not None for _, error in outcomes)
 
 
@@ -595,17 +621,15 @@ def cmd_evaluate(
     ]
     outcomes = _map_jobs(_eval_job, jobs, workers)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_log(out_dir / "eval_log.csv", enroll_ids + test_ids, outcomes)
+    _write_log(out_dir / EVAL_LOG, enroll_ids + test_ids, outcomes)
     enrolled = {u: value for u, (value, error) in zip(enroll_ids, outcomes) if error is None}
     tested = {u: value for u, (value, error) in zip(test_ids, outcomes[len(enroll_ids):]) if error is None}
     trials = [(spk, u, label) for spk, u, label in trials if u in tested and all(e in enrolled for e in enroll[spk])]
     scores = np.array(
         [evaluation.score_trials([enrolled[e][0] for e in enroll[spk]], tested[u][0]) for spk, u, _ in trials]
     )
-    with open(out_dir / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial_id", "score", "label"])
-        writer.writerows([f"{spk}|{u}", f"{s:.8f}", label] for (spk, u, label), s in zip(trials, scores))
+    rows = ([f"{spk}|{u}", f"{s:.8f}", label] for (spk, u, label), s in zip(trials, scores))
+    _write_table(out_dir / "scores.csv", ["trial_id", "score", "label"], rows)
 
     stoi_ids = sorted(tested) if cfg.eval_stoi else []
     report = evaluation.EvalReport(
@@ -653,24 +677,13 @@ def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) 
     mean = model.mean(grid)
     pc = model.components[i - 1](grid)
     curves_path = out_dir / f"component_{i}_curves.csv"
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean", "plus", "minus"])
-        for k in range(n_points):
-            writer.writerow(
-                [
-                    f"{grid[k]:.8f}",
-                    f"{mean[k]:.8f}",
-                    f"{mean[k] + sd * pc[k]:.8f}",
-                    f"{mean[k] - sd * pc[k]:.8f}",
-                ]
-            )
+    rows = ([f"{t:.8f}", f"{m:.8f}", f"{m + sd * p:.8f}", f"{m - sd * p:.8f}"] for t, m, p in zip(grid, mean, pc))
+    _write_table(curves_path, ["t", "mean", "plus", "minus"], rows)
 
+    scores = model.training_scores
+    s2 = scores[:, 1] if scores.shape[1] > 1 else np.zeros(len(scores))
+    labels = (f"{lab.group}:{lab.condition}:{lab.speaker}" for lab in model.labels)
+    rows = ([f"{a:.8f}", f"{b:.8f}", lab] for a, b, lab in zip(scores[:, 0], s2, labels))
     scatter_path = out_dir / "scores_scatter.csv"
-    with open(scatter_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s1", "s2", "label"])
-        for s, lab in zip(model.training_scores, model.labels):
-            s2 = s[1] if s.size > 1 else 0.0
-            writer.writerow([f"{s[0]:.8f}", f"{s2:.8f}", f"{lab.group}:{lab.condition}:{lab.speaker}"])
+    _write_table(scatter_path, ["s1", "s2", "label"], rows)
     return curves_path, scatter_path

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, frame_signal
+from .audio import Waveform, frame_signal, frozen
 
 HOP_S = 0.010
 VOICING_THRESHOLD = 0.45
@@ -51,9 +51,9 @@ class F0Trajectory:
     voiced: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        voiced = np.asarray(self.voiced, dtype=bool)
+        times = frozen(self.times, np.float64)
+        values = frozen(self.values, np.float64)
+        voiced = frozen(self.voiced, bool)
         if not (times.shape == values.shape == voiced.shape) or times.ndim != 1:
             raise ValueError("times/values/voiced must be 1-D arrays of equal length")
         if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -61,8 +61,6 @@ class F0Trajectory:
         if np.any(~np.isfinite(values[voiced])):
             raise ValueError("voiced frames must carry finite values")
         for name, arr in (("times", times), ("values", values), ("voiced", voiced)):
-            arr = arr.copy()
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter, sosfiltfilt
 
-from .audio import Waveform, frame_signal, num_frames, overlap_add, resample
+from .audio import Waveform, frame_signal, frozen, num_frames, overlap_add, resample
 from .pitch import F0Trajectory, interpolate_unvoiced
 
 UNVOICED_ANCHOR_S = 0.010
@@ -47,18 +47,16 @@ class EpochSequence:
     voiced: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.int64)
-        v = np.asarray(self.voiced, dtype=bool)
+        pos = frozen(self.positions, np.int64)
+        v = frozen(self.voiced, bool)
         if pos.shape != v.shape or pos.ndim != 1:
             raise ValueError("positions and voiced flags must be matching 1-D arrays")
         if pos.size > 1 and not np.all(np.diff(pos) > 0):
             raise ValueError("positions must be strictly increasing")
         if pos.size and pos[0] < 0:
             raise ValueError("positions must be nonnegative")
-        for name, arr in (("positions", pos), ("voiced", v)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "voiced", v)
 
     def __len__(self) -> int:
         return self.positions.size
@@ -160,9 +158,7 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
 def _epoch_lowpass(fs: int) -> np.ndarray:
     """detect_epochs' 4th-order Butterworth low-pass at rate fs, as sos; designed once per rate, read-only."""
     cutoff = min(1000.0, 0.45 * fs)
-    sos = butter(4, cutoff / (fs / 2), output="sos")
-    sos.setflags(write=False)
-    return sos
+    return frozen(butter(4, cutoff / (fs / 2), output="sos"))
 
 
 @lru_cache(maxsize=1024)
@@ -172,9 +168,7 @@ def _hanning(half: int) -> np.ndarray:
     A grain window rises over the first half of one of these and falls over
     the second half of another; neighbouring grains repeat the same periods.
     """
-    win = np.hanning(2 * half + 1)
-    win.setflags(write=False)
-    return win
+    return frozen(np.hanning(2 * half + 1))
 
 
 def _interpolator(xp: np.ndarray, fp: np.ndarray):
@@ -202,16 +196,16 @@ def _interpolator(xp: np.ndarray, fp: np.ndarray):
     return at
 
 
-def _synthesis_marks(epochs: EpochSequence, step_src: np.ndarray, ratio_at, lo: float, hi: float):
+def _synthesis_marks(epochs: EpochSequence, period: np.ndarray, ratio_at, lo: float, hi: float):
     """(source epoch, output centre) of every grain, in the order grains are added.
 
     Unvoiced runs keep their anchors. Voiced runs march from the first epoch
-    by the source spacing times ratio_at, clipped to [lo, hi], and each mark
+    by the epoch's period times ratio_at, clipped to [lo, hi], and each mark
     takes the nearest epoch of its run; at an exact midpoint the earlier one,
     as argmin over the distances picks it.
     """
     pos, voiced = epochs.positions, epochs.voiced
-    steps = step_src.tolist()
+    steps = period.tolist()
     bounds = np.concatenate([[0], np.flatnonzero(voiced[1:] != voiced[:-1]) + 1, [len(epochs)]]).tolist()
     ks, centres = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -317,19 +311,15 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     pos = epochs.positions
     n_ep = len(epochs)
     if n_ep == 0:
-        return Waveform(x.copy(), fs)
+        return Waveform(x, fs)
 
-    # per-epoch one-sided periods from neighbor distances
+    # each epoch's local period, the spacing to the next (the last epoch takes
+    # the last spacing, a lone one the anchor spacing): marks step by it, and a
+    # grain falls over it clipped and rises over the previous epoch's period
     dist = np.diff(pos)
-    pl = np.empty(n_ep, dtype=np.int64)
-    pr = np.empty(n_ep, dtype=np.int64)
-    pl[1:] = dist
-    pr[:-1] = dist
-    pl[0] = pr[0] if n_ep > 1 else int(UNVOICED_ANCHOR_S * fs)
-    pr[-1] = pl[-1]
-    lo, hi = int(MIN_PERIOD_S * fs), int(MAX_PERIOD_S * fs)
-    pl = np.clip(pl, lo, hi)
-    pr = np.clip(pr, lo, hi)
+    period = np.append(dist, dist[-1] if n_ep > 1 else UNVOICED_ANCHOR_S * fs)
+    pr = np.clip(period, int(MIN_PERIOD_S * fs), int(MAX_PERIOD_S * fs)).astype(np.int64)
+    pl = np.concatenate([pr[:1], pr[:-1]])
 
     if target_f0.n_voiced and source_f0.n_voiced:
         tgt = interpolate_unvoiced(target_f0)
@@ -339,16 +329,7 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     else:
         ratio_at = lambda s: 1.0
 
-    # stepping uses the spacing to the following epoch (the local period),
-    # unclipped; pl/pr above are clipped only for window sizing
-    step_src = np.empty(n_ep, dtype=np.float64)
-    if n_ep > 1:
-        step_src[:-1] = dist
-        step_src[-1] = dist[-1]
-    else:
-        step_src[0] = UNVOICED_ANCHOR_S * fs
-
-    k, centre = _synthesis_marks(epochs, step_src, ratio_at, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs)
+    k, centre = _synthesis_marks(epochs, period, ratio_at, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs)
     out, norm = _overlap_add_grains(x, pos[k], centre, pl[k], pr[k])
     covered = norm > 1e-3
     out[covered] /= norm[covered]
@@ -615,7 +596,7 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
     if n < int(round(LPC_FRAME_S * fs)):
         raise ValueError("signal shorter than one analysis frame")
     if cfg.factor == 1.0:
-        return FormantShift(Waveform(w.samples.copy(), fs), 0, 0)
+        return FormantShift(Waveform(w.samples, fs), 0, 0)
 
     y, fa, alpha, fl, hp = _formant_band(w)
     order = _lpc_order(fa)

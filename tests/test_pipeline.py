@@ -688,6 +688,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="bad trial label"):
             pipeline.cmd_evaluate(small_corpus, config_path, root / "wav", t, tmp_path)
 
+    def test_repeated_pair_rejected_naming_it(self, tmp_path):
+        t = tmp_path / "t.csv"
+        t.write_text(",".join(synth.TRIAL_FIELDS) + "\nlow00,u1,genuine\nlow00,u2,impostor\nlow00,u1,impostor\n")
+        with pytest.raises(ConfigError, match=r"repeated .*: \[\('low00', 'u1'\)\]"):
+            pipeline.load_trials(t)
+
     def test_missing_test_audio(self, small_corpus, config_path, tmp_path):
         root = Path(small_corpus).parent
         empty = tmp_path / "empty"
@@ -1242,6 +1248,73 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "exp" / "component_1_curves.csv").exists()
+
+    def test_fit_on_curves_without_variance_exits_2_after_its_log(self, small_corpus, config_path, tmp_path):
+        src = pipeline.load_manifest(small_corpus)
+        r = src.filter(conditions=("modal",))[0]
+        p = tmp_path / "twice.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
+            writer.writeheader()
+            for u in ("first", "second"):  # one file under two ids: two identical curves
+                writer.writerow({**dataclasses.asdict(r), "utterance_id": u, "path": str(src.resolve(r))})
+        model = tmp_path / "m.json"
+        result = CliRunner().invoke(
+            cli.main, ["--config", str(config_path), "--manifest", str(p), "--out", str(model), "fit"]
+        )
+        assert_config_exit(result, "functional PCA over 2 curves: zero total variance")
+        assert [r["status"] for r in read_log(pipeline.model_log(model))] == ["ok", "ok"]
+        assert not model.exists()
+
+    def test_repeated_trial_pair_exits_2_before_any_output(self, small_corpus, config_path, tmp_path):
+        root = Path(small_corpus).parent
+        with open(root / "trials.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        t = tmp_path / "t.csv"
+        with open(t, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=synth.TRIAL_FIELDS)
+            writer.writeheader()
+            writer.writerows([first, first, {**first, "label": "impostor"}])
+        out = tmp_path / "e"
+        result = CliRunner().invoke(
+            cli.main,
+            ["--config", str(config_path), "--manifest", str(small_corpus), "--out", str(out), "evaluate",
+             "--anon-dir", str(root / "wav"), "--trials", str(t)],
+        )
+        assert_config_exit(result, f"repeated (enroll_speaker, test_utterance) pairs in trial file: "
+                                   f"[('{first['enroll_speaker']}', '{first['test_utterance']}')]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no_modal_rows", "donor_group_unresolvable", "speaker_not_enrolled"])
+    def test_nothing_to_work_on_exits_2_before_any_output(self, case, small_corpus, config_path, fitted_model,
+                                                          tmp_path):
+        root = Path(small_corpus).parent
+        manifest = small_corpus
+        if case == "donor_group_unresolvable":
+            # the low group alone: cross_group with an empty donor_group has no other group to take
+            with open(small_corpus, newline="") as fh:
+                rows = [r for r in csv.DictReader(fh) if r["group"] == "low"]
+            manifest = tmp_path / "low_only.csv"
+            with open(manifest, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
+                writer.writeheader()
+                writer.writerows({**r, "path": str(root / r["path"])} for r in rows)
+        if case == "speaker_not_enrolled":
+            with open(root / "trials.csv", newline="") as fh:
+                first = next(csv.DictReader(fh))
+            (tmp_path / "t.csv").write_text(",".join(synth.TRIAL_FIELDS) + f"\nghost,{first['test_utterance']},impostor\n")
+        out = tmp_path / "out"
+        args, message = {
+            "no_modal_rows": (["anonymize", "--model", str(fitted_model), "--groups", "nosuch"],
+                              "no modal utterances match the given filters"),
+            "donor_group_unresolvable": (["anonymize", "--model", str(fitted_model)],
+                                         "cross_group donor resolution needs exactly two groups; found ['low']"),
+            "speaker_not_enrolled": (["evaluate", "--anon-dir", str(root / "wav"), "--trials", str(tmp_path / "t.csv")],
+                                     "no session-1 modal enrollment material for speaker 'ghost'"),
+        }[case]
+        common = ["--config", str(config_path), "--manifest", str(manifest), "--out", str(out)]
+        assert_config_exit(CliRunner().invoke(cli.main, [*common, *args]), message)
+        assert not out.exists()
 
     def test_anonymize_failures_exit_1(self, small_corpus, tmp_path):
         src = pipeline.load_manifest(small_corpus)
