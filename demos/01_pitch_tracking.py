@@ -6,11 +6,11 @@ gaps, and view it in semitones.
 
 import numpy as np
 
-from voxmask import pitch, synth
+from voxmask import pipeline, pitch, synth
 
 # A deterministic test speaker saying one "sentence".
 speaker = synth.make_speakers(seed=7)[0]
-wave = synth.synth_utterance(speaker, synth.CONDITION_MODAL, session=1, utt_index=0, seed=7)
+wave = synth.synth_utterance(speaker, pipeline.CONDITION_MODAL, session=1, utt_index=0, seed=7)
 print(f"speaker {speaker.speaker_id}: base f0 {speaker.base_f0:.1f} Hz, "
       f"{wave.duration:.2f} s of audio")
 

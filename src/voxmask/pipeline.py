@@ -1,9 +1,12 @@
-"""Batch orchestration: manifests, model fitting, anonymization runs, evaluation.
+"""Batch orchestration: the corpus schema, model fitting, anonymization runs, evaluation.
 
 All commands are plain functions so they can be driven from the CLI or from
-tests. Every file a command reads from outside passes one check, that it is a
-regular file; the manifest and the trial file then go through one CSV reader,
-which wants UTF-8 and every column. load_config turns the config JSON into
+tests. The corpus schema is this module's: ManifestRow (the manifest's
+columns), TRIAL_FIELDS, CONDITION_MODAL, ENROLL_SESSION and write_table, the
+one CSV writer, with which synth writes its corpus. Every file a command reads
+from outside passes one check, that it is a regular file; the manifest and the
+trial file then go through one CSV reader, which wants UTF-8, every column and
+the header's field count in each row. load_config turns the config JSON into
 typed objects once: each block holds the keyword arguments of one dataclass (a
 PitchConfig per pitch group, the fda.CurveSpace from the basis block and
 semitone_ref_hz, the DeidStrategy, the FormantShiftConfig), which keeps every
@@ -41,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import blas, deid, evaluation, fda, pitch, resynth, synth
+from . import blas, deid, evaluation, fda, pitch, resynth
 from .audio import read_wav, write_wav
 
 CONFIG_FORMAT_VERSION = 1
@@ -62,6 +65,12 @@ class ManifestRow:
     session: str
 
 
+MANIFEST_FIELDS = [f.name for f in dataclasses.fields(ManifestRow)]  # manifest.csv's columns, in order
+TRIAL_FIELDS = ["enroll_speaker", "test_utterance", "label"]  # trials.csv's
+CONDITION_MODAL = "modal"  # the condition anonymize edits and evaluate enrolls from
+ENROLL_SESSION = "1"  # evaluate enrolls each speaker on its modal utterances of this session
+
+
 @dataclass(frozen=True)
 class Manifest:
     rows: tuple
@@ -71,17 +80,10 @@ class Manifest:
         p = Path(row.path)
         return p if p.is_absolute() else self.root / p
 
-    def filter(self, groups=None, conditions=None, sessions=None):
-        out = []
-        for r in self.rows:
-            if groups is not None and r.group not in groups:
-                continue
-            if conditions is not None and r.condition not in conditions:
-                continue
-            if sessions is not None and r.session not in sessions:
-                continue
-            out.append(r)
-        return out
+    def filter(self, groups=None, conditions=None, sessions=None) -> list:
+        """The rows, in file order, whose group, condition and session each lie in its filter, if given."""
+        wanted = {"group": groups, "condition": conditions, "session": sessions}
+        return [r for r in self.rows if all(w is None or getattr(r, k) in w for k, w in wanted.items())]
 
     @property
     def groups(self):
@@ -97,19 +99,24 @@ def _input_file(path, what: str) -> Path:
 
 
 def _read_table(path, what: str, fields) -> list:
-    """The rows of a CSV file, one dict each, once its header names every one of fields; else a ConfigError."""
+    """A CSV file's rows as dicts, once its header names all of fields and each row its width; else a ConfigError."""
     with open(_input_file(path, what), newline="") as fh:
         try:
             reader = csv.DictReader(fh)
             missing = set(fields) - set(reader.fieldnames or [])
             if missing:
                 raise ConfigError(f"{what} is missing columns: {sorted(missing)}")
-            return list(reader)
+            rows = []
+            for row in reader:  # DictReader keys extra fields by None and fills missing ones with None
+                if None in row or None in row.values():
+                    raise ConfigError(f"{what} {path} line {reader.line_num}: field count differs from the header's")
+                rows.append(row)
+            return rows
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ConfigError(f"{what} {path} is not a UTF-8 CSV table: {exc}") from exc
 
 
-def _write_table(path, header, rows) -> None:
+def write_table(path, header, rows) -> None:
     """header, then rows, as CSV in the csv module's default dialect: the one writer of every table a command makes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -125,8 +132,7 @@ def _no_repeats(keys, what: str) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    fields = synth.MANIFEST_FIELDS
-    rows = [ManifestRow(**{f: raw[f] for f in fields}) for raw in _read_table(path, "manifest", fields)]
+    rows = [ManifestRow(*(raw[f] for f in MANIFEST_FIELDS)) for raw in _read_table(path, "manifest", MANIFEST_FIELDS)]
     _no_repeats([r.utterance_id for r in rows], "duplicate utterance ids in manifest")
     for i, r in enumerate(rows, start=1):
         if not (r.utterance_id and r.path and r.speaker_id and r.group):
@@ -138,7 +144,7 @@ def load_trials(path) -> list:
     """One (enroll_speaker, test_utterance, label) per row; a bad label, repeated pair or no trials is a ConfigError."""
     trials = [
         (raw["enroll_speaker"], raw["test_utterance"], raw["label"])
-        for raw in _read_table(path, "trial file", synth.TRIAL_FIELDS)
+        for raw in _read_table(path, "trial file", TRIAL_FIELDS)
     ]
     for _, _, label in trials:
         if label not in ("genuine", "impostor"):
@@ -320,7 +326,7 @@ def _write_log(path, ids, outcomes, extras=None, fields=LOG_FIELDS[:3]) -> None:
         {"utterance_id": u, "status": "failed" if error else "ok", "message": error or "", **extra}
         for u, (_, error), extra in zip(ids, outcomes, extras or [{}] * len(ids))
     )
-    _write_table(path, fields, ([row.get(f, "") for f in fields] for row in rows))
+    write_table(path, fields, ([row.get(f, "") for f in fields] for row in rows))
 
 
 def failed_rows(log) -> int:
@@ -510,7 +516,7 @@ def cmd_anonymize(
                 f"is not the model's ({_describe_space(model.space)})"
             )
         _prepare_space(model.space)
-    rows = manifest.filter(groups=groups, conditions=(synth.CONDITION_MODAL,), sessions=sessions)
+    rows = manifest.filter(groups=groups, conditions=(CONDITION_MODAL,), sessions=sessions)
     if not rows:
         raise ConfigError("no modal utterances match the given filters")
     rows = sorted(rows, key=lambda r: r.utterance_id)
@@ -599,15 +605,15 @@ def cmd_evaluate(
     if unknown:
         raise ConfigError(f"trial file references unknown utterances: {unknown[:5]}")
 
-    # enrollment: session-1 modal originals of every enroll speaker
+    # enrollment: the enrollment session's modal originals of every enroll speaker
     enroll = {}
-    enroll_rows = manifest.filter(conditions=(synth.CONDITION_MODAL,), sessions=("1",))
+    enroll_rows = manifest.filter(conditions=(CONDITION_MODAL,), sessions=(ENROLL_SESSION,))
     for r in sorted(enroll_rows, key=lambda r: r.utterance_id):
         enroll.setdefault(r.speaker_id, []).append(r.utterance_id)
     enroll_speakers = sorted({s for s, _, _ in trials})
     for spk in enroll_speakers:
         if spk not in enroll:
-            raise ConfigError(f"no session-1 modal enrollment material for speaker {spk!r}")
+            raise ConfigError(f"no session-{ENROLL_SESSION} {CONDITION_MODAL} enrollment material for speaker {spk!r}")
 
     test_ids = sorted({t for _, t, _ in trials})
     test_paths = [_find_test_audio(anon_dir, u) for u in test_ids]
@@ -629,11 +635,11 @@ def cmd_evaluate(
         [evaluation.score_trials([enrolled[e][0] for e in enroll[spk]], tested[u][0]) for spk, u, _ in trials]
     )
     rows = ([f"{spk}|{u}", f"{s:.8f}", label] for (spk, u, label), s in zip(trials, scores))
-    _write_table(out_dir / "scores.csv", ["trial_id", "score", "label"], rows)
+    write_table(out_dir / "scores.csv", ["trial_id", "score", "label"], rows)
 
     stoi_ids = sorted(tested) if cfg.eval_stoi else []
     report = evaluation.EvalReport(
-        corpus_id=Path(manifest_path).name,
+        corpus_id=hashlib.sha256(Path(manifest_path).read_bytes()).hexdigest()[:12],
         config_hash=cfg.config_hash(),
         rows=evaluation.summarize(
             cfg.label,
@@ -678,12 +684,12 @@ def cmd_export_curves(model_path, component_index: int, n_points: int, out_dir) 
     pc = model.components[i - 1](grid)
     curves_path = out_dir / f"component_{i}_curves.csv"
     rows = ([f"{t:.8f}", f"{m:.8f}", f"{m + sd * p:.8f}", f"{m - sd * p:.8f}"] for t, m, p in zip(grid, mean, pc))
-    _write_table(curves_path, ["t", "mean", "plus", "minus"], rows)
+    write_table(curves_path, ["t", "mean", "plus", "minus"], rows)
 
     scores = model.training_scores
     s2 = scores[:, 1] if scores.shape[1] > 1 else np.zeros(len(scores))
     labels = (f"{lab.group}:{lab.condition}:{lab.speaker}" for lab in model.labels)
     rows = ([f"{a:.8f}", f"{b:.8f}", lab] for a, b, lab in zip(scores[:, 0], s2, labels))
     scatter_path = out_dir / "scores_scatter.csv"
-    _write_table(scatter_path, ["s1", "s2", "label"], rows)
+    write_table(scatter_path, ["s1", "s2", "label"], rows)
     return curves_path, scatter_path

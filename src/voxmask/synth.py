@@ -5,6 +5,9 @@ scaling and vowel targets, sentence-like f0 contours with declination and
 accent peaks, a modal and a raised-pitch "disguised" condition, two
 sessions. Every sample is a pure function of (seed, speaker, condition,
 session, utterance), so a fixed seed reproduces the corpus byte for byte.
+This module owns what it synthesizes: speakers, signals, and the disguised
+condition and its factors. generate_corpus writes the manifest and trial
+tables in pipeline's schema, as ManifestRows through pipeline.write_table.
 
 The glottal pulse train is found one period at a time, each period by one
 cumsum, and is bitwise equal to the sample-at-a-time phase loop kept as a
@@ -13,14 +16,14 @@ test oracle in tests/synth_oracle.py.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .audio import Waveform, write_wav
+from .pipeline import CONDITION_MODAL, ENROLL_SESSION, MANIFEST_FIELDS, TRIAL_FIELDS, ManifestRow, write_table
 
 SAMPLE_RATE = 16000
 
@@ -33,19 +36,16 @@ VOWEL_FORMANTS = {
     "u": (300.0, 870.0, 2240.0, 3500.0),
 }
 FORMANT_BANDWIDTHS = (90.0, 110.0, 170.0, 250.0)
+VOWEL_RAMP_S = 0.030  # Hann fade-in and fade-out at each end of a vowel
 
 GROUP_LOW = "low"
 GROUP_HIGH = "high"
 GROUP_BASE_F0 = {GROUP_LOW: 110.0, GROUP_HIGH: 210.0}
 
-CONDITION_MODAL = "modal"
 CONDITION_DISGUISED = "disguised"
 DISGUISE_F0_FACTOR = 1.5
 DISGUISE_FORMANT_FACTOR = 1.1
 NOISE_FLOOR_RMS = 0.3 * 10 ** (-55.0 / 20.0)  # -55 dB below nominal peak
-
-MANIFEST_FIELDS = ["utterance_id", "path", "speaker_id", "group", "condition", "session"]
-TRIAL_FIELDS = ["enroll_speaker", "test_utterance", "label"]
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ def make_vowel(
     bandwidths=FORMANT_BANDWIDTHS,
     seed: int = 0,
     noise_level: float = 0.02,
-    ramp: float = 0.030,
     tilt: float = 0.96,
 ) -> Waveform:
     """One synthetic vowel: steady or per-sample f0, fixed formant set.
@@ -175,7 +174,7 @@ def make_vowel(
     src = src + noise_level * rng.standard_normal(n) * np.sqrt(np.mean(src**2) + 1e-12)
     src = np.diff(src, prepend=0.0)
     y = resonator_cascade(src, formants[: len(bandwidths)], bandwidths, fs)
-    nr = min(int(ramp * fs), n // 2)
+    nr = min(int(VOWEL_RAMP_S * fs), n // 2)
     if nr > 0:
         edge = np.hanning(2 * nr)
         y[:nr] *= edge[:nr]
@@ -288,11 +287,11 @@ def generate_corpus(
     n_disguised: int = 2,
     fs: float = SAMPLE_RATE,
 ):
-    """Write WAVs, manifest.csv, and trials.csv; returns the manifest path.
+    """Write WAVs, manifest.csv, and trials.csv in pipeline's schema; returns the manifest path.
 
-    Every speaker records sessions 1 and 2. Enrollment material is session-1
-    modal speech; trial targets are session-2 modal utterances, paired genuine
-    plus within-group impostor.
+    Every speaker records sessions 1 and 2. Enrollment material is modal speech
+    of pipeline.ENROLL_SESSION; trial targets are the other modal utterances,
+    paired genuine plus within-group impostor.
     """
     if n_per_group < 1 or n_modal < 1 or n_disguised < 0:
         raise ValueError("need n_per_group >= 1, n_modal >= 1 and n_disguised >= 0")
@@ -309,37 +308,14 @@ def generate_corpus(
                 w = synth_utterance(spk, condition, session, k, seed, fs)
                 rel = f"wav/{utt_id}.wav"
                 write_wav(out / rel, w, encoding="pcm16")
-                rows.append(
-                    {
-                        "utterance_id": utt_id,
-                        "path": rel,
-                        "speaker_id": spk.speaker_id,
-                        "group": spk.group,
-                        "condition": condition,
-                        "session": str(session),
-                    }
-                )
+                rows.append(ManifestRow(utt_id, rel, spk.speaker_id, spk.group, condition, str(session)))
 
     manifest_path = out / "manifest.csv"
-    with open(manifest_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-    test_rows = [r for r in rows if r["condition"] == CONDITION_MODAL and r["session"] == "2"]
-    with open(out / "trials.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS)
-        writer.writeheader()
-        for r in test_rows:
-            for spk in speakers:
-                if spk.group != r["group"]:
-                    continue
-                label = "genuine" if spk.speaker_id == r["speaker_id"] else "impostor"
-                writer.writerow(
-                    {
-                        "enroll_speaker": spk.speaker_id,
-                        "test_utterance": r["utterance_id"],
-                        "label": label,
-                    }
-                )
+    write_table(manifest_path, MANIFEST_FIELDS, map(astuple, rows))
+    tests = [r for r in rows if r.condition == CONDITION_MODAL and r.session != ENROLL_SESSION]
+    trials = (
+        (s.speaker_id, r.utterance_id, "genuine" if s.speaker_id == r.speaker_id else "impostor")
+        for r in tests for s in speakers if s.group == r.group
+    )
+    write_table(out / "trials.csv", TRIAL_FIELDS, trials)
     return manifest_path

@@ -41,7 +41,7 @@ from conftest import make_noise, make_test_vowel
 def speechlike(seed: int = 0) -> Waveform:
     """A multi-segment utterance with pauses, like the evaluation corpus."""
     spk = synth.make_speakers(seed, 1)[0]
-    return synth.synth_utterance(spk, synth.CONDITION_MODAL, 1, 0, seed)
+    return synth.synth_utterance(spk, pipeline.CONDITION_MODAL, 1, 0, seed)
 
 
 def sweep_thresholds(gen: np.ndarray, imp: np.ndarray, n: int) -> np.ndarray:
@@ -198,7 +198,7 @@ def long_pair(seconds: float = 120.0, seed: int = 1234):
     speakers = synth.make_speakers(seed, 3)
     parts, n, k = [], 0, 0
     while n < seconds * 16000:
-        u = synth.synth_utterance(speakers[k % 3], synth.CONDITION_MODAL, 1, k, seed)
+        u = synth.synth_utterance(speakers[k % 3], pipeline.CONDITION_MODAL, 1, k, seed)
         parts.append(u.samples)
         n += u.samples.size
         k += 1
@@ -421,7 +421,7 @@ class TestMfcc:
     def test_same_speaker_scores_higher_than_other(self):
         # two utterances per speaker; scorer must rank same-speaker closer
         spk = synth.make_speakers(3, 2)
-        cond = synth.CONDITION_MODAL
+        cond = pipeline.CONDITION_MODAL
         a1 = mfcc_embed(synth.synth_utterance(spk[0], cond, 1, 0, 31))
         a2 = mfcc_embed(synth.synth_utterance(spk[0], cond, 2, 1, 31))
         b1 = mfcc_embed(synth.synth_utterance(spk[1], cond, 1, 0, 31))

@@ -10,6 +10,8 @@ import os
 import pickle
 import re
 import shutil
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -54,6 +56,12 @@ def tree_digests(path: Path) -> dict:
     return {str(f.relative_to(path)): hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(path.rglob("*")) if f.is_file()}
 
 
+def write_csv(path: Path, fields, rows) -> Path:
+    """rows, dicts keyed by fields, as the CSV table pipeline.write_table makes."""
+    pipeline.write_table(path, fields, ([row[f] for f in fields] for row in rows))
+    return path
+
+
 def write_config(path: Path, **over) -> Path:
     path.write_text(json.dumps(base_config(**over), indent=1))
     return path
@@ -95,11 +103,23 @@ class TestManifest:
 
     def test_duplicate_ids(self, tmp_path):
         p = tmp_path / "m.csv"
-        header = ",".join(synth.MANIFEST_FIELDS)
-        row = "u1,wav/u1.wav,s1,low,modal,1"
-        p.write_text(f"{header}\n{row}\n{row}\n")
+        row = ["u1", "wav/u1.wav", "s1", "low", "modal", "1"]
+        pipeline.write_table(p, pipeline.MANIFEST_FIELDS, [row, row])
         with pytest.raises(ConfigError, match="duplicate"):
             pipeline.load_manifest(p)
+
+    def test_a_row_with_missing_fields_is_rejected_naming_its_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        rows = [["u0", "a.wav", "s1", "low", "modal", "1"], ["u1", "a.wav", "s1", "low"]]
+        pipeline.write_table(p, pipeline.MANIFEST_FIELDS, rows)
+        with pytest.raises(ConfigError, match=re.escape(f"manifest {p} line 3: field count differs from the header's")):
+            pipeline.load_manifest(p)
+
+    def test_pipeline_owns_the_schema_without_importing_synth(self):
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, voxmask.pipeline; assert 'voxmask.synth' not in sys.modules, sorted(sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_filter_and_resolve(self, small_corpus):
         m = pipeline.load_manifest(small_corpus)
@@ -316,20 +336,9 @@ class TestFit:
     def test_single_utterance_rejected(self, small_corpus, config_path, tmp_path):
         src = pipeline.load_manifest(small_corpus)
         r = src.filter(conditions=("modal",))[0]
-        p = tmp_path / "one.csv"
-        with open(p, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-            writer.writeheader()
-            writer.writerow(
-                {
-                    "utterance_id": r.utterance_id,
-                    "path": str(src.resolve(r)),
-                    "speaker_id": r.speaker_id,
-                    "group": r.group,
-                    "condition": r.condition,
-                    "session": r.session,
-                }
-            )
+        p = write_csv(tmp_path / "one.csv", pipeline.MANIFEST_FIELDS, [
+            {**dataclasses.asdict(r), "path": str(src.resolve(r))},
+        ])
         with pytest.raises(ConfigError, match="at least 2"):
             pipeline.cmd_fit(p, config_path, tmp_path / "m.json")
 
@@ -526,29 +535,10 @@ class TestAnonymize:
         bad_wav = tmp_path / "bad.wav"
         bad_wav.write_bytes(b"this is not audio")
         p = tmp_path / "mixed.csv"
-        with open(p, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-            writer.writeheader()
-            writer.writerow(
-                {
-                    "utterance_id": good.utterance_id,
-                    "path": str(src.resolve(good)),
-                    "speaker_id": good.speaker_id,
-                    "group": good.group,
-                    "condition": "modal",
-                    "session": "1",
-                }
-            )
-            writer.writerow(
-                {
-                    "utterance_id": "broken",
-                    "path": str(bad_wav),
-                    "speaker_id": "s9",
-                    "group": "low",
-                    "condition": "modal",
-                    "session": "1",
-                }
-            )
+        pipeline.write_table(p, pipeline.MANIFEST_FIELDS, [
+            [good.utterance_id, str(src.resolve(good)), good.speaker_id, good.group, "modal", "1"],
+            ["broken", str(bad_wav), "s9", "low", "modal", "1"],
+        ])
         cfg = write_config(
             tmp_path / "c.json", strategy={"kind": "constant_shift", "shift_percent": 5.0}
         )
@@ -619,7 +609,7 @@ class TestEvaluate:
         report = pipeline.cmd_evaluate(
             small_corpus, config_path, root / "wav", root / "trials.csv", tmp_path, workers=2
         )
-        assert report.corpus_id == "manifest.csv"
+        assert report.corpus_id == hashlib.sha256(Path(small_corpus).read_bytes()).hexdigest()[:12]
         assert [r.label for r in report.rows] == ["test", "test/high", "test/low"]
         overall = report.rows[0]
         # test audio identical to the reference: intelligibility is perfect
@@ -669,30 +659,56 @@ class TestEvaluate:
 
     def test_empty_trial_file(self, small_corpus, config_path, tmp_path):
         t = tmp_path / "t.csv"
-        t.write_text(",".join(synth.TRIAL_FIELDS) + "\n")
+        pipeline.write_table(t, pipeline.TRIAL_FIELDS, [])
         root = Path(small_corpus).parent
         with pytest.raises(ConfigError, match="no trials"):
             pipeline.cmd_evaluate(small_corpus, config_path, root / "wav", t, tmp_path)
 
     def test_unknown_utterance_in_trials(self, small_corpus, config_path, tmp_path):
         t = tmp_path / "t.csv"
-        t.write_text(",".join(synth.TRIAL_FIELDS) + "\nlow00,ghost_utt,genuine\n")
+        pipeline.write_table(t, pipeline.TRIAL_FIELDS, [["low00", "ghost_utt", "genuine"]])
         root = Path(small_corpus).parent
         with pytest.raises(ConfigError, match="unknown utterances"):
             pipeline.cmd_evaluate(small_corpus, config_path, root / "wav", t, tmp_path)
 
     def test_bad_label_rejected(self, small_corpus, config_path, tmp_path):
         t = tmp_path / "t.csv"
-        t.write_text(",".join(synth.TRIAL_FIELDS) + "\nlow00,x,maybe\n")
+        pipeline.write_table(t, pipeline.TRIAL_FIELDS, [["low00", "x", "maybe"]])
         root = Path(small_corpus).parent
         with pytest.raises(ConfigError, match="bad trial label"):
             pipeline.cmd_evaluate(small_corpus, config_path, root / "wav", t, tmp_path)
 
     def test_repeated_pair_rejected_naming_it(self, tmp_path):
         t = tmp_path / "t.csv"
-        t.write_text(",".join(synth.TRIAL_FIELDS) + "\nlow00,u1,genuine\nlow00,u2,impostor\nlow00,u1,impostor\n")
+        pairs = [["low00", "u1", "genuine"], ["low00", "u2", "impostor"], ["low00", "u1", "impostor"]]
+        pipeline.write_table(t, pipeline.TRIAL_FIELDS, pairs)
         with pytest.raises(ConfigError, match=r"repeated .*: \[\('low00', 'u1'\)\]"):
             pipeline.load_trials(t)
+
+    def test_a_row_with_an_extra_field_is_rejected_naming_its_line(self, tmp_path):
+        t = tmp_path / "t.csv"
+        pipeline.write_table(t, pipeline.TRIAL_FIELDS, [["low00", "u1", "genuine", "extra"]])
+        message = f"trial file {t} line 2: field count differs from the header's"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.load_trials(t)
+
+    def test_corpus_id_is_the_manifest_hash(self, small_corpus, tmp_path):
+        src = pipeline.load_manifest(small_corpus)
+        rows = [dataclasses.replace(r, path=str(src.resolve(r))) for r in src.rows]
+        edited = [*rows[:-1], dataclasses.replace(rows[-1], utterance_id="renamed")]  # a disguised row: unused
+        assert rows[-1].condition == "disguised"
+        cfg = write_config(tmp_path / "c.json", evaluation={"stoi": False, "eer": True})
+        root = Path(small_corpus).parent
+        ids = []
+        for name, table in (("a/manifest.csv", rows), ("b/other.csv", rows), ("c/manifest.csv", edited)):
+            (tmp_path / name).parent.mkdir()
+            pipeline.write_table(tmp_path / name, pipeline.MANIFEST_FIELDS, map(dataclasses.astuple, table))
+            report = pipeline.cmd_evaluate(
+                tmp_path / name, cfg, root / "wav", root / "trials.csv", tmp_path / name.replace("/", "_")
+            )
+            ids.append(report.corpus_id)
+        assert ids[0] == ids[1] == hashlib.sha256((tmp_path / "a/manifest.csv").read_bytes()).hexdigest()[:12]
+        assert ids[2] != ids[0]
 
     def test_missing_test_audio(self, small_corpus, config_path, tmp_path):
         root = Path(small_corpus).parent
@@ -882,11 +898,7 @@ class TestCli:
         with open(small_corpus, newline="") as fh:
             rows = list(csv.DictReader(fh))
         rows[3][field] = ""
-        manifest = tmp_path / "manifest.csv"
-        with open(manifest, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+        manifest = write_csv(tmp_path / "manifest.csv", pipeline.MANIFEST_FIELDS, rows)
         out = tmp_path / "out"
         extra = {
             "fit": [],
@@ -902,6 +914,16 @@ class TestCli:
         assert_config_exit(result, "manifest row 4 ")
         assert "lacks an utterance id, path, speaker or group" in result.stderr
         assert not out.exists()
+
+    def test_a_manifest_row_with_missing_fields_exits_2(self, config_path, tmp_path):
+        manifest = tmp_path / "m.csv"
+        pipeline.write_table(manifest, pipeline.MANIFEST_FIELDS, [["u1", "a.wav", "s1", "low"]])
+        out = tmp_path / "m.json"
+        result = CliRunner().invoke(
+            cli.main, ["--config", str(config_path), "--manifest", str(manifest), "--out", str(out), "fit"]
+        )
+        assert_config_exit(result, f"manifest {manifest} line 2: field count differs from the header's")
+        assert not out.exists() and not pipeline.model_log(out).exists()
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -988,12 +1010,10 @@ class TestCli:
         silent = tmp_path / "silent.wav"
         voiced = read_wav(src.resolve(rows[0]))
         write_wav(silent, Waveform(np.zeros_like(voiced.samples), voiced.sample_rate))
-        manifest = tmp_path / "manifest.csv"
-        with open(manifest, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-            writer.writeheader()
-            writer.writerow({**dataclasses.asdict(rows[0]), "path": str(silent)})
-            writer.writerow({**dataclasses.asdict(rows[1]), "path": str(src.resolve(rows[1]))})
+        manifest = write_csv(tmp_path / "manifest.csv", pipeline.MANIFEST_FIELDS, [
+            {**dataclasses.asdict(rows[0]), "path": str(silent)},
+            {**dataclasses.asdict(rows[1]), "path": str(src.resolve(rows[1]))},
+        ])
         out = tmp_path / "anon"
         result = CliRunner().invoke(
             cli.main,
@@ -1252,12 +1272,9 @@ class TestCli:
     def test_fit_on_curves_without_variance_exits_2_after_its_log(self, small_corpus, config_path, tmp_path):
         src = pipeline.load_manifest(small_corpus)
         r = src.filter(conditions=("modal",))[0]
-        p = tmp_path / "twice.csv"
-        with open(p, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-            writer.writeheader()
-            for u in ("first", "second"):  # one file under two ids: two identical curves
-                writer.writerow({**dataclasses.asdict(r), "utterance_id": u, "path": str(src.resolve(r))})
+        # one file under two ids: two identical curves
+        twice = [{**dataclasses.asdict(r), "utterance_id": u, "path": str(src.resolve(r))} for u in ("first", "second")]
+        p = write_csv(tmp_path / "twice.csv", pipeline.MANIFEST_FIELDS, twice)
         model = tmp_path / "m.json"
         result = CliRunner().invoke(
             cli.main, ["--config", str(config_path), "--manifest", str(p), "--out", str(model), "fit"]
@@ -1270,11 +1287,7 @@ class TestCli:
         root = Path(small_corpus).parent
         with open(root / "trials.csv", newline="") as fh:
             first = next(csv.DictReader(fh))
-        t = tmp_path / "t.csv"
-        with open(t, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.TRIAL_FIELDS)
-            writer.writeheader()
-            writer.writerows([first, first, {**first, "label": "impostor"}])
+        t = write_csv(tmp_path / "t.csv", pipeline.TRIAL_FIELDS, [first, first, {**first, "label": "impostor"}])
         out = tmp_path / "e"
         result = CliRunner().invoke(
             cli.main,
@@ -1294,15 +1307,13 @@ class TestCli:
             # the low group alone: cross_group with an empty donor_group has no other group to take
             with open(small_corpus, newline="") as fh:
                 rows = [r for r in csv.DictReader(fh) if r["group"] == "low"]
-            manifest = tmp_path / "low_only.csv"
-            with open(manifest, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-                writer.writeheader()
-                writer.writerows({**r, "path": str(root / r["path"])} for r in rows)
+            rows = [{**r, "path": str(root / r["path"])} for r in rows]
+            manifest = write_csv(tmp_path / "low_only.csv", pipeline.MANIFEST_FIELDS, rows)
         if case == "speaker_not_enrolled":
             with open(root / "trials.csv", newline="") as fh:
                 first = next(csv.DictReader(fh))
-            (tmp_path / "t.csv").write_text(",".join(synth.TRIAL_FIELDS) + f"\nghost,{first['test_utterance']},impostor\n")
+            ghost = [["ghost", first["test_utterance"], "impostor"]]
+            pipeline.write_table(tmp_path / "t.csv", pipeline.TRIAL_FIELDS, ghost)
         out = tmp_path / "out"
         args, message = {
             "no_modal_rows": (["anonymize", "--model", str(fitted_model), "--groups", "nosuch"],
@@ -1321,19 +1332,7 @@ class TestCli:
         bad_wav = tmp_path / "bad.wav"
         bad_wav.write_bytes(b"junk")
         p = tmp_path / "m.csv"
-        with open(p, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=synth.MANIFEST_FIELDS)
-            writer.writeheader()
-            writer.writerow(
-                {
-                    "utterance_id": "broken",
-                    "path": str(bad_wav),
-                    "speaker_id": "s9",
-                    "group": "low",
-                    "condition": "modal",
-                    "session": "1",
-                }
-            )
+        pipeline.write_table(p, pipeline.MANIFEST_FIELDS, [["broken", str(bad_wav), "s9", "low", "modal", "1"]])
         cfg = write_config(tmp_path / "c.json", strategy={"kind": "constant_shift", "shift_percent": 0.0})
         runner = CliRunner()
         result = runner.invoke(
@@ -1370,10 +1369,7 @@ def low_group_run(corpus: Path, tmp_path: Path) -> dict:
     """CLI arguments of fit, anonymize and evaluate over the low group's session-2 modal files, and each one's log."""
     with open(corpus / "trials.csv", newline="") as fh:
         trials = [t for t in csv.DictReader(fh) if t["test_utterance"].startswith("low")]
-    with open(tmp_path / "low_trials.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=synth.TRIAL_FIELDS)
-        writer.writeheader()
-        writer.writerows(trials)
+    write_csv(tmp_path / "low_trials.csv", pipeline.TRIAL_FIELDS, trials)
     cfg = write_config(tmp_path / "c.json", strategy={"kind": "constant_shift", "shift_percent": 10.0})
     common = ["--config", str(cfg), "--manifest", str(corpus / "manifest.csv")]
     out = tmp_path / "out"

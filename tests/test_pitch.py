@@ -327,7 +327,7 @@ def acceptance_corpus_with_truth(tmp_path):
     path = tmp_path / "utterance.wav"
     for spk in synth.make_speakers(1234, 5):
         for session in (1, 2):
-            cells = [(synth.CONDITION_MODAL, k) for k in range(4)]
+            cells = [(pipeline.CONDITION_MODAL, k) for k in range(4)]
             cells += [(synth.CONDITION_DISGUISED, k) for k in range(2)]
             for condition, k in cells:
                 w, truth = synth._utterance_and_contour(spk, condition, session, k, 1234, synth.SAMPLE_RATE)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from synth_oracle import pulse_train_oracle
 
-from voxmask import pitch, synth
+from voxmask import pipeline, pitch, synth
 from voxmask.audio import read_wav
 
 RATES = (8000, 11025, 16000, 22050, 44100)
@@ -163,20 +163,20 @@ class TestPulseTrain:
 class TestUtterance:
     def test_deterministic(self):
         spk = synth.make_speakers(5)[0]
-        a = synth.synth_utterance(spk, synth.CONDITION_MODAL, 1, 0, 5)
-        b = synth.synth_utterance(spk, synth.CONDITION_MODAL, 1, 0, 5)
+        a = synth.synth_utterance(spk, pipeline.CONDITION_MODAL, 1, 0, 5)
+        b = synth.synth_utterance(spk, pipeline.CONDITION_MODAL, 1, 0, 5)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_sessions_differ(self):
         spk = synth.make_speakers(5)[0]
-        a = synth.synth_utterance(spk, synth.CONDITION_MODAL, 1, 0, 5)
-        b = synth.synth_utterance(spk, synth.CONDITION_MODAL, 2, 0, 5)
+        a = synth.synth_utterance(spk, pipeline.CONDITION_MODAL, 1, 0, 5)
+        b = synth.synth_utterance(spk, pipeline.CONDITION_MODAL, 2, 0, 5)
         assert a.samples.shape != b.samples.shape or not np.array_equal(a.samples, b.samples)
 
     def test_noise_floor_present(self):
         # silence between segments sits near the configured floor, not at zero
         spk = synth.make_speakers(5)[0]
-        w = synth.synth_utterance(spk, synth.CONDITION_MODAL, 1, 0, 5)
+        w = synth.synth_utterance(spk, pipeline.CONDITION_MODAL, 1, 0, 5)
         frame = int(0.05 * w.sample_rate)
         n = (w.samples.size // frame) * frame
         rms = np.sqrt(np.mean(w.samples[:n].reshape(-1, frame) ** 2, axis=1))
@@ -185,7 +185,7 @@ class TestUtterance:
         assert floor < 10.0 * synth.NOISE_FLOOR_RMS
 
     @pytest.mark.parametrize(
-        "condition, factor", [(synth.CONDITION_MODAL, 1.0), (synth.CONDITION_DISGUISED, synth.DISGUISE_F0_FACTOR)]
+        "condition, factor", [(pipeline.CONDITION_MODAL, 1.0), (synth.CONDITION_DISGUISED, synth.DISGUISE_F0_FACTOR)]
     )
     def test_contour_is_the_f0_of_the_vowels_and_nan_between_them(self, condition, factor):
         spk = synth.make_speakers(5)[0]
@@ -207,11 +207,11 @@ class TestUtterance:
         spk = synth.make_speakers(5)[2]
         cfg = pitch.PitchConfig(floor=60.0, ceiling=520.0)
         med = {}
-        for cond in (synth.CONDITION_MODAL, synth.CONDITION_DISGUISED):
+        for cond in (pipeline.CONDITION_MODAL, synth.CONDITION_DISGUISED):
             w = synth.synth_utterance(spk, cond, 1, 0, 5)
             tr = pitch.extract_f0(w, cfg)
             med[cond] = np.nanmedian(tr.values)
-        ratio = med[synth.CONDITION_DISGUISED] / med[synth.CONDITION_MODAL]
+        ratio = med[synth.CONDITION_DISGUISED] / med[pipeline.CONDITION_MODAL]
         assert ratio == pytest.approx(synth.DISGUISE_F0_FACTOR, rel=0.12)
 
 
@@ -229,7 +229,7 @@ class TestCorpus:
             rows = list(csv.DictReader(fh))
         # 2 groups x 2 speakers x 2 sessions x (2 modal + 1 disguised)
         assert len(rows) == 24
-        assert list(rows[0].keys()) == synth.MANIFEST_FIELDS
+        assert list(rows[0].keys()) == pipeline.MANIFEST_FIELDS
         ids = [r["utterance_id"] for r in rows]
         assert len(set(ids)) == len(ids)
         for r in rows:
@@ -244,11 +244,11 @@ class TestCorpus:
             by_id = {r["utterance_id"]: r for r in csv.DictReader(fh)}
         with open(out / "trials.csv", newline="") as fh:
             trials = list(csv.DictReader(fh))
-        assert list(trials[0].keys()) == synth.TRIAL_FIELDS
+        assert list(trials[0].keys()) == pipeline.TRIAL_FIELDS
         assert {t["label"] for t in trials} == {"genuine", "impostor"}
         for t in trials:
             r = by_id[t["test_utterance"]]
-            assert r["condition"] == synth.CONDITION_MODAL
+            assert r["condition"] == pipeline.CONDITION_MODAL
             assert r["session"] == "2"
             # impostor pairs stay within group
             assert t["enroll_speaker"][:3] in r["group"] or t["enroll_speaker"].startswith(r["group"])

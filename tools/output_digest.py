@@ -10,9 +10,11 @@ CHECKOUT/src first on PYTHONPATH, into the empty or missing directory OUT:
 - make-synth-corpus: seed 1234, 3 speakers per group, 3 modal and 1
   disguised utterance per session;
 - then, at --workers 1 and again at 2, each into its own directory: fit with
-  the f0_S preset; anonymize session 2 and evaluate it with the
-  f0_S-F1-3_20 (cross-group swap), f0_D (disguise model) and f0_15-F1-3_10
-  (constant shift) presets; export-curves of the fitted model.
+  the f0_S preset; evaluate the corpus wav/ directory with the none preset,
+  the no-anonymization baseline, whose test files are the <id>.wav
+  originals; anonymize session 2 and evaluate it with the f0_S-F1-3_20
+  (cross-group swap), f0_D (disguise model) and f0_15-F1-3_10 (constant
+  shift) presets; export-curves of the fitted model.
 
 It then prints one ``sha256  relpath`` line per file under OUT, sorted by
 path, and exits non-zero if any command fails. Two checkouts write the same
@@ -48,6 +50,8 @@ def commands(src: Path, out: Path):
         run = out / f"workers{workers}"
         model = run / "model.json"
         yield ["--workers", workers, "--config", presets / "f0_S.json", "--manifest", manifest, "--out", model, "fit"]
+        yield ["--workers", workers, "--config", presets / "none.json", "--manifest", manifest,
+               "--out", run / "eval_none", "evaluate", "--anon-dir", out / "corpus" / "wav", "--trials", trials]
         for name in PRESETS:
             common = ["--workers", workers, "--config", presets / f"{name}.json", "--manifest", manifest]
             anon = run / f"anon_{name}"
