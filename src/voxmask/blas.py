@@ -1,4 +1,4 @@
-"""One OpenBLAS thread per command and per pool worker.
+"""Process settings for every command and pool worker: one OpenBLAS thread and a heap that keeps freed memory.
 
 numpy and scipy each load their own OpenBLAS, which starts one thread per
 core. Inside a process pool that puts several BLAS threads on each CPU, and
@@ -8,13 +8,22 @@ with each loaded OpenBLAS pinned to one thread (one_thread); pool workers
 inherit that pin by fork or set it when they start (pin_worker). Importing
 voxmask changes nothing: the caller's counts come back when a command returns.
 Where no OpenBLAS is found the command runs unpinned and logs a warning.
+
+Both entry points also set glibc's malloc thresholds once per process
+(keep_freed_memory), so that the few-MB temporaries of one utterance stay
+in the heap for the next instead of going back to the kernel and being
+faulted in again as fresh zeroed pages. The policy is fixed, changes no
+arithmetic and is not restored when a command returns: once set, glibc
+cannot go back to its dynamic thresholds. Without glibc it is skipped.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import logging
+import os
 
 log = logging.getLogger(__name__)
 
@@ -52,12 +61,33 @@ def openblas_libraries() -> dict:
     return {path: fns for path, fns in found.items() if fns is not None}
 
 
+# glibc's mallopt parameters (malloc.h) and their values: the mmap threshold
+# at the ceiling glibc's own dynamic threshold climbs to, the trim threshold above it
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_POLICY = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+
+
+@functools.cache  # once per process; a forked worker inherits the cache with the setting
+def keep_freed_memory() -> None:
+    """Set glibc's mmap and trim thresholds to HEAP_POLICY; a no-op without glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, no such name, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in HEAP_POLICY:
+        mallopt(param, value)
+
+
 def pin_worker() -> None:
-    """Pool initializer: one BLAS thread for the rest of the worker's life.
+    """Pool initializer: one BLAS thread for the rest of the worker's life, and the heap policy.
 
     A count already at one is not set again: after a fork any set call makes
     OpenBLAS rebuild its thread pool, whose new threads spin before they sleep.
     """
+    keep_freed_memory()
     for get, set_ in openblas_libraries().values():
         if get() != 1:
             set_(1)
@@ -65,7 +95,8 @@ def pin_worker() -> None:
 
 @contextlib.contextmanager
 def one_thread():
-    """Every loaded OpenBLAS at one thread inside the block; each old count after it."""
+    """Every loaded OpenBLAS at one thread inside the block; each old count after it. Sets the heap policy."""
+    keep_freed_memory()
     libs = openblas_libraries()
     if not libs:
         log.warning("no OpenBLAS thread control found; BLAS runs with its own thread count")

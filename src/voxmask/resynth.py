@@ -1,23 +1,23 @@
 """Waveform resynthesis: pitch modification by TD-PSOLA and formant shifting by Burg LPC.
 
-Both transforms are time-domain and deterministic, and neither loops over
-frames or grains in Python. PSOLA moves two-period windowed grains anchored
-at glottal epochs: detect_epochs reads the local period from one table per
-voiced span, the synthesis marks are collected in one scalar march, and all
-grains are overlap-added in blocks with bincount. The formant shifter,
+Both transforms are time-domain and deterministic. PSOLA moves two-period
+windowed grains anchored at glottal epochs: detect_epochs reads the local
+period at each epoch it marks, the synthesis marks are collected in one
+scalar march, and the grains are overlap-added one slice at a time, each
+window built from two cached Hanning halves. The formant shifter,
 shift_formants_detailed, fits Burg LPC to all frames of an utterance in one
 batch, from each frame's autocorrelation and edge errors rather than a pass
 over its samples per order, takes every frame's poles from one batched
 eigenvalue call, inverse-filters every frame with one einsum, and re-filters
 the residuals through their pole-modified all-pole filters in one recursion
 over the frame's samples before overlap-adding; _formant_band and
-_frame_poles are its analysis front end. Each array path is bitwise equal to
-the per-frame or per-grain loop it replaced, which the tests keep as
-oracles, except Burg LPC: its fits agree with the lattice to rounding, and
-a frame with too little prediction error to keep that precision is refitted
-by the lattice. Only the factor and the number of shifted formants are
-configurable; the LPC frame, hop, pre-emphasis, analysis band and order rule
-are module constants.
+_frame_poles are its analysis front end. Each path is bitwise equal to the
+per-frame or per-grain reference the tests keep as an oracle, except Burg
+LPC: its fits agree with the lattice to rounding, and a frame with too
+little prediction error to keep that precision is refitted by the lattice.
+Only the factor and the number of shifted formants are configurable; the
+LPC frame, hop, pre-emphasis, analysis band and order rule are module
+constants.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
 
     Voiced spans: one anchor per local period, found on the low-passed
     signal by searching [0.7p, 1.4p] ahead of the previous anchor, where p is
-    read from a table of the clipped period at every sample of the span.
+    the clipped period read from the trajectory at that anchor.
     Unvoiced spans: uniform 10 ms anchors, so PSOLA passes them through
     unchanged.
     """
@@ -111,16 +111,16 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
     if voiced_spans:
         # sosfilt's compiled kernel takes writable buffers only, so it gets a copy
         lp = sosfiltfilt(_epoch_lowpass(fs).copy(), x)
+        f0_at = _interpolator(f0.times, f0.values)
+        period_at = lambda s: min(max(fs / f0_at(s / fs), MIN_PERIOD_S * fs), MAX_PERIOD_S * fs)
         for a, b in voiced_spans:
             seg = lp[a:b]
             ref = (1.0 if np.max(seg) >= -np.min(seg) else -1.0) * seg
-            period = fs / np.interp(np.arange(a, b) / fs, f0.times, f0.values)
-            period = np.clip(period, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs).tolist()
             # positions relative to a from here on
-            cur = int(ref[: min(int(period[0]), b - a)].argmax())
+            cur = int(ref[: min(int(period_at(a)), b - a)].argmax())
             span_marks = [cur]
             while True:
-                p = period[cur]
+                p = period_at(a + cur)
                 lo = cur + int(0.7 * p)
                 hi = min(cur + int(1.4 * p) + 1, b - a)
                 if lo >= hi:
@@ -229,60 +229,28 @@ def _synthesis_marks(epochs: EpochSequence, period: np.ndarray, ratio_at, lo: fl
     return np.concatenate(ks), np.concatenate(centres)
 
 
-GRAIN_BLOCK = 256  # grains summed per np.bincount call; bounds the index arrays
-
-
 def _overlap_add_grains(x, src, centre, pl, pr):
-    """(sum of windowed grains, sum of windows) over the grains g in order.
+    """(sum of windowed grains, sum of windows) over the grains g, added one at a time in order.
 
     Grain g is x around src[g], windowed by an asymmetric two-period Hanning
     that rises over pl[g] samples and falls over pr[g], and added around
     centre[g]. Parts of a grain outside the signal, on the source or the
-    output side, are cut with the window kept aligned. Each sample sums its
-    grains in order starting from zero, the running sum carried from block to
-    block as bincount's first weight, so the sums are bitwise those of adding
-    one grain at a time.
+    output side, are cut with the window kept aligned.
     """
     n = x.size
     cut_lo = np.maximum(0, pl - np.minimum(src, centre))
     cut_hi = np.maximum(0, np.maximum(src, centre) + pr + 1 - n)
-    length = np.maximum(0, pl + pr + 1 - cut_lo - cut_hi)
-
-    # every distinct window once, in one table: window u rises over the first
-    # half of one cached Hanning and falls over the second half of another
-    span = int(pr.max()) + 1
-    pairs, which = np.unique(pl * span + pr, return_inverse=True)
-    upl, upr = pairs // span, pairs % span
-    halves = np.unique(np.concatenate([upl, upr]))
-    hann = np.concatenate([_hanning(int(h)) for h in halves])
-    hann_at = np.cumsum(2 * halves + 1) - (2 * halves + 1)
-    size = upl + upr + 1
-    r = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-    rise = np.repeat(hann_at[np.searchsorted(halves, upl)], size)
-    fall = np.repeat(hann_at[np.searchsorted(halves, upr)] + upr - upl, size)
-    table = hann[np.where(r <= np.repeat(upl, size), rise, fall) + r]
-
-    # where each grain's kept part starts in the table, the source and the output
-    win_at = (np.cumsum(size) - size)[which] + cut_lo
-    src_at = src - pl + cut_lo
-    out_at = centre - pl + cut_lo
+    length = pl + pr + 1 - cut_lo - cut_hi
     out = np.zeros(n)
     norm = np.zeros(n)
-    for b in range(0, length.size, GRAIN_BLOCK):
-        g = slice(b, b + GRAIN_BLOCK)
-        count = length[g]
-        kept = count > 0
-        if not kept.any():
+    grains = zip(*(a.tolist() for a in (src - pl + cut_lo, centre - pl + cut_lo, cut_lo, length, pl, pr)))
+    for s, o, c, m, left, right in grains:
+        if m <= 0:
             continue
-        lo = int(out_at[g][kept].min())
-        hi = int((out_at[g] + count)[kept].max())
-        step = np.arange(int(count.sum()))
-        first = np.cumsum(count) - count
-        win = table[step + np.repeat(win_at[g] - first, count)]
-        grains = x[step + np.repeat(src_at[g] - first, count)] * win
-        bins = np.concatenate([np.arange(hi - lo), step + np.repeat(out_at[g] - first - lo, count)])
-        out[lo:hi] = np.bincount(bins, np.concatenate([out[lo:hi], grains]), hi - lo)
-        norm[lo:hi] = np.bincount(bins, np.concatenate([norm[lo:hi], win]), hi - lo)
+        # the window rises over the first half of one cached Hanning and falls over the second half of another
+        win = np.concatenate((_hanning(left)[: left + 1], _hanning(right)[right + 1 :]))[c : c + m]
+        out[o : o + m] += x[s : s + m] * win
+        norm[o : o + m] += win
     return out, norm
 
 
@@ -295,7 +263,7 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     Scaling the measured spacing (rather than stepping by fs/f0_target)
     keeps the identity mapping exact: equal trajectories give ratio 1 and
     marks that never leave the anchors. The marks are collected first, then
-    all grains are overlap-added in blocks.
+    the grains are overlap-added one at a time.
     """
     fs = w.sample_rate
     x = w.samples

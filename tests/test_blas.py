@@ -1,4 +1,4 @@
-"""One OpenBLAS thread per command and per pool worker, and outputs that do not depend on BLAS threads."""
+"""One OpenBLAS thread and the heap policy per command and per pool worker, and outputs that do not depend on BLAS threads."""
 
 import functools
 import hashlib
@@ -90,6 +90,34 @@ def _worker_threads(_job) -> tuple:
     return len(os.listdir("/proc/self/task")), set(thread_counts().values())
 
 
+def has_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+needs_glibc = pytest.mark.skipif(not has_glibc(), reason="the heap policy is set through glibc's mallopt")
+MAX_SECOND_PASS_FAULTS = 100  # without the heap policy a second pass faults in hundreds of pages per file
+
+
+def second_pass_faults(paths) -> int:
+    """Minor page faults of evaluate's per-file work (STOI and MFCC embedding) over paths, run a second time."""
+    import resource
+
+    jobs = [pipeline.EvalJob(str(p), str(p)) for p in paths]
+    for job in jobs:
+        pipeline._eval_job(job)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for job in jobs:
+        pipeline._eval_job(job)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def corpus_wavs(manifest, count=4) -> list:
+    return sorted((Path(manifest).parent / "wav").glob("*.wav"))[:count]
+
+
 def test_import_leaves_thread_counts_unchanged(caller_counts):
     saved = {k: m for k, m in sys.modules.items() if k == "voxmask" or k.startswith("voxmask.")}
     for k in saved:
@@ -131,6 +159,22 @@ def test_pool_workers_run_one_thread(method, caller_counts, monkeypatch):
     for counts, _ in pipeline._map_jobs(_worker_counts, list(range(4)), workers=2):
         assert counts and set(counts) == {1}
     assert thread_counts() == caller_counts
+
+
+@needs_glibc
+def test_command_keeps_freed_memory_for_the_next_utterance(small_corpus):
+    with blas.one_thread():
+        assert second_pass_faults(corpus_wavs(small_corpus)) < MAX_SECOND_PASS_FAULTS
+
+
+@needs_glibc
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_workers_keep_freed_memory_for_the_next_utterance(method, small_corpus, monkeypatch):
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
+    wavs = corpus_wavs(small_corpus)
+    for faults, error in pipeline._map_jobs(second_pass_faults, [wavs, wavs], workers=2):
+        assert error is None and faults < MAX_SECOND_PASS_FAULTS
 
 
 @pytest.mark.skipif(
