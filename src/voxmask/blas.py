@@ -61,15 +61,12 @@ def openblas_libraries() -> dict:
     return {path: fns for path, fns in found.items() if fns is not None}
 
 
-# glibc's mallopt parameters (malloc.h) and their values: the mmap threshold
-# at the ceiling glibc's own dynamic threshold climbs to, the trim threshold above it
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-HEAP_POLICY = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters, from malloc.h
 
 
 @functools.cache  # once per process; a forked worker inherits the cache with the setting
 def keep_freed_memory() -> None:
-    """Set glibc's mmap and trim thresholds to HEAP_POLICY; a no-op without glibc."""
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB; a no-op without glibc."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -77,8 +74,8 @@ def keep_freed_memory() -> None:
     except (AttributeError, OSError, ValueError):  # no confstr, no such name, or no mallopt
         return
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    for param, value in HEAP_POLICY:
-        mallopt(param, value)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)  # the ceiling glibc's own dynamic threshold climbs to
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)  # above it, so a freed block stays for the next utterance
 
 
 def pin_worker() -> None:
