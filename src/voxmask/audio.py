@@ -1,4 +1,9 @@
-"""Mono audio I/O, resampling, framing and overlap-add."""
+"""Mono audio I/O, resampling, framing and overlap-add.
+
+Resampling applies resample_poly's Kaiser filter as blocks of BLAS matrix
+products over one cached, read-only polyphase table per rate pair; a pair
+whose table would pass a fixed budget runs scipy.signal.resample_poly.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
+
+RESAMPLE_ROWS = 2048  # output rows per block of products: bounds resample's temporaries
+ROW_SAMPLES = 16  # fewest samples of either rate in a table row; a small ratio takes several periods per row
+TABLE_BUDGET = 1 << 20  # polyphase coefficients (8 MB); a rate pair past it runs resample_poly
 
 
 class AudioFormatError(ValueError):
@@ -101,7 +110,14 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     """Resample with a Kaiser-windowed sinc polyphase filter.
 
     Cutoff sits at 0.95x the Nyquist of the lower of the two rates, so the
-    output is band-limited below min(rates)/2.
+    output is band-limited below min(rates)/2. Length ceil(n * up / down)
+    and alignment are resample_poly's; the symmetric taps make it zero-phase.
+    Each block of RESAMPLE_ROWS output rows is sum_j X[j : j + rows] @ G[j]
+    over rows X of the input and the cached polyphase table G, written into
+    one preallocated output, so no temporary is as long as the signal. The
+    sums run in another order than resample_poly's: the bits differ from its
+    in the last places and hold for one BLAS build, kernel and thread count.
+    A rate pair whose table would pass TABLE_BUDGET runs resample_poly.
     """
     target_rate = int(target_rate)
     if target_rate <= 0:
@@ -110,7 +126,11 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     g = math.gcd(w.sample_rate, target_rate)
     up, down = target_rate // g, w.sample_rate // g
-    y = resample_poly(w.samples, up, down, window=_resample_taps(max(up, down)))
+    periods, _, depth = _polyphase_layout(up, down)
+    if depth * periods * down * periods * up > TABLE_BUDGET:
+        y = resample_poly(w.samples, up, down, window=_resample_taps(max(up, down)))
+    else:
+        y = _polyphase(w.samples, up, down)
     return Waveform(y, target_rate)
 
 
@@ -121,6 +141,62 @@ def _resample_taps(max_rate: int) -> np.ndarray:
     # lower Nyquist, so stopband rejection holds just past the cutoff
     half_len = 32 * max_rate
     return frozen(firwin(2 * half_len + 1, 0.95 / max_rate, window=("kaiser", 8.0)))
+
+
+def _polyphase_layout(up: int, down: int) -> tuple:
+    """(periods, pad, depth) of the polyphase table for up/down.
+
+    A table row holds `periods` periods of the ratio; `pad` zeros before the
+    input make output row r start reading at input row r, and it reads
+    `depth` input rows.
+    """
+    periods = -(-ROW_SAMPLES // min(up, down))
+    half_len = _resample_taps(max(up, down)).size // 2
+    pad = half_len // up
+    reach = ((periods * up - 1) * down + half_len) // up + pad + 1  # input samples one output row reads
+    return periods, pad, -(-reach // (periods * down))
+
+
+@lru_cache(maxsize=16)  # a table may take up to TABLE_BUDGET coefficients, 8 MB
+def _polyphase_table(up: int, down: int) -> np.ndarray:
+    """Read-only G, shape (depth, periods * down, periods * up), of resample_poly's coefficients, up times the taps.
+
+    Input sample c of row r + j, times G[j, c, p], adds to output p of row r.
+    """
+    h = _resample_taps(max(up, down))
+    half_len = h.size // 2
+    periods, pad, depth = _polyphase_layout(up, down)
+    k = np.arange(depth * periods * down)[:, None]  # j * periods * down + c
+    idx = np.arange(periods * up) * down + half_len - (k - pad) * up
+    inside = (idx >= 0) & (idx < h.size)
+    table = np.where(inside, up * h[np.where(inside, idx, 0)], 0.0)
+    return frozen(table.reshape(depth, periods * down, periods * up))
+
+
+def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """x resampled by up/down through the polyphase table, RESAMPLE_ROWS output rows at a time."""
+    table = _polyphase_table(up, down)
+    depth, row_in, row_out = table.shape
+    pad = _polyphase_layout(up, down)[1]
+    n_out = -(-x.size * up // down)
+    rows_out = -(-n_out // row_out)
+    y = np.empty((rows_out, row_out))
+    block = min(RESAMPLE_ROWS, rows_out)
+    buf = np.empty((block + depth - 1) * row_in)  # one block's input rows, zeros past either end of x
+    part = np.empty((block, row_out))
+    for r0 in range(0, rows_out, RESAMPLE_ROWS):
+        rows = min(RESAMPLE_ROWS, rows_out - r0)
+        lo = r0 * row_in - pad
+        seg = buf[: (rows + depth - 1) * row_in]
+        a, b = max(lo, 0), min(lo + seg.size, x.size)
+        seg.fill(0.0)
+        seg[a - lo : b - lo] = x[a:b]
+        rows_in = seg.reshape(-1, row_in)
+        out = y[r0 : r0 + rows]
+        np.matmul(rows_in[:rows], table[0], out=out)
+        for j in range(1, depth):
+            out += np.matmul(rows_in[j : j + rows], table[j], out=part[:rows])
+    return y.reshape(-1)[:n_out]
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """WAV I/O, resampling, and framing utilities."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -124,19 +126,73 @@ class TestReadWrite:
             read_wav(tmp_path / "absent.wav")
 
 
+STANDARD_RATES = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000)
+ANALYSIS_RATES = (10000, 11000, 16000)
+
+
+def ratio(rate: int, target: int) -> tuple:
+    g = math.gcd(rate, target)
+    return target // g, rate // g
+
+
+def reference_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """scipy's resample_poly with the freshly designed taps: the oracle resample answers to."""
+    taps = firwin(64 * max(up, down) + 1, 0.95 / max(up, down), window=("kaiser", 8.0))
+    return resample_poly(x, up, down, window=taps)
+
+
+def reordered_sum_bound(x: np.ndarray, up: int, down: int) -> float:
+    """K * eps * sum|h_phase| * max|x|: how far a sum of K taps per phase, added in another order, may move."""
+    taps = up * audio._resample_taps(max(up, down))
+    per_phase = -(-taps.size // up)
+    phase_sums = [np.abs(taps[p::up]).sum() for p in range(up)]
+    return per_phase * np.finfo(float).eps * max(phase_sums) * np.abs(x).max(initial=0.0)
+
+
 class TestResample:
-    @pytest.mark.parametrize("rate, target", [(44100, 16000), (16000, 44100), (22050, 16000), (48000, 16000)])
+    @pytest.mark.parametrize(
+        "rate, target",
+        [(44100, 16000), (16000, 44100), (22050, 16000), (48000, 16000), (16000, 10000),
+         (16000, 11000), (11000, 16000), (11025, 16000), (8000, 11000)],
+    )
     def test_cached_taps_give_the_freshly_designed_filters_bits(self, rate, target):
-        w = make_noise(0.3, fs=rate, seed=rate)
-        up, down = target // np.gcd(rate, target), rate // np.gcd(rate, target)
+        up, down = ratio(rate, target)
         taps = firwin(64 * max(up, down) + 1, 0.95 / max(up, down), window=("kaiser", 8.0))
-        want = resample_poly(w.samples, up, down, window=taps)
-        for _ in range(2):  # the second call reads the cache
-            assert np.array_equal(resample(w, target).samples, want)
+        for n in (0, 1, 2, 7, 300, 3 * rate):
+            x = make_noise(n / rate, fs=rate, seed=rate + n, amp=0.3).samples
+            want = reference_resample(x, up, down)
+            for _ in range(2):  # the second call reads the cache
+                got = resample(Waveform(x, rate), target).samples
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= reordered_sum_bound(x, up, down), n
         cached = audio._resample_taps(max(up, down))
         assert cached is audio._resample_taps(max(up, down)) and np.array_equal(cached, taps)
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 1.0
+
+    @pytest.mark.parametrize("target", ANALYSIS_RATES)
+    def test_every_standard_rate_builds_its_table_within_the_budget(self, target):
+        for rate in STANDARD_RATES:
+            for up, down in {ratio(rate, target), ratio(target, rate)} - {(1, 1)}:
+                table = audio._polyphase_table(up, down)
+                periods, _, depth = audio._polyphase_layout(up, down)
+                assert table.shape == (depth, periods * down, periods * up)
+                assert table.size <= audio.TABLE_BUDGET, (rate, target)
+
+    def test_a_table_past_the_budget_runs_resample_poly(self):
+        up, down = ratio(44056, 16000)
+        x = make_noise(0.2, fs=44056, seed=5, amp=0.3).samples
+        before = audio._polyphase_table.cache_info()
+        out = resample(Waveform(x, 44056), 16000).samples
+        assert np.array_equal(out, reference_resample(x, up, down))
+        after = audio._polyphase_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_the_table_is_cached_and_read_only(self):
+        table = audio._polyphase_table(5, 8)
+        assert table is audio._polyphase_table(5, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
 
     def test_identity_at_same_rate(self):
         w = make_noise(0.2, fs=16000, seed=1)

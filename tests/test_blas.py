@@ -239,3 +239,31 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         trees[threads] = {k: hashlib.sha256(v).hexdigest() for k, v in tree_bytes(out).items()}
     assert "model.json" in trees["1"] and len(trees["1"]) > 20
     assert trees["1"] == trees["2"], sorted(k for k in trees["1"] if trees["1"][k] != trees["2"].get(k))
+
+
+RESAMPLE_CHILD = """
+import hashlib
+import numpy as np
+from voxmask import blas
+from voxmask.audio import Waveform, resample
+w = Waveform(0.3 * np.random.default_rng(44100).standard_normal(50000), 44100)
+digest = hashlib.sha256()
+with blas.one_thread():
+    for rate in (16000, 10000):
+        digest.update(resample(w, rate).samples.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_resampling_does_not_depend_on_blas_threads():
+    """Resampling is a BLAS product; children told to use 1 and 2 BLAS threads resample inside one_thread alike."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-c", RESAMPLE_CHILD], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1, digests

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voxmask import evaluation, pipeline, resynth, synth
+from voxmask import audio, evaluation, pipeline, resynth, synth
 from voxmask.audio import Waveform, overlap_add, read_wav, resample
 from voxmask.evaluation import (
     MFCC_CMN_HALF,
@@ -364,6 +364,18 @@ class TestStoiOracle:
         clean, processed, _, oracle_peak = long_oracle
         _, peak = traced_peak(stoi, clean, processed)
         assert peak <= 0.5 * oracle_peak, (peak, oracle_peak)
+
+    def test_120_second_resample_memory_is_two_outputs_and_a_block(self, long_oracle):
+        clean = long_oracle[0]
+        out, peak = traced_peak(resample, clean, STOI_RATE)
+        table = audio._polyphase_table(5, 8)  # 16 kHz to 10 kHz
+        depth, row_in, row_out = table.shape
+        rows = audio.RESAMPLE_ROWS
+        assert rows * row_out <= out.samples.size // 16  # a block is a small part of the signal
+        block = ((rows + depth - 1) * row_in + rows * row_out) * 8  # a block's input rows and one product
+        # the result and Waveform's frozen copy, and the one byte per sample of its finiteness check
+        outputs = 2 * out.samples.nbytes + out.samples.size
+        assert peak <= outputs + block + table.nbytes, (peak, outputs)
 
     @settings(max_examples=30, deadline=None)
     @given(
