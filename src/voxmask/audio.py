@@ -1,8 +1,10 @@
-"""Mono audio I/O, resampling, framing and overlap-add.
+"""Mono audio I/O, resampling, framing, overlap-add and the block rule.
 
 Resampling applies resample_poly's Kaiser filter as blocks of BLAS matrix
 products over one cached, read-only polyphase table per rate pair; a pair
 whose table would pass a fixed budget runs scipy.signal.resample_poly.
+blocks is the one rule by which resample, pitch and STOI split a long file's
+rows into blocks.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class Waveform:
         samples = frozen(self.samples, np.float64)
         if samples.ndim != 1:
             raise ValueError("Waveform requires a 1-D sample array")
-        if samples.size and not np.all(np.isfinite(samples)):
+        # NaN carries through min and max, and +-inf is always an extreme: no full-length mask
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise ValueError("Waveform samples must be finite")
         if int(self.sample_rate) <= 0:
             raise ValueError("sample_rate must be positive")
@@ -112,11 +115,13 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     Cutoff sits at 0.95x the Nyquist of the lower of the two rates, so the
     output is band-limited below min(rates)/2. Length ceil(n * up / down)
     and alignment are resample_poly's; the symmetric taps make it zero-phase.
-    Each block of RESAMPLE_ROWS output rows is sum_j X[j : j + rows] @ G[j]
-    over rows X of the input and the cached polyphase table G, written into
-    one preallocated output, so no temporary is as long as the signal. The
-    sums run in another order than resample_poly's: the bits differ from its
-    in the last places and hold for one BLAS build, kernel and thread count.
+    Each block of output rows (blocks of RESAMPLE_ROWS) is
+    sum_j X[j : j + rows] @ G[j] over rows X of the input and the cached
+    polyphase table G, written into one preallocated output, so no temporary
+    is as long as the signal. The sums run in another order than
+    resample_poly's: the bits differ from its in the last places and hold for
+    one BLAS build, kernel and thread count, and for where the block
+    boundaries fall (BLAS rounds a short block's rows in other kernels).
     A rate pair whose table would pass TABLE_BUDGET runs resample_poly.
     """
     target_rate = int(target_rate)
@@ -174,29 +179,36 @@ def _polyphase_table(up: int, down: int) -> np.ndarray:
 
 
 def _polyphase(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """x resampled by up/down through the polyphase table, RESAMPLE_ROWS output rows at a time."""
+    """x resampled by up/down through the polyphase table, one block of RESAMPLE_ROWS output rows at a time."""
     table = _polyphase_table(up, down)
     depth, row_in, row_out = table.shape
     pad = _polyphase_layout(up, down)[1]
     n_out = -(-x.size * up // down)
-    rows_out = -(-n_out // row_out)
-    y = np.empty((rows_out, row_out))
-    block = min(RESAMPLE_ROWS, rows_out)
-    buf = np.empty((block + depth - 1) * row_in)  # one block's input rows, zeros past either end of x
-    part = np.empty((block, row_out))
-    for r0 in range(0, rows_out, RESAMPLE_ROWS):
-        rows = min(RESAMPLE_ROWS, rows_out - r0)
-        lo = r0 * row_in - pad
-        seg = buf[: (rows + depth - 1) * row_in]
+    y = np.empty((-(-n_out // row_out), row_out))
+    for block in blocks(y.shape[0], RESAMPLE_ROWS):
+        rows = block.stop - block.start
+        lo = block.start * row_in - pad
+        seg = np.zeros((rows + depth - 1) * row_in)  # the block's input rows, zeros past either end of x
         a, b = max(lo, 0), min(lo + seg.size, x.size)
-        seg.fill(0.0)
         seg[a - lo : b - lo] = x[a:b]
         rows_in = seg.reshape(-1, row_in)
-        out = y[r0 : r0 + rows]
+        out = y[block]
         np.matmul(rows_in[:rows], table[0], out=out)
         for j in range(1, depth):
-            out += np.matmul(rows_in[j : j + rows], table[j], out=part[:rows])
+            out += rows_in[j : j + rows] @ table[j]
     return y.reshape(-1)[:n_out]
+
+
+def blocks(n: int, size: int) -> list:
+    """Slices of size rows that cover range(n) in order; a lone last row joins the block before it.
+
+    numpy takes a one-row matrix product down another code path, which
+    rounds differently from the same row inside a larger product.
+    """
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:

@@ -8,10 +8,11 @@ against any external system. Every analysis setting, STOI's published values
 and the MFCC front end alike, is a module constant, so stoi, mfcc_frames and
 mfcc_embed take only waveforms. The analysis windows, the band matrix and
 the mel filterbank are built once, read-only. No Python code runs per frame
-or per segment: STOI frames, windows and transforms the signals
-STOI_BLOCK_FRAMES frames at a time and scores its (segment, band) cells as
-arrays, STOI_BLOCK_SEGMENTS segments at a time, so its memory does not grow
-with a framed copy of the whole file; the MFCC sliding mean is a running sum.
+or per segment: STOI frames, windows and transforms the signals in blocks
+of STOI_BLOCK_FRAMES frames and scores its (segment, band) cells as arrays,
+in blocks of STOI_BLOCK_SEGMENTS segments, both split by audio.blocks, so
+its memory does not grow with a framed copy of the whole file; the MFCC
+sliding mean is a running sum.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
-from .audio import Waveform, frame_signal, frozen, num_frames, overlap_add, resample
+from .audio import Waveform, blocks, frame_signal, frozen, num_frames, overlap_add, resample
 
 STOI_RATE = 10000
 STOI_FRAME = 256
@@ -97,32 +98,19 @@ MFCC_WINDOW = frozen(np.hamming(MFCC_FRAME))
 MFCC_FILTERBANK = frozen(_mel_filterbank(MFCC_N_MEL, MFCC_NFFT, MFCC_RATE))  # (filters, bins)
 
 
-def _frame_blocks(n: int) -> list:
-    """Slices of STOI_BLOCK_FRAMES frames that cover n frames.
-
-    A lone last frame joins the block before it: numpy takes a one-row matrix
-    product down another code path, which rounds the band sums differently
-    from the one-pass product over all frames.
-    """
-    starts = list(range(0, n, STOI_BLOCK_FRAMES))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray):
     """Drop frames where the reference is more than 40 dB below its loudest frame.
 
     Both signals are cut by the reference mask and rebuilt by overlap-add of
     the Hann-windowed kept frames (unit amplitude at 50% overlap). Frames are
-    windowed a block at a time (_frame_blocks), once for the energies and
+    windowed a block at a time (audio.blocks), once for the energies and
     once for the rebuild, so no framed copy of a whole signal is held.
     """
     n_fr = num_frames(x.size, STOI_FRAME, STOI_HOP)
     if n_fr == 0:
         raise ValueError("signal shorter than one analysis frame")
     xf = frame_signal(x, STOI_FRAME, STOI_HOP)
-    norms = [np.linalg.norm(xf[block] * STOI_WINDOW, axis=1) for block in _frame_blocks(n_fr)]
+    norms = [np.linalg.norm(xf[block] * STOI_WINDOW, axis=1) for block in blocks(n_fr, STOI_BLOCK_FRAMES)]
     energy = 20.0 * np.log10(np.concatenate(norms) + 1e-30)
     keep = energy > energy.max() - STOI_DYN_RANGE
     if not np.any(keep) or energy.max() < -200.0:
@@ -139,7 +127,7 @@ def _rebuild(frames: np.ndarray, kept: np.ndarray) -> np.ndarray:
     bitwise, as one overlap-add of all kept frames.
     """
     out = np.zeros((kept.size + 1) * STOI_HOP)
-    for block in _frame_blocks(kept.size):
+    for block in blocks(kept.size, STOI_BLOCK_FRAMES):
         part = overlap_add(frames[kept[block]] * STOI_WINDOW, STOI_HOP)
         out[block.start * STOI_HOP : block.start * STOI_HOP + part.size] += part
     return out
@@ -149,7 +137,7 @@ def _band_envelopes(x: np.ndarray) -> np.ndarray:
     """(frames, bands) one-third-octave envelopes: frame, rfft and band sums a block at a time."""
     frames = frame_signal(x, STOI_FRAME, STOI_HOP)
     out = np.empty((frames.shape[0], STOI_N_BANDS))
-    for block in _frame_blocks(frames.shape[0]):
+    for block in blocks(frames.shape[0], STOI_BLOCK_FRAMES):
         power = np.abs(np.fft.rfft(frames[block] * STOI_WINDOW, STOI_NFFT, axis=1)) ** 2
         out[block] = np.sqrt(power @ STOI_BANDS.T)
     return out
@@ -178,8 +166,7 @@ def _envelope_correlation(ex: np.ndarray, ey: np.ndarray) -> float:
     clip_bound = 1.0 + 10.0 ** (-STOI_BETA / 20.0)
     total = 0.0
     count = 0
-    for start in range(0, xw.shape[0], STOI_BLOCK_SEGMENTS):
-        block = slice(start, start + STOI_BLOCK_SEGMENTS)
+    for block in blocks(xw.shape[0], STOI_BLOCK_SEGMENTS):
         # over (segments, frames, bands) views, norms add up frames as one segment's (frames, bands) norm does
         xn = np.linalg.norm(xw[block].transpose(0, 2, 1), axis=1)
         yn = np.linalg.norm(yw[block].transpose(0, 2, 1), axis=1)

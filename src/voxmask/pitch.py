@@ -1,4 +1,7 @@
-"""Autocorrelation f0 tracking and unvoiced-gap interpolation, all in Hz."""
+"""Autocorrelation f0 tracking and unvoiced-gap interpolation, all in Hz.
+
+Frames go in blocks split by audio.blocks, of FFT_BLOCK_FRAMES and PEAK_BLOCK_FRAMES.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, frame_signal, frozen
+from .audio import Waveform, blocks, frame_signal, frozen
 
 HOP_S = 0.010
 VOICING_THRESHOLD = 0.45
@@ -94,8 +97,8 @@ def _block_candidates(frames, rows, window, nfft, rw, lag_lo, fs, cfg):
     range are then aliases of a pitch we are not allowed to report.
     """
     rn = np.empty((rows.size, rw.size))
-    for i in range(0, rows.size, FFT_BLOCK_FRAMES):
-        rn[i : i + FFT_BLOCK_FRAMES] = _frame_acf(frames[rows[i : i + FFT_BLOCK_FRAMES]], window, nfft)[:, : rw.size]
+    for block in blocks(rows.size, FFT_BLOCK_FRAMES):
+        rn[block] = _frame_acf(frames[rows[block]], window, nfft)[:, : rw.size]
     energy = rn[:, 0] > 0  # a constant frame has none left after mean removal
     if not energy.all():
         rows, rn = rows[energy], rn[energy]
@@ -141,9 +144,9 @@ def _select_path_greedy(freqs: np.ndarray, adjs: np.ndarray) -> np.ndarray:
     frames = np.flatnonzero(np.isfinite(adjs[:, 0]))
     # rows become lists a round at a time: all at once, on a 120 s file, they
     # doubled extract_f0's tracemalloc peak (5.4 MB against 2.8 MB)
-    for i in range(0, frames.size, PEAK_BLOCK_FRAMES):
-        block = frames[i : i + PEAK_BLOCK_FRAMES]
-        for k, row_f, row_a in zip(block.tolist(), freqs[block].tolist(), adjs[block].tolist()):
+    for block in blocks(frames.size, PEAK_BLOCK_FRAMES):
+        rows = frames[block]
+        for k, row_f, row_a in zip(rows.tolist(), freqs[rows].tolist(), adjs[rows].tolist()):
             best, best_score = None, VOICING_THRESHOLD
             for freq, adj in zip(row_f, row_a):
                 if math.isnan(freq):
@@ -197,10 +200,8 @@ def _candidates(w: Waveform, cfg: PitchConfig):
     rw = np.maximum(_window_acf(window, nfft)[: lag_hi + 2], 1e-12)
     # frames whose peak is below the silence level get no candidates
     live = np.flatnonzero(np.maximum(frames.max(axis=1), -frames.min(axis=1)) >= SILENCE_THRESHOLD * global_peak)
-    for i in range(0, live.size, PEAK_BLOCK_FRAMES):
-        row, rank, freq, adj = _block_candidates(
-            frames, live[i : i + PEAK_BLOCK_FRAMES], window, nfft, rw, lag_lo, fs, cfg
-        )
+    for block in blocks(live.size, PEAK_BLOCK_FRAMES):
+        row, rank, freq, adj = _block_candidates(frames, live[block], window, nfft, rw, lag_lo, fs, cfg)
         freqs[row, rank] = freq
         adjs[row, rank] = adj
     return times, freqs, adjs

@@ -564,7 +564,7 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
     if n < int(round(LPC_FRAME_S * fs)):
         raise ValueError("signal shorter than one analysis frame")
     if cfg.factor == 1.0:
-        return FormantShift(Waveform(w.samples, fs), 0, 0)
+        return FormantShift(w, 0, 0)  # Waveform is frozen, so w itself is the unshifted result
 
     y, fa, alpha, fl, hp = _formant_band(w)
     order = _lpc_order(fa)

@@ -247,6 +247,37 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(w, 0)
 
+    @pytest.mark.parametrize("rate, target", [(16000, 10000), (16000, 11000), (11000, 16000), (44100, 16000), (48000, 16000)])
+    @pytest.mark.parametrize("full", [1, 2])
+    def test_a_lone_last_row_rounds_as_inside_one_block(self, rate, target, full, monkeypatch):
+        """Output rows of full * RESAMPLE_ROWS + 1 give the bits of one block over all rows."""
+        up, down = ratio(rate, target)
+        periods, _, _ = audio._polyphase_layout(up, down)
+        row_out = audio._polyphase_table(up, down).shape[2]
+        n = full * audio.RESAMPLE_ROWS * periods * down + 1  # the input of full * RESAMPLE_ROWS rows, and one sample
+        n_out = -(-n * up // down)
+        assert -(-n_out // row_out) == full * audio.RESAMPLE_ROWS + 1
+        w = make_noise(n / rate, fs=rate, seed=n, amp=0.3)
+        assert w.samples.size == n
+        got = resample(w, target).samples
+        monkeypatch.setattr(audio, "RESAMPLE_ROWS", 10**9)
+        assert np.array_equal(got, resample(w, target).samples)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("size", [1, 7, 2048])
+    def test_slices_cover_the_rows_in_order_with_no_lone_last_row(self, size):
+        for n in sorted({0, 1, 2, size - 1, size, size + 1, 2 * size + 1}):
+            slices = audio.blocks(n, size)
+            assert all(s.step is None for s in slices)
+            assert [i for s in slices for i in range(s.start, s.stop)] == list(range(n)), (n, size)
+            lengths = [s.stop - s.start for s in slices]
+            assert all(1 <= k <= size + 1 for k in lengths), (n, size, lengths)
+            # only the last block can run short, so with size > 1 it is the only one-row block there could be
+            assert n == 1 or not lengths or lengths[-1] > 1, (n, size, lengths)
+            if size > 1:
+                assert n == 1 or 1 not in lengths, (n, size, lengths)
+
 
 class TestFraming:
     def test_num_frames_matches_frame_signal(self):

@@ -373,8 +373,8 @@ class TestStoiOracle:
         rows = audio.RESAMPLE_ROWS
         assert rows * row_out <= out.samples.size // 16  # a block is a small part of the signal
         block = ((rows + depth - 1) * row_in + rows * row_out) * 8  # a block's input rows and one product
-        # the result and Waveform's frozen copy, and the one byte per sample of its finiteness check
-        outputs = 2 * out.samples.nbytes + out.samples.size
+        # the result and Waveform's frozen copy; its finiteness check takes no full-length mask
+        outputs = 2 * out.samples.nbytes
         assert peak <= outputs + block + table.nbytes, (peak, outputs)
 
     @settings(max_examples=30, deadline=None)
