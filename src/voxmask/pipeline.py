@@ -32,6 +32,7 @@ settings do not change them either: the worker count is the only parallelism.
 from __future__ import annotations
 
 import csv
+import gc
 import dataclasses
 import hashlib
 import json
@@ -277,9 +278,13 @@ def _map_jobs(fn, jobs, workers: int, *shared) -> list:
     """
     if workers <= 1 or len(jobs) <= 1:
         return [_outcome(fn, j, *shared) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_init_worker, initargs=shared) as pool:
-        futures = [pool.submit(_call_with_shared, fn, j) for j in jobs]
-        return [pair if error is None else (None, error) for pair, error in (_outcome(f.result) for f in futures)]
+    gc.freeze()  # no collection, in a forked worker or here, writes to the pages a fork shares
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_init_worker, initargs=shared) as pool:
+            futures = [pool.submit(_call_with_shared, fn, j) for j in jobs]
+            return [pair if error is None else (None, error) for pair, error in (_outcome(f.result) for f in futures)]
+    finally:
+        gc.unfreeze()
 
 
 def _outcome(fn, *args) -> tuple:

@@ -8,16 +8,16 @@ window built from two cached Hanning halves. The formant shifter,
 shift_formants_detailed, fits Burg LPC to all frames of an utterance in one
 batch, from each frame's autocorrelation and edge errors rather than a pass
 over its samples per order, takes every frame's poles from one batched
-eigenvalue call, inverse-filters every frame with one einsum, and re-filters
-the residuals through their pole-modified all-pole filters in one recursion
-over the frame's samples before overlap-adding; _formant_band and
-_frame_poles are its analysis front end. Each path is bitwise equal to the
-per-frame or per-grain reference the tests keep as an oracle, except Burg
-LPC: its fits agree with the lattice to rounding, and a frame with too
-little prediction error to keep that precision is refitted by the lattice.
-Only the factor and the number of shifted formants are configurable; the
-LPC frame, hop, pre-emphasis, analysis band and order rule are module
-constants.
+eigenvalue call, and passes each frame through its pole-zero filter
+A(z)/A_mod(z) in one lfilter call before restoring its gain and
+overlap-adding; _formant_band and _frame_poles are its analysis front end.
+Each path is bitwise equal to the per-grain or per-frame loop the tests keep
+as an oracle (for the shifter's resynthesis, its gain and overlap-add),
+except Burg LPC: its fits agree with the lattice to rounding, and a frame
+with too little prediction error to keep that precision is refitted by the
+lattice. Only the factor and the number of shifted formants are
+configurable; the LPC frame, hop, pre-emphasis, analysis band and order rule
+are module constants.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter, sosfiltfilt
 
 from .audio import Waveform, frame_signal, frozen, num_frames, overlap_add, resample
@@ -474,65 +473,21 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     return active, segs, a, roots, freqs, bws, formant
 
 
-def _fir(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of x through A_i(z), a[i] = [1, a1..ap]: lfilter(a[i], [1], x[i]) for all rows at once.
-
-    One einsum over a sliding window of the zero-padded rows sums each
-    output as a0 x[t] + a1 x[t-1] + ... in that order, as adding one
-    shifted copy of x per tap does, so the values are that loop's bit for
-    bit. Only the sign of an exact zero can differ: the loop starts from x
-    and keeps its -0.0, the einsum starts from +0.0. _all_pole adds its
-    input to a +0.0 state, so the filtered frames cannot tell them apart.
-    """
-    order = a.shape[1] - 1
-    padded = np.concatenate([np.zeros((x.shape[0], order)), x], axis=1)
-    taps = sliding_window_view(padded, order + 1, axis=1)[..., ::-1]  # taps[i, t, j] = x[i, t - j]
-    return np.einsum("itj,ij->it", taps, a)
-
-
-def _all_pole(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of x through 1/A_i(z), a[i] = [1, a1..ap]: lfilter([1], a[i], x[i]) for all rows at once.
-
-    lfilter's direct-form-II-transposed recursion, one step per sample over
-    every row: y = z0 + x, then z[j] = z[j+1] - y*a[j+1], the last z being
-    -y*ap. The state is (order + 1, rows) with a last row of zeros, so each
-    step is one product and one shifted sum. Every row takes lfilter's
-    products and sums in lfilter's order, so its values are lfilter's bit
-    for bit. lfilter also adds x*0 to each state, which can only flip the
-    sign of an exact zero; a sum that starts from +0, as the overlap-add
-    does, cannot tell the two apart.
-    """
-    rows, n = x.shape
-    order = a.shape[1] - 1
-    neg = -np.ascontiguousarray(a[:, 1:].T)  # y * -a is -(y * a), bitwise
-    z = np.zeros((order + 1, rows))
-    z_next = np.zeros((order + 1, rows))
-    prod = np.empty((order, rows))
-    xt = np.ascontiguousarray(x.T)
-    y = np.empty((n, rows))
-    for t in range(n):
-        np.add(z[0], xt[t], out=y[t])
-        np.multiply(neg, y[t], out=prod)
-        np.add(z[1:], prod, out=z_next[:-1])
-        z, z_next = z_next, z
-    return np.ascontiguousarray(y.T)
-
-
-def _resynthesize_frames(active, a_mod, resid, rms_in, hp):
+def _resynthesize_frames(active, a, a_mod, seg, hp):
     """(windowed overlap-add of the re-filtered frames, overlap-add of the squared windows).
 
-    Each active frame's residual goes through its pole-modified all-pole
-    filter, is scaled back to the frame's input energy and windowed; frames
-    that are all zero add nothing.
+    Each active frame goes through A(z)/A_mod(z) in one lfilter call and back to its input energy.
     """
-    fl = resid.shape[1]
-    resyn = _all_pole(a_mod, resid)
+    resyn = np.empty_like(seg)
+    for i in range(seg.shape[0]):
+        resyn[i] = lfilter(a[i], a_mod[i], seg[i])
     # moving poles off the harmonic comb changes the frame gain; restore it
+    rms_in = np.sqrt(np.sum(seg * seg, axis=1))
     rms_out = np.sqrt(np.sum(resyn * resyn, axis=1))
     gain = np.divide(rms_in, rms_out, out=np.ones_like(rms_out), where=rms_out > 0)
     resyn *= np.clip(gain, 0.25, 4.0)[:, None]
-    win = np.hanning(fl)
-    frames = np.zeros((active.size, fl))
+    win = np.hanning(seg.shape[1])
+    frames = np.zeros((active.size, win.size))
     frames[active] = resyn * win
     return overlap_add(frames, hp), overlap_add(np.where(active[:, None], win**2, 0.0), hp)
 
@@ -555,8 +510,8 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
 
     One batched Burg analysis covers all frames of the utterance: formant
     pole pairs get their angles scaled with radii (bandwidths) preserved;
-    each frame's inverse-filtered residual is re-filtered through its
-    modified all-pole filter and overlap-added. The shifted waveform comes
+    each frame goes through its inverse filter and its modified all-pole
+    filter, A(z)/A_mod(z), and is overlap-added. The shifted waveform comes
     with the pole diagnostics of FormantShift.
     """
     fs = w.sample_rate
@@ -596,9 +551,7 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
         step[:, 1:] += c2[:, j, None] * a_mod[:, :-2]
         a_mod[:, 1:] += step
 
-    resid = _fir(a, seg)
-    rms_in = np.sqrt(np.sum(seg * seg, axis=1))
-    out, den = _resynthesize_frames(active, a_mod, resid, rms_in, hp)
+    out, den = _resynthesize_frames(active, a, a_mod, seg, hp)
 
     covered = den > 1e-8
     out[covered] /= den[covered]

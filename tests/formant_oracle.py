@@ -3,13 +3,12 @@
 shift_formants_oracle makes one Burg fit, one ``np.roots`` call and one
 ``np.poly`` call per frame; the shipped path batches the same analysis over
 all frames of an utterance, and the tests compare the two within a bound.
-resynthesize_frames_oracle is the shifter's resynthesis as it was before it
-became array code, one lfilter call and one overlap-add per frame; the
-shipped _resynthesize_frames must be bitwise equal to it. residual_oracle is
-the shifter's inverse filter as the shifted-add loop it was before it became
-one einsum, which must give the same values. track_formants
-reads each frame's formants through the shifter's own analysis front end;
-criterion 5 and the resynthesis tests measure formant shifts with it.
+resynthesize_frames_oracle is the shifter's resynthesis as it was before
+its gain and overlap-add became array code: per active frame, the same
+lfilter call, a gain and one overlap-add; the shipped _resynthesize_frames
+must be bitwise equal to it. track_formants reads each frame's formants
+through the shifter's own analysis front end; criterion 5 and the
+resynthesis tests measure formant shifts with it.
 """
 
 import numpy as np
@@ -160,27 +159,20 @@ def track_formants(w: Waveform, lpc_order: int):
     return result
 
 
-def resynthesize_frames_oracle(active, a_mod, resid, rms_in, hp):
-    """resynth._resynthesize_frames as one lfilter call and one overlap-add per active frame."""
-    fl = resid.shape[1]
+def resynthesize_frames_oracle(active, a, a_mod, seg, hp):
+    """resynth._resynthesize_frames as one lfilter call, one gain and one overlap-add per active frame."""
+    fl = seg.shape[1]
     pad = (active.size - 1) * hp + fl
     win = np.hanning(fl)
     out = np.zeros(pad)
     den = np.zeros(pad)
     for i, k in enumerate(np.flatnonzero(active)):
-        resyn = lfilter([1.0], a_mod[i], resid[i])
+        resyn = lfilter(a[i], a_mod[i], seg[i])
         # moving poles off the harmonic comb changes the frame gain; restore it
+        rms_in = np.sqrt(np.sum(seg[i] * seg[i]))
         rms_out = np.sqrt(np.sum(resyn * resyn))
         if rms_out > 0:
-            resyn *= np.clip(rms_in[i] / rms_out, 0.25, 4.0)
+            resyn *= np.clip(rms_in / rms_out, 0.25, 4.0)
         out[k * hp : k * hp + fl] += resyn * win
         den[k * hp : k * hp + fl] += win**2
     return out, den
-
-
-def residual_oracle(a, seg):
-    """resynth._fir as one shifted add per tap: row i of seg through A_i(z); a0 is 1."""
-    resid = seg.copy()
-    for j in range(1, a.shape[1]):
-        resid[:, j:] += a[:, j, None] * seg[:, :-j]
-    return resid

@@ -1,7 +1,5 @@
 """STOI, the MFCC-statistics speaker scorer, and EER computation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +33,7 @@ from voxmask.evaluation import (
 )
 
 import evaluation_oracle as oracle
-from conftest import make_noise, make_test_vowel
+from conftest import make_noise, make_test_vowel, traced_peak
 
 
 def speechlike(seed: int = 0) -> Waveform:
@@ -193,30 +191,6 @@ def noise_pair(frames: int, seed: int = 0):
     return Waveform(x, STOI_RATE), Waveform(x + 0.1 * rng.standard_normal(n), STOI_RATE)
 
 
-def long_pair(seconds: float = 120.0, seed: int = 1234):
-    """Corpus-style utterances end to end for `seconds`, and a scaled, noisy copy."""
-    speakers = synth.make_speakers(seed, 3)
-    parts, n, k = [], 0, 0
-    while n < seconds * 16000:
-        u = synth.synth_utterance(speakers[k % 3], pipeline.CONDITION_MODAL, 1, k, seed)
-        parts.append(u.samples)
-        n += u.samples.size
-        k += 1
-    x = np.concatenate(parts)[: int(seconds * 16000)]
-    y = 0.8 * x + 0.02 * np.random.default_rng(seed).standard_normal(x.size)
-    return Waveform(x, 16000), Waveform(y, 16000)
-
-
-def traced_peak(fn, *args):
-    """(fn(*args), peak bytes tracemalloc saw during the call)."""
-    tracemalloc.start()
-    try:
-        value = fn(*args)
-        return value, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def benchmark_pairs(tmp_path_factory):
     """The 18 test utterances of a seed-1234 corpus of the benchmark's evaluate shape.
@@ -235,9 +209,9 @@ def benchmark_pairs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def long_oracle():
+def long_oracle(long_pair):
     """The 120 s pair, and the oracle's STOI on it with its tracemalloc peak (one slow run, shared)."""
-    clean, processed = long_pair()
+    clean, processed = long_pair
     expected, peak = traced_peak(oracle.stoi, clean, processed)
     return clean, processed, expected, peak
 
