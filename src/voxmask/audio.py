@@ -80,7 +80,7 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"cannot parse WAV file {path}: {exc}") from exc
 
     if data.dtype in (np.int16, np.int32):
-        samples = data.astype(np.float64) / -float(np.iinfo(data.dtype).min)  # 2^15 or 2^31
+        samples = data / -float(np.iinfo(data.dtype).min)  # 2^15 or 2^31, in float64
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
     else:
@@ -221,9 +221,7 @@ def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
         raise ValueError("frame_len and hop must be positive")
     if x.size < frame_len:
         return np.empty((0, frame_len), dtype=x.dtype)
-    view = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    view.setflags(write=False)
-    return view
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:

@@ -257,20 +257,14 @@ class FpcaModel:
 def _fix_component_signs(b: np.ndarray, gram_ones: np.ndarray) -> np.ndarray:
     """Flip columns so each eigenfunction has nonnegative integral over [0,1].
 
-    Since the basis is a partition of unity, integral(PC_i) = b_i . (G @ 1).
-    Near-zero integrals fall back to the first nonzero coefficient.
+    The basis is a partition of unity, so the integrals are (G @ 1) @ b; a
+    near-zero one falls back to the column's first coefficient above 1e-12.
     """
-    b = b.copy()
-    for j in range(b.shape[1]):
-        integral = float(b[:, j] @ gram_ones)
-        if abs(integral) > 1e-10:
-            if integral < 0:
-                b[:, j] = -b[:, j]
-            continue
-        nz = np.nonzero(np.abs(b[:, j]) > 1e-12)[0]
-        if nz.size and b[nz[0], j] < 0:
-            b[:, j] = -b[:, j]
-    return b
+    integral = gram_ones @ b
+    nonzero = np.abs(b) > 1e-12
+    first = b[nonzero.argmax(axis=0), np.arange(b.shape[1])] * nonzero.any(axis=0)
+    negative = np.where(np.abs(integral) > 1e-10, integral, first) < 0
+    return np.where(negative, -b, b)
 
 
 def fpca_fit(curves: Sequence[FunctionalCurve], labels: Sequence[CurveLabel]) -> FpcaModel:

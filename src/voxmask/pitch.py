@@ -1,6 +1,7 @@
 """Autocorrelation f0 tracking and unvoiced-gap interpolation, all in Hz.
 
-Frames go in blocks split by audio.blocks, of FFT_BLOCK_FRAMES and PEAK_BLOCK_FRAMES.
+One routine, _acf, takes the window's ACF and every frame's. Frames go in
+blocks split by audio.blocks, of FFT_BLOCK_FRAMES and PEAK_BLOCK_FRAMES.
 """
 
 from __future__ import annotations
@@ -74,16 +75,10 @@ class F0Trajectory:
         return int(np.count_nonzero(self.voiced))
 
 
-def _window_acf(window: np.ndarray, nfft: int) -> np.ndarray:
-    spec = np.fft.rfft(window, nfft)
-    r = np.fft.irfft((spec * np.conj(spec)).real + 0j, nfft)
-    return r / r[0]
-
-
-def _frame_acf(frames: np.ndarray, window: np.ndarray, nfft: int) -> np.ndarray:
-    """Raw ACF of each mean-removed, windowed frame, circular over nfft points."""
-    spec = np.fft.rfft((frames - frames.mean(axis=1, keepdims=True)) * window, nfft, axis=1)
-    return np.fft.irfft((spec * np.conj(spec)).real, nfft, axis=1)
+def _acf(x: np.ndarray, nfft: int) -> np.ndarray:
+    """Raw ACF along the last axis of x, circular over nfft points: of the window, or of each frame."""
+    spec = np.fft.rfft(x, nfft)
+    return np.fft.irfft((spec * np.conj(spec)).real, nfft)
 
 
 def _block_candidates(frames, rows, window, nfft, rw, lag_lo, fs, cfg):
@@ -98,7 +93,8 @@ def _block_candidates(frames, rows, window, nfft, rw, lag_lo, fs, cfg):
     """
     rn = np.empty((rows.size, rw.size))
     for block in blocks(rows.size, FFT_BLOCK_FRAMES):
-        rn[block] = _frame_acf(frames[rows[block]], window, nfft)[:, : rw.size]
+        x = frames[rows[block]]
+        rn[block] = _acf((x - x.mean(axis=1, keepdims=True)) * window, nfft)[:, : rw.size]
     energy = rn[:, 0] > 0  # a constant frame has none left after mean removal
     if not energy.all():
         rows, rn = rows[energy], rn[energy]
@@ -197,7 +193,8 @@ def _candidates(w: Waveform, cfg: PitchConfig):
     # lag k wraps onto lag nfft - k; with nfft >= win_n + lag_hi + 2 that partner is
     # past the end for every lag read, and the circular ACF equals the linear one.
     nfft = 1 << int(np.ceil(np.log2(win_n + lag_hi + 2)))
-    rw = np.maximum(_window_acf(window, nfft)[: lag_hi + 2], 1e-12)
+    rw = _acf(window, nfft)[: lag_hi + 2]
+    rw = np.maximum(rw / rw[0], 1e-12)
     # frames whose peak is below the silence level get no candidates
     live = np.flatnonzero(np.maximum(frames.max(axis=1), -frames.min(axis=1)) >= SILENCE_THRESHOLD * global_peak)
     for block in blocks(live.size, PEAK_BLOCK_FRAMES):
@@ -212,20 +209,20 @@ def extract_f0(w: Waveform, cfg: PitchConfig) -> F0Trajectory:
 
     Frames are Hanning-windowed after mean removal; the frame ACF is divided
     by the window ACF and candidate peaks are refined by parabolic
-    interpolation. Both ACFs come from FFTs of the smallest power of two of
-    at least win_n + lag_hi + 2 points, win_n being the window and lag_hi the
-    floor's period in samples, so the circular ACF equals the linear one at
-    every lag read, 0 .. lag_hi + 1. Frames below the silence level are
-    skipped. The others are taken PEAK_BLOCK_FRAMES at a time: their ACFs
-    come from one FFT per FFT_BLOCK_FRAMES frames and fill one array, whose
-    peaks are then picked, refined and ranked in one pass. Only the path
-    through the candidates is chosen frame by frame. Neither block size
-    changes a bit of the result. Voiced values always lie within
-    [floor, ceiling].
+    interpolation. Both ACFs come from _acf, over FFTs of the smallest power
+    of two of at least win_n + lag_hi + 2 points, win_n being the window and
+    lag_hi the floor's period in samples, so the circular ACF equals the
+    linear one at every lag read, 0 .. lag_hi + 1. Frames below the silence
+    level are skipped. The others are taken PEAK_BLOCK_FRAMES at a time:
+    their ACFs come from one FFT per FFT_BLOCK_FRAMES frames and fill one
+    array, whose peaks are then picked, refined and ranked in one pass. Only
+    the path through the candidates is chosen frame by frame. Neither block
+    size changes a bit of the result. Only candidates within [floor, ceiling]
+    are kept, so every voiced value lies there without a clip.
     """
     times, freqs, adjs = _candidates(w, cfg)
     chosen = _select_path_greedy(freqs, adjs)
-    return F0Trajectory(times, np.clip(chosen, cfg.floor, cfg.ceiling), ~np.isnan(chosen))
+    return F0Trajectory(times, chosen, ~np.isnan(chosen))
 
 
 def interpolate_unvoiced(t: F0Trajectory) -> F0Trajectory:

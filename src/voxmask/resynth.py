@@ -105,51 +105,45 @@ def detect_epochs(w: Waveform, f0: F0Trajectory) -> EpochSequence:
         raise ValueError("epoch detection needs an interpolated (all-finite) trajectory")
 
     voiced_spans = _voiced_sample_spans(f0, fs, n)
-    positions, flags = [], []
-
     if voiced_spans:
         # sosfilt's compiled kernel takes writable buffers only, so it gets a copy
         lp = sosfiltfilt(_epoch_lowpass(fs).copy(), x)
         f0_at = _interpolator(f0.times, f0.values)
         period_at = lambda s: min(max(fs / f0_at(s / fs), MIN_PERIOD_S * fs), MAX_PERIOD_S * fs)
-        for a, b in voiced_spans:
-            seg = lp[a:b]
-            ref = (1.0 if np.max(seg) >= -np.min(seg) else -1.0) * seg
-            # positions relative to a from here on
-            cur = int(ref[: min(int(period_at(a)), b - a)].argmax())
-            span_marks = [cur]
-            while True:
-                p = period_at(a + cur)
-                lo = cur + int(0.7 * p)
-                hi = min(cur + int(1.4 * p) + 1, b - a)
-                if lo >= hi:
-                    break
-                cur = lo + int(ref[lo:hi].argmax())
-                span_marks.append(cur)
-            positions.append(np.asarray(span_marks, dtype=np.int64) + a)
-            flags.append(np.ones(len(span_marks), dtype=bool))
-
     hop = max(1, int(round(UNVOICED_ANCHOR_S * fs)))
-    gaps = []
+    positions, flags = [], []
     prev_end = 0
-    for a, b in voiced_spans:
-        if a > prev_end:
-            gaps.append((prev_end, a))
-        prev_end = max(prev_end, b)
-    if prev_end < n:
-        gaps.append((prev_end, n))
-    for a, b in gaps:
-        anchors = np.arange(a, b, hop, dtype=np.int64)
+    # each voiced span after the gap before it; the sentinel span (n, n) closes the last gap
+    for a, b in voiced_spans + [(n, n)]:
+        anchors = np.arange(prev_end, a, hop, dtype=np.int64)  # empty where spans touch or overlap
         positions.append(anchors)
         flags.append(np.zeros(anchors.size, dtype=bool))
+        if a == b:
+            break
+        seg = lp[a:b]
+        ref = (1.0 if np.max(seg) >= -np.min(seg) else -1.0) * seg
+        # positions relative to a from here on
+        cur = int(ref[: min(int(period_at(a)), b - a)].argmax())
+        span_marks = [cur]
+        while True:
+            p = period_at(a + cur)
+            lo = cur + int(0.7 * p)
+            hi = min(cur + int(1.4 * p) + 1, b - a)
+            if lo >= hi:
+                break
+            cur = lo + int(ref[lo:hi].argmax())
+            span_marks.append(cur)
+        positions.append(np.asarray(span_marks, dtype=np.int64) + a)
+        flags.append(np.ones(len(span_marks), dtype=bool))
+        prev_end = max(prev_end, b)
 
-    if not positions:  # an empty signal
-        return EpochSequence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+    # spans from irregular frame times can touch or overlap, so marks interleave:
+    # sort them stably, then drop each mark under 2 samples after the one before it
     pos = np.concatenate(positions)
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
     v = np.concatenate(flags)[order]
-    keep = np.concatenate([[True], np.diff(pos) >= 2])
+    keep = np.diff(pos, prepend=-2) >= 2
     return EpochSequence(pos[keep], v[keep])
 
 
@@ -265,8 +259,6 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     the grains are overlap-added one at a time.
     """
     fs = w.sample_rate
-    x = w.samples
-    n = x.size
     if len(source_f0) != len(target_f0) or not np.allclose(source_f0.times, target_f0.times):
         raise ValueError("source and target trajectories must share the frame grid")
     tv = target_f0.values[target_f0.voiced]
@@ -278,7 +270,7 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
     pos = epochs.positions
     n_ep = len(epochs)
     if n_ep == 0:
-        return Waveform(x, fs)
+        return w
 
     # each epoch's local period, the spacing to the next (the last epoch takes
     # the last spacing, a lone one the anchor spacing): marks step by it, and a
@@ -297,7 +289,7 @@ def psola_modify(w: Waveform, source_f0: F0Trajectory, target_f0: F0Trajectory) 
         ratio_at = lambda s: 1.0
 
     k, centre = _synthesis_marks(epochs, period, ratio_at, MIN_PERIOD_S * fs, MAX_PERIOD_S * fs)
-    out, norm = _overlap_add_grains(x, pos[k], centre, pl[k], pr[k])
+    out, norm = _overlap_add_grains(w.samples, pos[k], centre, pl[k], pr[k])
     covered = norm > 1e-3
     out[covered] /= norm[covered]
     out[~covered] = 0.0

@@ -286,6 +286,12 @@ class TestFraming:
             frames = frame_signal(x, fl, hp)
             assert frames.shape == (num_frames(x.size, fl, hp), fl)
 
+    def test_frames_are_read_only(self):
+        frames = frame_signal(np.arange(10.0), 4, 2)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1.0
+
     def test_frame_contents(self):
         x = np.arange(10.0)
         frames = frame_signal(x, 4, 2)

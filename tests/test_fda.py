@@ -577,6 +577,74 @@ class TestFpcaInvariants:
             fpca_project(rougher, m)
 
 
+def fix_component_signs_oracle(b, gram_ones):
+    """The sign rule one column at a time: the reference for fda._fix_component_signs."""
+    b = b.copy()
+    for j in range(b.shape[1]):
+        integral = float(b[:, j] @ gram_ones)
+        if abs(integral) > 1e-10:
+            if integral < 0:
+                b[:, j] = -b[:, j]
+            continue
+        nz = np.nonzero(np.abs(b[:, j]) > 1e-12)[0]
+        if nz.size and b[nz[0], j] < 0:
+            b[:, j] = -b[:, j]
+    return b
+
+
+def assert_signs_match_oracle(b, gram_ones):
+    got = fda._fix_component_signs(b, gram_ones)
+    assert got.dtype == b.dtype and got.shape == b.shape
+    assert got.tobytes() == fix_component_signs_oracle(b, gram_ones).tobytes()
+    return got
+
+
+class TestComponentSigns:
+    """One array pass flips the same columns as the per-column loop, bit for bit."""
+
+    def test_integrals_of_either_sign(self):
+        space = CurveSpace()
+        gram_ones = space.gram @ np.ones(space.n_basis)
+        b = np.random.default_rng(3).standard_normal((space.n_basis, 6))
+        b[:, 3:] = -b[:, :3]
+        integral = gram_ones @ b
+        assert np.all(np.abs(integral) > 1e-10) and (integral < 0).any() and (integral > 0).any()
+        got = assert_signs_match_oracle(b, gram_ones)
+        assert np.all(gram_ones @ got > 0)
+
+    def test_zero_integrals_fall_back_on_the_first_coefficient_above_1e_12(self):
+        gram_ones = np.array([0.25, 0.5, 0.5, 0.25])
+        b = np.array(
+            [
+                [0.0, 1.0, -1.0, 0.0],  # first nonzero positive
+                [0.0, -1.0, 1.0, 0.0],  # first nonzero negative
+                [-1e-13, 2.0, -2.0, 0.0],  # a coefficient under 1e-12 comes first
+                [0.0, 0.0, 0.0, 0.0],  # all zero
+                [-1e-13, 0.0, 0.0, 0.0],  # nothing above 1e-12
+                [0.0, 0.0, -3.0, 3.0],  # integral -0.75, against a positive last coefficient
+            ]
+        ).T
+        assert list(gram_ones @ b[:, :2]) == [0.0, 0.0]
+        got = assert_signs_match_oracle(b, gram_ones)
+        assert [bool(np.array_equal(g, c)) for g, c in zip(got.T, b.T)] == [True, False, True, True, True, False]
+
+    def test_components_of_a_fit(self, monkeypatch):
+        seen = []
+        real = fda._fix_component_signs
+
+        def spy(b, gram_ones):
+            seen.append((b, gram_ones))
+            return real(b, gram_ones)
+
+        monkeypatch.setattr(fda, "_fix_component_signs", spy)
+        curves, labels = make_family(23, n_curves=12, kind="bumps")
+        model = fpca_fit(curves, labels)
+        (b, gram_ones), = seen
+        got = assert_signs_match_oracle(b, gram_ones)
+        assert got.tobytes() == model.component_matrix().tobytes()
+        assert got.tobytes() != b.tobytes()  # the fit's raw eigenvectors had a column to flip
+
+
 @pytest.fixture(scope="module")
 def fitted():
     curves, labels = make_family(23, n_curves=12, kind="bumps")

@@ -247,20 +247,15 @@ class TestAcfSize:
     def test_no_wrap_around_at_the_lags_read(self, fs, name, monkeypatch):
         cfg = RANGES[name]
         lag_hi = int(np.ceil(fs / cfg.floor))
-        frame_acf, window_acf, seen = pitch._frame_acf, pitch._window_acf, []
+        acf, seen = pitch._acf, []
 
-        def spy_frame_acf(frames, window, nfft):
-            r = frame_acf(frames, window, nfft)
-            seen.extend(((frame - frame.mean()) * window, acf) for frame, acf in zip(frames, r))
+        def spy_acf(x, nfft):
+            # the window once, then blocks of mean-removed, windowed frames
+            r = acf(x, nfft)
+            seen.extend(zip(np.atleast_2d(x), np.atleast_2d(r)))
             return r
 
-        def spy_window_acf(window, nfft):
-            r = window_acf(window, nfft)
-            seen.append((window, r * np.dot(window, window)))
-            return r
-
-        monkeypatch.setattr(pitch, "_frame_acf", spy_frame_acf)
-        monkeypatch.setattr(pitch, "_window_acf", spy_window_acf)
+        monkeypatch.setattr(pitch, "_acf", spy_acf)
         w = edge_signals(fs, cfg)[f"{FFT_BLOCK_FRAMES + 1}_frames"]
         pitch._candidates(w, cfg)
         assert len(seen) == 1 + num_frames(w.samples.size, *frame_geometry(fs, cfg))

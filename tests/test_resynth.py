@@ -504,6 +504,25 @@ def flat_track(f0: float, frames: int, voiced=True) -> F0Trajectory:
     return F0Trajectory(np.arange(frames) * 0.01, np.where(v, f0, np.nan), v)
 
 
+def irregular_track(frames, f0: float) -> F0Trajectory:
+    """Frames given as (step in s, voiced): times 0.01 s plus the running sum of the steps."""
+    steps, voiced = (np.asarray(c) for c in zip(*frames))
+    times = 0.01 + np.cumsum(steps)
+    wobble = 1.0 + 0.1 * np.sin(np.arange(times.size) / 3.0)
+    return F0Trajectory(times, np.where(voiced, f0 * wobble, np.nan), voiced.astype(bool))
+
+
+def assert_epochs_match_oracle(w, f0):
+    got, want = detect_epochs(w, f0), detect_epochs_oracle(w, f0)
+    np.testing.assert_array_equal(got.positions, want.positions)
+    np.testing.assert_array_equal(got.voiced, want.voiced)
+
+
+# at the 20 ms median step, the voiced runs on either side of the 1 ms
+# steps are 2 ms apart, so their half-hop-padded spans overlap by 18 ms
+OVERLAPPING_FRAMES = [(0.02, True)] * 5 + [(0.001, False), (0.001, True)] + [(0.02, True)] * 4
+
+
 class TestPsolaOracle:
     @pytest.mark.parametrize("ratio", [0.8, 1.0, 1.15, 1.3])
     def test_benchmark_utterances(self, bench_utterances, ratio):
@@ -512,10 +531,7 @@ class TestPsolaOracle:
 
     def test_epochs_of_benchmark_utterances(self, bench_utterances):
         for _, w, traj in bench_utterances:
-            src = interpolate_unvoiced(traj)
-            got, want = detect_epochs(w, src), detect_epochs_oracle(w, src)
-            np.testing.assert_array_equal(got.positions, want.positions)
-            np.testing.assert_array_equal(got.voiced, want.voiced)
+            assert_epochs_match_oracle(w, interpolate_unvoiced(traj))
 
     def test_mark_midway_between_two_epochs_takes_the_earlier(self, monkeypatch):
         # 100-sample spacing at half the period: the second mark lands on 1050
@@ -579,10 +595,24 @@ class TestPsolaOracle:
         target = F0Trajectory(source.times, source.values * ratio, v)
         assert_psola_matches_oracle(w, source, target)
         if source.n_voiced:
-            src = interpolate_unvoiced(source)
-            got, want = detect_epochs(w, src), detect_epochs_oracle(w, src)
-            np.testing.assert_array_equal(got.positions, want.positions)
-            np.testing.assert_array_equal(got.voiced, want.voiced)
+            assert_epochs_match_oracle(w, interpolate_unvoiced(source))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        frames=st.lists(st.tuples(st.sampled_from([0.001, 0.01, 0.02]), st.booleans()), min_size=1, max_size=40),
+        f0=st.floats(70.0, 300.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(frames=OVERLAPPING_FRAMES, f0=120.0, seed=5)
+    def test_epochs_of_irregular_frame_times(self, frames, f0, seed):
+        source = irregular_track(frames, f0)
+        w = make_test_vowel(f0, duration=source.times[-1] + 0.02, seed=seed)
+        assert_epochs_match_oracle(w, interpolate_unvoiced(source) if source.n_voiced else source)
+
+    def test_pinned_irregular_example_has_overlapping_voiced_spans(self):
+        source = irregular_track(OVERLAPPING_FRAMES, 120.0)
+        (_, end), (start, _) = resynth._voiced_sample_spans(source, 16000, 16000)
+        assert start < end
 
 
 def test_interpolator_matches_np_interp():
