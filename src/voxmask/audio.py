@@ -4,14 +4,18 @@ Resampling applies resample_poly's Kaiser filter as blocks of BLAS matrix
 products over one cached, read-only polyphase table per rate pair; a pair
 whose table would pass a fixed budget runs scipy.signal.resample_poly.
 blocks is the one rule by which resample, pitch and STOI split a long file's
-rows into blocks.
+rows into blocks. atomic_output is the one way a file is written: under a
+temporary name, renamed into place once complete.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
@@ -93,20 +97,41 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
+@contextmanager
+def atomic_output(path, mode: str = "w", **open_kwargs):
+    """An open file whose bytes become path only when the with block ends without an error.
+
+    It is written under a temporary name in path's directory and moved onto
+    path by os.replace, so path never holds a partial file; on an error the
+    temporary file is removed and an earlier file at path keeps its bytes.
+    Every file a command writes goes through here.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
-    """Write a Waveform to disk.
+    """Write a Waveform to disk, through atomic_output.
 
     encoding 'pcm16' clips out-of-range samples to [-1, 1], 'float32' is
     lossless for float32-representable samples.
     """
     if encoding == "pcm16":
         x = np.clip(w.samples, -1.0, 1.0)
-        pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
-        wavfile.write(path, w.sample_rate, pcm)
+        data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
     elif encoding == "float32":
-        wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
+        data = w.samples.astype(np.float32)
     else:
         raise ValueError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+    with atomic_output(path, "wb") as fh:
+        wavfile.write(fh, w.sample_rate, data)
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

@@ -52,21 +52,6 @@ MFCC_HOP = int(round(MFCC_HOP_S * MFCC_RATE))
 MFCC_CMN_HALF = max(1, int(round(MFCC_CMN_WINDOW_S / MFCC_HOP_S)) // 2)  # frames on each side
 
 
-@dataclass(frozen=True)
-class TrialSet:
-    genuine: np.ndarray
-    impostor: np.ndarray
-
-    def __post_init__(self):
-        for name in ("genuine", "impostor"):
-            arr = frozen(getattr(self, name), np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} scores must be a 1-D list")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} scores must be finite")
-            object.__setattr__(self, name, arr)
-
-
 def _third_octave_bands(nfft: int, fs: float) -> np.ndarray:
     """Boolean bin-membership matrix for the 15 one-third-octave bands."""
     freqs = np.arange(nfft // 2 + 1) * fs / nfft
@@ -271,15 +256,18 @@ def score_trials(enroll: Sequence[np.ndarray], test: np.ndarray) -> float:
     return float(model @ t)
 
 
-def compute_eer(trials: TrialSet):
-    """Equal error rate in percent, plus the crossing threshold.
+def compute_eer(genuine, impostor):
+    """Equal error rate in percent, plus the crossing threshold, of two non-empty 1-D lists of finite scores.
 
     FAR(t) = fraction of impostor scores >= t, FRR(t) = fraction of genuine
     scores < t. Both are step functions of t; the FAR = FRR point is found
     by linear interpolation between the adjacent sweep points where
     FAR - FRR changes sign.
     """
-    gen, imp = trials.genuine, trials.impostor
+    gen, imp = np.asarray(genuine, dtype=np.float64), np.asarray(impostor, dtype=np.float64)
+    for name, arr in (("genuine", gen), ("impostor", imp)):
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} scores must be a 1-D list of finite values")
     if gen.size == 0 or imp.size == 0:
         raise ValueError("both genuine and impostor scores are required")
     thresholds = np.unique(np.concatenate([gen, imp]))
@@ -329,7 +317,7 @@ def summarize(label: str, scores, genuine, groups, stoi_scores, stoi_groups, eer
     def row(name: str, trials: np.ndarray, utterances: np.ndarray) -> MethodResult:
         gen, imp = scores[trials & genuine], scores[trials & ~genuine]
         if eer and gen.size and imp.size:
-            eer_percent, threshold = compute_eer(TrialSet(gen, imp))
+            eer_percent, threshold = compute_eer(gen, imp)
             # fold at the chance line: a worse-than-chance operating point
             # means inverted polarity, which an attacker would just flip
             eer_percent = min(eer_percent, 100.0 - eer_percent)

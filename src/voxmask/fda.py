@@ -23,7 +23,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
-from .audio import frozen
+from .audio import atomic_output, frozen
 from .pitch import F0Trajectory, interpolate_unvoiced
 
 MODEL_FORMAT_VERSION = 1
@@ -364,7 +364,7 @@ def save_model(path, model: FpcaModel) -> None:
         "training_scores": model.training_scores.tolist(),
         "labels": [dataclasses.asdict(l) for l in model.labels],
     }
-    with open(path, "w") as fh:
+    with atomic_output(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -10,23 +10,25 @@ the header's field count in each row. load_config turns the config JSON into
 typed objects once: each block holds the keyword arguments of one dataclass (a
 PitchConfig per pitch group, the fda.CurveSpace from the basis block and
 semitone_ref_hz, the DeidStrategy, the FormantShiftConfig), which keeps every
-default and check. So a key that names no field, a required key left out, a
-bad value, or a missing or inconsistent model file, which one reader loads, is
-a ConfigError before any audio is read. A model owns the curve space it was
-fit in, and anonymize rejects a config whose space is not equal to it. fit and
-anonymize factor their space and build its Gram matrix before they read any
-audio, so a space the grid cannot support is a ConfigError too. Per-utterance
-work is a frozen job dataclass: FitJob (a path and the group's PitchConfig)
-for f0 tracking and smoothing; AnonymizeJob, which adds the manifest row, its
-resolved strategy and the FormantShiftConfig; EvalJob, one file to embed and
-score by STOI. fit hands its factored space, and anonymize its model (read
-once per run, its space factored), to each worker once, through the pool's
-initializer. _map_jobs is the one place a job's exception is caught: each
-command logs an ok or failed row per utterance and goes on with the rest. A
-command starts at most one pool and aggregates in utterance-id order, so the
-worker count never changes output bytes. Every command and pool worker runs
-OpenBLAS at one thread (see blas), so the core count and the BLAS thread
-settings do not change them either: the worker count is the only parallelism.
+default and check; one function, _typed, checks each value's JSON type. So a
+key that names no field, a required key left out, a bad value, or a missing or
+inconsistent model file, which one reader loads, is a ConfigError before any
+audio is read. A model owns the curve space it was fit in, and anonymize
+rejects a config whose space is not equal to it. fit and anonymize factor their
+space and build its Gram matrix before they read any audio, so a space the grid
+cannot support is a ConfigError too. Per-utterance work is a frozen job
+dataclass: FitJob (a path and the group's PitchConfig) for f0 tracking and
+smoothing; AnonymizeJob, which adds the manifest row, its resolved strategy and
+the FormantShiftConfig; EvalJob, one file to embed and score by STOI. fit hands
+its factored space, and anonymize its model (read once per run, its space
+factored), to each worker once, through the pool's initializer. _map_jobs is
+the one place a job's exception is caught: each command logs an ok or failed
+row per utterance and goes on with the rest. A command takes its rows in
+utterance-id order from Manifest.filter, starts at most one pool and aggregates
+in that order, so neither the manifest's line order nor the worker count
+changes output bytes. Every command and pool worker runs OpenBLAS at one thread
+(see blas), so the core count and the BLAS thread settings do not change them
+either: the worker count is the only parallelism.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import blas, deid, evaluation, fda, pitch, resynth
-from .audio import read_wav, write_wav
+from .audio import atomic_output, read_wav, write_wav
 
 CONFIG_FORMAT_VERSION = 1
 CONFIG_KEYS = ("version", "label", "pitch", "basis", "semitone_ref_hz", "strategy", "formant", "evaluation")
@@ -74,7 +76,7 @@ ENROLL_SESSION = "1"  # evaluate enrolls each speaker on its modal utterances of
 
 @dataclass(frozen=True)
 class Manifest:
-    rows: tuple
+    rows: tuple  # in file order; filter returns utterance-id order, the order of every command
     root: Path
 
     def resolve(self, row: ManifestRow) -> Path:
@@ -82,9 +84,10 @@ class Manifest:
         return p if p.is_absolute() else self.root / p
 
     def filter(self, groups=None, conditions=None, sessions=None) -> list:
-        """The rows, in file order, whose group, condition and session each lie in its filter, if given."""
+        """The rows whose group, condition and session each lie in its filter, if given, in utterance-id order."""
         wanted = {"group": groups, "condition": conditions, "session": sessions}
-        return [r for r in self.rows if all(w is None or getattr(r, k) in w for k, w in wanted.items())]
+        kept = (r for r in self.rows if all(w is None or getattr(r, k) in w for k, w in wanted.items()))
+        return sorted(kept, key=lambda r: r.utterance_id)
 
     @property
     def groups(self):
@@ -119,7 +122,7 @@ def _read_table(path, what: str, fields) -> list:
 
 def write_table(path, header, rows) -> None:
     """header, then rows, as CSV in the csv module's default dialect: the one writer of every table a command makes."""
-    with open(path, "w", newline="") as fh:
+    with atomic_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -177,28 +180,20 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _count(value, key: str) -> int:
-    """A JSON integer, else a ConfigError naming key: a fraction, bool or string is no count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be a whole number, not {value!r}")
-    return value
+_JSON_TYPES = {  # field type: (the JSON values that fill it, what a ConfigError says it must be)
+    int: ((int,), "a whole number"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+}
 
 
-def _number(value, key: str) -> float:
-    """A JSON number as a float, else a ConfigError naming key: a bool or string is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, not {value!r}")
-    return float(value)
-
-
-def _text(value, key: str) -> str:
-    """A JSON string, else a ConfigError naming key."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, not {value!r}")
-    return value
-
-
-_CHECKS = {int: _count, float: _number, str: _text}  # by field type: what a config value must be
+def _typed(value, kind: type, key: str):
+    """value as kind, one of _JSON_TYPES, else a ConfigError naming key: a bool is no number, nor a number a bool."""
+    accepted, noun = _JSON_TYPES[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {noun}, not {value!r}")
+    return kind(value)
 
 
 def _block(value, path: str, keys=None) -> dict:
@@ -212,7 +207,7 @@ def _block(value, path: str, keys=None) -> dict:
 
 
 def _fill(cls, block, path: str, keys: Optional[dict] = None, **given):
-    """Dataclass cls from the config block at path: each key fills its field, a count, number or string type-checked.
+    """Dataclass cls from the config block at path: each key fills its field, through _typed if its type has a check.
 
     keys maps a field to its config key where the two differ, or to None when
     the block cannot set the field; given holds fields set from outside the
@@ -225,8 +220,8 @@ def _fill(cls, block, path: str, keys: Optional[dict] = None, **given):
     fields.pop(None, None)
     kwargs = dict(given)
     for key, value in _block(block, path, fields).items():
-        check = _CHECKS.get(types[fields[key].name])
-        kwargs[fields[key].name] = value if check is None else check(value, f"{path}.{key}")
+        kind = types[fields[key].name]
+        kwargs[fields[key].name] = _typed(value, kind, f"{path}.{key}") if kind in _JSON_TYPES else value
     for key, f in fields.items():
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise ConfigError(f"missing config key {path}.{key}")
@@ -241,19 +236,16 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError(f"unsupported config version: {data.get('version')!r}")
     _block(data, "", CONFIG_KEYS)
     ev = _block(data.get("evaluation", {}), "evaluation", ("stoi", "eer"))
-    for key, value in ev.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"evaluation.{key} must be true or false, not {value!r}")
     try:
-        ref = {"ref_hz": _number(data["semitone_ref_hz"], "semitone_ref_hz")} if "semitone_ref_hz" in data else {}
+        ref = {"ref_hz": _typed(data["semitone_ref_hz"], float, "semitone_ref_hz")} if "semitone_ref_hz" in data else {}
         return PipelineConfig(
-            label=_text(data.get("label", "unnamed"), "label"),
+            label=_typed(data.get("label", "unnamed"), str, "label"),
             pitch={g: _fill(pitch.PitchConfig, v, f"pitch.{g}") for g, v in _block(data["pitch"], "pitch").items()},
             curve_space=_fill(fda.CurveSpace, data.get("basis", {}), "basis", {"lam": "lambda", "ref_hz": None}, **ref),
             strategy=_fill(deid.DeidStrategy, data["strategy"], "strategy"),
             formant=_fill(resynth.FormantShiftConfig, data.get("formant", {}), "formant"),
-            eval_stoi=ev.get("stoi", True),
-            eval_eer=ev.get("eer", True),
+            eval_stoi=_typed(ev.get("stoi", True), bool, "evaluation.stoi"),
+            eval_eer=_typed(ev.get("eer", True), bool, "evaluation.eer"),
             raw=data,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -377,7 +369,6 @@ def cmd_fit(
         )
     if len(rows) < 2:
         raise ConfigError("functional PCA needs at least 2 matching utterances")
-    rows = sorted(rows, key=lambda r: r.utterance_id)
     out_path = check_output(out_path, directory=False)
     _prepare_space(cfg.curve_space)
 
@@ -524,7 +515,6 @@ def cmd_anonymize(
     rows = manifest.filter(groups=groups, conditions=(CONDITION_MODAL,), sessions=sessions)
     if not rows:
         raise ConfigError("no modal utterances match the given filters")
-    rows = sorted(rows, key=lambda r: r.utterance_id)
 
     manifest_groups = manifest.groups
     jobs = []
@@ -612,8 +602,7 @@ def cmd_evaluate(
 
     # enrollment: the enrollment session's modal originals of every enroll speaker
     enroll = {}
-    enroll_rows = manifest.filter(conditions=(CONDITION_MODAL,), sessions=(ENROLL_SESSION,))
-    for r in sorted(enroll_rows, key=lambda r: r.utterance_id):
+    for r in manifest.filter(conditions=(CONDITION_MODAL,), sessions=(ENROLL_SESSION,)):
         enroll.setdefault(r.speaker_id, []).append(r.utterance_id)
     enroll_speakers = sorted({s for s, _, _ in trials})
     for spk in enroll_speakers:
@@ -656,10 +645,10 @@ def cmd_evaluate(
             cfg.eval_eer,
         ),
     )
-    with open(out_dir / "report.json", "w") as fh:
+    with atomic_output(out_dir / "report.json") as fh:
         json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    with open(out_dir / "report.txt", "w") as fh:
+    with atomic_output(out_dir / "report.txt") as fh:
         fh.write(report.format_table() + "\n")
     return report
 

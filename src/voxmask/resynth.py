@@ -440,15 +440,17 @@ def _formant_band(w: Waveform):
 def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     """Burg fits and poles of the Hann-windowed frames of y (frame_signal framing).
 
-    Returns (active, segs, a, roots, freqs, bws, formant): active flags the
-    frames that are not all zero; the rest has one row per active frame, its
-    windowed samples, A(z), the roots of A(z) with their frequencies and
-    bandwidths, and the mask of formant poles among them. The fits come from
-    one burg_lpc call over the active frames (looked up as a module global
-    at call time), so they agree with the lattice to rounding, and a frame
-    left with under BURG_MIN_ERROR_RATIO of its energy in Burg's error sums
-    is fitted by the lattice itself. The roots come from one batched
-    eigenvalue call on the companion matrices np.roots builds.
+    Returns (active, segs, a, roots, angle, radius, formant): active flags
+    the frames that are not all zero; the rest has one row per active frame,
+    its windowed samples, A(z), the roots of A(z) with their angles and
+    radii, and the mask of formant poles among them, judged by each root's
+    frequency, angle * fs / (2 pi), and bandwidth,
+    -log(max(radius, 1e-12)) * fs / pi. The fits come from one burg_lpc call
+    over the active frames (looked up as a module global at call time), so
+    they agree with the lattice to rounding, and a frame left with under
+    BURG_MIN_ERROR_RATIO of its energy in Burg's error sums is fitted by the
+    lattice itself. The roots come from one batched eigenvalue call on the
+    companion matrices np.roots builds.
     """
     frames = frame_signal(y, fl, hp) * np.hanning(fl)
     active = np.any(frames, axis=1)
@@ -458,11 +460,11 @@ def _frame_poles(y: np.ndarray, fs: float, fl: int, hp: int, order: int):
     companion[:, 0] = -a[:, 1:]
     companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
-    freqs = np.angle(roots) * fs / (2 * np.pi)
-    bws = -np.log(np.maximum(np.abs(roots), 1e-12)) * fs / np.pi
-    formant = (roots.imag > 1e-9) & (bws < FORMANT_MAX_BW)
+    angle, radius = np.angle(roots), np.abs(roots)
+    freqs = angle * fs / (2 * np.pi)
+    formant = (roots.imag > 1e-9) & (-np.log(np.maximum(radius, 1e-12)) * fs / np.pi < FORMANT_MAX_BW)
     formant &= (freqs >= FORMANT_MIN_HZ) & (freqs <= fs / 2 - FORMANT_EDGE_HZ)
-    return active, segs, a, roots, freqs, bws, formant
+    return active, segs, a, roots, angle, radius, formant
 
 
 def _resynthesize_frames(active, a, a_mod, seg, hp):
@@ -519,19 +521,17 @@ def shift_formants_detailed(w: Waveform, cfg: FormantShiftConfig) -> FormantShif
     n_fr = num_frames(na, fl, hp) + 1  # one extra to cover the tail
     pad = (n_fr - 1) * hp + fl
     y = np.concatenate([y, np.zeros(pad - na)])
-    active, seg, a, roots, freqs, _, formant = _frame_poles(y, fa, fl, hp, order)
+    active, seg, a, roots, angle, radius, formant = _frame_poles(y, fa, fl, hp, order)
 
     # Edit the upper-half-plane and real roots only. Each upper root and its
     # conjugate become one real quadratic factor of A_mod, which mirrors the
     # edit to the lower half plane; lower roots contribute the factor 1.
     degree = np.select([roots.imag > 1e-9, np.abs(roots.imag) <= 1e-9], [2.0, 1.0])
-    rank = np.argsort(np.argsort(np.where(formant, freqs, np.inf), axis=1), axis=1)
+    rank = np.argsort(np.argsort(np.where(formant, angle, np.inf), axis=1), axis=1)
     chosen = formant & (rank < cfg.n_formants)
-    angle = np.angle(roots)
     fits = angle * cfg.factor < 0.95 * np.pi
     angle = np.where(chosen & fits, angle * cfg.factor, angle)
     skipped = int(np.count_nonzero(chosen & ~fits))
-    radius = np.abs(roots)
     clamp = (degree > 0) & (radius >= 1.0)
     radius = np.where(clamp, 0.998, radius)
     c1 = -degree * radius * np.cos(angle)

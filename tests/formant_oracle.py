@@ -150,9 +150,11 @@ def track_formants(w: Waveform, lpc_order: int):
     y, fs, _, fl, hp = _formant_band(w)
     result = [None] * num_frames(y.size, fl, hp)
     try:
-        active, _, _, _, freqs, bws, formant = _frame_poles(y, fs, fl, hp, lpc_order)
+        active, _, _, _, angle, radius, formant = _frame_poles(y, fs, fl, hp, lpc_order)
     except (ValueError, np.linalg.LinAlgError):
         return result
+    freqs = angle * fs / (2 * np.pi)
+    bws = -np.log(np.maximum(radius, 1e-12)) * fs / np.pi
     for k, fq, bw, is_formant in zip(np.flatnonzero(active), freqs, bws, formant):
         fq, bw = fq[is_formant], bw[is_formant]
         result[k] = [(float(fq[i]), float(bw[i])) for i in np.argsort(fq)]

@@ -15,7 +15,7 @@ import pytest
 import voxmask
 from voxmask import deid, evaluation, fda, pipeline, pitch, resynth, synth
 from voxmask.audio import Waveform, read_wav
-from voxmask.evaluation import TrialSet, compute_eer, stoi
+from voxmask.evaluation import compute_eer, stoi
 
 from conftest import make_test_vowel
 from test_evaluation import brute_force_eer
@@ -264,17 +264,17 @@ def test_criterion_07_eer_harness():
         n_i = int(rng.integers(1000, 3000))
         gen = rng.normal(rng.uniform(0.0, 2.0), 1.0, n_g)
         imp = rng.normal(0.0, 1.0, n_i)
-        eer, _ = compute_eer(TrialSet(gen, imp))
+        eer, _ = compute_eer(gen, imp)
         bf = brute_force_eer(gen, imp)
         worst = max(worst, abs(eer - bf))
         assert abs(eer - bf) < 0.1
 
-    perfect, _ = compute_eer(TrialSet([2.0, 3.0, 4.0], [0.0, 0.5, 1.0]))
+    perfect, _ = compute_eer([2.0, 3.0, 4.0], [0.0, 0.5, 1.0])
     assert perfect == 0.0
     x = np.array([0.1, 0.4, 0.4, 0.7])
-    chance, _ = compute_eer(TrialSet(x, x))
+    chance, _ = compute_eer(x, x)
     assert chance == pytest.approx(50.0, abs=1e-9)
-    worked, _ = compute_eer(TrialSet([0.9, 0.6, 0.4], [0.7, 0.5, 0.2]))
+    worked, _ = compute_eer([0.9, 0.6, 0.4], [0.7, 0.5, 0.2])
     assert worked == pytest.approx(100.0 / 3.0, abs=1e-9)
     print(
         f"\ncriterion 7: PASS brute-force delta max {worst:.4f} pp (< 0.1) on 100 sets, "

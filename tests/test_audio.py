@@ -12,6 +12,7 @@ from voxmask.audio import (
     AudioFormatError,
     UnsupportedFormatError,
     Waveform,
+    atomic_output,
     frame_signal,
     num_frames,
     read_wav,
@@ -124,6 +125,23 @@ class TestReadWrite:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises((FileNotFoundError, OSError)):
             read_wav(tmp_path / "absent.wav")
+
+
+class TestAtomicOutput:
+    def test_a_wav_equals_the_one_scipy_writes_to_its_path(self, tmp_path):
+        w = make_noise(0.1)
+        write_wav(tmp_path / "a.wav", w, encoding="float32")
+        wavfile.write(tmp_path / "b.wav", w.sample_rate, w.samples.astype(np.float32))
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+    def test_the_file_appears_only_when_complete(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with atomic_output(path) as fh:
+            fh.write("first half ")
+            assert not path.exists() and len(list(tmp_path.iterdir())) == 1
+            fh.write("second half")
+        assert path.read_text() == "first half second half"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 STANDARD_RATES = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000)

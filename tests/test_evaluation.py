@@ -23,7 +23,6 @@ from voxmask.evaluation import (
     STOI_SEGMENT,
     EvalReport,
     MethodResult,
-    TrialSet,
     compute_eer,
     mfcc_embed,
     mfcc_frames,
@@ -484,28 +483,37 @@ class TestScoreTrials:
 
 class TestEer:
     def test_worked_three_by_three(self):
-        eer, thr = compute_eer(TrialSet([0.9, 0.6, 0.4], [0.7, 0.5, 0.2]))
+        eer, thr = compute_eer([0.9, 0.6, 0.4], [0.7, 0.5, 0.2])
         assert eer == pytest.approx(100.0 / 3.0, abs=1e-9)
         assert 0.5 < thr <= 0.6
 
     def test_perfect_separation(self):
-        eer, _ = compute_eer(TrialSet([0.9, 0.8], [0.2, 0.1]))
+        eer, _ = compute_eer([0.9, 0.8], [0.2, 0.1])
         assert eer == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_distributions(self):
         scores = [0.1, 0.4, 0.7]
-        eer, _ = compute_eer(TrialSet(scores, scores))
+        eer, _ = compute_eer(scores, scores)
         assert eer == pytest.approx(50.0, abs=1e-9)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
-            compute_eer(TrialSet([], [0.5]))
+            compute_eer([], [0.5])
         with pytest.raises(ValueError):
-            compute_eer(TrialSet([0.5], []))
+            compute_eer([0.5], [])
 
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ValueError):
-            TrialSet([np.nan], [0.5])
+            compute_eer([np.nan], [0.5])
+
+    @pytest.mark.parametrize("bad", [[0.5, np.nan], [np.inf, 0.5], [-np.inf], [[0.5, 0.6]], []],
+                             ids=["nan", "inf", "minus_inf", "2d", "empty"])
+    @pytest.mark.parametrize("side", ["genuine", "impostor"])
+    def test_each_class_checked(self, bad, side):
+        scores = {"genuine": [0.9, 0.6], "impostor": [0.7, 0.2], side: bad}
+        message = "both genuine and impostor" if len(bad) == 0 else f"{side} scores must be a 1-D list of finite values"
+        with pytest.raises(ValueError, match=message):
+            compute_eer(scores["genuine"], scores["impostor"])
 
     def test_matches_brute_force_sweep(self):
         # FAR/FRR move in steps of 100/n pp, so a 0.1 pp agreement bound is
@@ -517,7 +525,7 @@ class TestEer:
             sep = rng.uniform(0.0, 2.0)
             gen = rng.normal(sep, 1.0, n_g)
             imp = rng.normal(0.0, 1.0, n_i)
-            eer, _ = compute_eer(TrialSet(gen, imp))
+            eer, _ = compute_eer(gen, imp)
             bf = brute_force_eer(gen, imp)
             assert abs(eer - bf) < 0.1, (eer, bf, n_g, n_i, sep)
 
@@ -546,7 +554,7 @@ class TestEer:
         imp = rng.normal(0.0, 1.0, int(rng.integers(200, 800)))
         if seed % 2:
             gen, imp = np.round(gen, 1), np.round(imp, 1)  # ties within and across classes
-        assert compute_eer(TrialSet(gen, imp)) == per_threshold_eer(gen, imp)
+        assert compute_eer(gen, imp) == per_threshold_eer(gen, imp)
 
     @given(
         st.lists(st.integers(min_value=-5000, max_value=5000), min_size=2, max_size=40),
@@ -565,8 +573,8 @@ class TestEer:
             "exp": lambda x: np.exp(0.5 * x),
         }
         f = transforms[kind]
-        base, _ = compute_eer(TrialSet(gen, imp))
-        mapped, _ = compute_eer(TrialSet(f(gen), f(imp)))
+        base, _ = compute_eer(gen, imp)
+        mapped, _ = compute_eer(f(gen), f(imp))
         assert base == pytest.approx(mapped, abs=1e-6)
 
     def test_threshold_is_operational(self):
@@ -574,7 +582,7 @@ class TestEer:
         rng = np.random.default_rng(7)
         gen = rng.normal(1.2, 1.0, 300)
         imp = rng.normal(0.0, 1.0, 400)
-        eer, thr = compute_eer(TrialSet(gen, imp))
+        eer, thr = compute_eer(gen, imp)
         far = 100.0 * np.mean(imp >= thr)
         frr = 100.0 * np.mean(gen < thr)
         assert abs(far - frr) < 5.0
@@ -638,7 +646,7 @@ class TestSummarize:
 
     def test_eer_below_chance_is_folded_at_50(self):
         gen, imp = [0.1, 0.2, 0.3, 0.45], [0.4, 0.5, 0.25, 0.6, 0.7]
-        raw, threshold = compute_eer(TrialSet(np.array(gen), np.array(imp)))
+        raw, threshold = compute_eer(np.array(gen), np.array(imp))
         assert raw > 50.0  # genuine scores sit below the impostors
         overall, group = summarize("m", gen + imp, [True] * 4 + [False] * 5, ["g"] * 9, [], [], True)
         assert overall.eer_percent == group.eer_percent == 100.0 - raw
@@ -646,7 +654,7 @@ class TestSummarize:
 
     def test_eer_above_chance_is_not_folded(self):
         gen, imp = [0.9, 0.8, 0.3, 0.75], [0.4, 0.5, 0.25, 0.6, 0.1]
-        raw, threshold = compute_eer(TrialSet(np.array(gen), np.array(imp)))
+        raw, threshold = compute_eer(np.array(gen), np.array(imp))
         assert raw < 50.0
         overall, group = summarize("m", gen + imp, [True] * 4 + [False] * 5, ["g"] * 9, [], [], True)
         assert overall.eer_percent == group.eer_percent == raw

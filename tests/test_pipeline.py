@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -60,6 +61,13 @@ def write_csv(path: Path, fields, rows) -> Path:
     """rows, dicts keyed by fields, as the CSV table pipeline.write_table makes."""
     pipeline.write_table(path, fields, ([row[f] for f in fields] for row in rows))
     return path
+
+
+def manifest_row(manifest: pipeline.Manifest, utterance_id: str) -> pipeline.ManifestRow:
+    return next(r for r in manifest.rows if r.utterance_id == utterance_id)
+
+
+FIRST_MODAL = "low00_modal_s1_u00"  # the small corpus's first modal row in file order
 
 
 def write_config(path: Path, **over) -> Path:
@@ -131,6 +139,13 @@ class TestManifest:
         assert len(m.filter(sessions=("1",), groups=("high",), conditions=("modal",))) == 6
         for r in m.filter(sessions=("1",))[:3]:
             assert m.resolve(r).exists()
+
+    def test_filter_returns_utterance_id_order_and_rows_keep_file_order(self, small_corpus):
+        m = pipeline.load_manifest(small_corpus)
+        assert m.rows[0].utterance_id == FIRST_MODAL
+        ids = [r.utterance_id for r in m.filter(conditions=("modal",))]
+        assert ids == sorted(ids) and ids[0] == "high00_modal_s1_u00"
+        assert [r.utterance_id for r in m.filter()] == sorted(r.utterance_id for r in m.rows)
 
 
 # ---------------------------------------------------------------- config
@@ -288,6 +303,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             pipeline.config_from_dict(base_config(**over))
 
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"basis": {"n_basis": True}}, "basis.n_basis must be a whole number, not True"),
+            ({"pitch": {"low": {"floor": "65", "ceiling": 380.0}}}, "pitch.low.floor must be a number, not '65'"),
+            ({"formant": {"factor": 1.2, "n_formants": "3"}}, "formant.n_formants must be a whole number, not '3'"),
+            ({"strategy": {"kind": 1.5}}, "strategy.kind must be a string, not 1.5"),
+            ({"evaluation": {"stoi": "true"}}, "evaluation.stoi must be true or false, not 'true'"),
+            ({"evaluation": {"eer": 1}}, "evaluation.eer must be true or false, not 1"),
+        ],
+        ids=["bool_for_count", "string_for_number", "string_for_count", "number_for_string", "string_for_bool",
+             "number_for_bool"],
+    )
+    def test_one_type_check_names_the_key_and_value(self, over, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            pipeline.config_from_dict(base_config(**over))
+
+    def test_a_whole_number_fills_a_number_field_as_a_float(self):
+        cfg = pipeline.config_from_dict(base_config(pitch={"low": {"floor": 65, "ceiling": 380}}, semitone_ref_hz=100))
+        assert type(cfg.pitch["low"].floor) is float and type(cfg.curve_space.ref_hz) is float
+        assert cfg.eval_stoi is True and cfg.eval_eer is True
+
     def test_blocks_take_their_defaults_from_the_dataclasses(self):
         cfg = pipeline.config_from_dict(base_config(strategy={"kind": "cross_group"}, formant={}))
         assert cfg.strategy == deid.DeidStrategy(kind="cross_group")
@@ -335,7 +372,7 @@ class TestFit:
 
     def test_single_utterance_rejected(self, small_corpus, config_path, tmp_path):
         src = pipeline.load_manifest(small_corpus)
-        r = src.filter(conditions=("modal",))[0]
+        r = manifest_row(src, FIRST_MODAL)
         p = write_csv(tmp_path / "one.csv", pipeline.MANIFEST_FIELDS, [
             {**dataclasses.asdict(r), "path": str(src.resolve(r))},
         ])
@@ -531,7 +568,7 @@ class TestAnonymize:
 
     def test_per_utterance_failure_isolation(self, small_corpus, tmp_path):
         src = pipeline.load_manifest(small_corpus)
-        good = src.filter(conditions=("modal",))[0]
+        good = manifest_row(src, FIRST_MODAL)
         bad_wav = tmp_path / "bad.wav"
         bad_wav.write_bytes(b"this is not audio")
         p = tmp_path / "mixed.csv"
@@ -552,6 +589,71 @@ class TestAnonymize:
         assert rows["broken"]["message"]
         assert rows["broken"]["clamped_poles"] == rows["broken"]["skipped_poles"] == ""
         assert (out / f"{good.utterance_id}.anon.wav").exists()
+
+
+class TestAtomicWrites:
+    """Every file a command writes is complete under its final name, or absent, or its earlier bytes."""
+
+    def test_a_table_whose_rows_fail_midway_is_not_written(self, tmp_path):
+        path = tmp_path / "t.csv"
+        pipeline.write_table(path, ["a"], [["1"]])
+        before = path.read_bytes()
+
+        def rows():
+            yield ["2"]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.write_table(path, ["a"], rows())
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.write_table(tmp_path / "fresh.csv", ["a"], rows())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_model_whose_dump_fails_midway_is_not_written(self, fitted_model, tmp_path, monkeypatch):
+        model = fda.load_model(fitted_model)
+
+        def dump_half(payload, fh, **kwargs):
+            fh.write(json.dumps(payload)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fda, "json", types.SimpleNamespace(dump=dump_half))
+        with pytest.raises(OSError, match="disk full"):
+            fda.save_model(tmp_path / "m.json", model)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_wav_write_fails_its_row_and_leaves_the_earlier_file(self, small_corpus, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.json", strategy={"kind": "constant_shift", "shift_percent": 5.0})
+        out = tmp_path / "anon"
+        victim = "high01_modal_s2_u00"
+        real = wavfile.write
+
+        def fail_one(fh, rate, data):
+            if victim not in Path(fh.name).name:
+                return real(fh, rate, data)
+            fh.write(b"RIFF" + bytes(40))
+            raise OSError("disk full")
+
+        def run():
+            failures = pipeline.cmd_anonymize(small_corpus, cfg, None, out, groups=("high",), sessions=("2",))
+            return failures, {r["utterance_id"]: r for r in read_log(out / pipeline.ANON_LOG)}
+
+        monkeypatch.setattr(wavfile, "write", fail_one)
+        failures, log = run()
+        assert failures == 1 and len(log) == 6
+        assert (log[victim]["status"], log[victim]["message"]) == ("failed", "OSError: disk full")
+        assert not (out / f"{victim}.anon.wav").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [pipeline.ANON_LOG] + [f"{u}.anon.wav" for u in log if u != victim]
+        )
+
+        monkeypatch.setattr(wavfile, "write", real)
+        assert run()[0] == 0
+        earlier = (out / f"{victim}.anon.wav").read_bytes()
+        monkeypatch.setattr(wavfile, "write", fail_one)
+        assert run()[0] == 1
+        assert (out / f"{victim}.anon.wav").read_bytes() == earlier
+        assert not [p for p in out.iterdir() if p.name.startswith(".")]
 
 
 def record_pool_sizes(monkeypatch) -> list:
@@ -709,6 +811,32 @@ class TestEvaluate:
             ids.append(report.corpus_id)
         assert ids[0] == ids[1] == hashlib.sha256((tmp_path / "a/manifest.csv").read_bytes()).hexdigest()[:12]
         assert ids[2] != ids[0]
+
+    def test_manifest_line_order_moves_no_output_byte(
+        self, small_corpus, config_path, fitted_model, anon_dir, tmp_path
+    ):
+        # the fixtures ran fit and anonymize, at 2 workers, on the manifest as synth writes it
+        src = pipeline.load_manifest(small_corpus)
+        reversed_manifest = tmp_path / "reversed.csv"
+        rows = [dataclasses.replace(r, path=str(src.resolve(r))) for r in reversed(src.rows)]
+        pipeline.write_table(reversed_manifest, pipeline.MANIFEST_FIELDS, map(dataclasses.astuple, rows))
+        model = pipeline.cmd_fit(reversed_manifest, config_path, tmp_path / "model.json", conditions=("modal",), workers=2)
+        anon = tmp_path / "anon"
+        assert pipeline.cmd_anonymize(reversed_manifest, config_path, model, anon, workers=2) == 0
+        assert model.read_bytes() == fitted_model.read_bytes()
+        assert pipeline.model_log(model).read_bytes() == pipeline.model_log(fitted_model).read_bytes()
+        assert tree_digests(anon) == tree_digests(anon_dir)
+
+        trials = Path(small_corpus).parent / "trials.csv"
+        forward_report = pipeline.cmd_evaluate(small_corpus, config_path, anon_dir, trials, tmp_path / "forward")
+        reversed_report = pipeline.cmd_evaluate(reversed_manifest, config_path, anon, trials, tmp_path / "reversed")
+        assert forward_report.corpus_id != reversed_report.corpus_id
+        for name in ("scores.csv", "eval_log.csv", "report.txt"):
+            assert (tmp_path / "forward" / name).read_bytes() == (tmp_path / "reversed" / name).read_bytes()
+        report = (tmp_path / "forward" / "report.json").read_text()
+        assert report.replace(forward_report.corpus_id, reversed_report.corpus_id) == (
+            tmp_path / "reversed" / "report.json"
+        ).read_text()
 
     def test_missing_test_audio(self, small_corpus, config_path, tmp_path):
         root = Path(small_corpus).parent
@@ -1271,7 +1399,7 @@ class TestCli:
 
     def test_fit_on_curves_without_variance_exits_2_after_its_log(self, small_corpus, config_path, tmp_path):
         src = pipeline.load_manifest(small_corpus)
-        r = src.filter(conditions=("modal",))[0]
+        r = manifest_row(src, FIRST_MODAL)
         # one file under two ids: two identical curves
         twice = [{**dataclasses.asdict(r), "utterance_id": u, "path": str(src.resolve(r))} for u in ("first", "second")]
         p = write_csv(tmp_path / "twice.csv", pipeline.MANIFEST_FIELDS, twice)
